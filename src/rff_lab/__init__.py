@@ -6,7 +6,10 @@ compares Monte-Carlo silhouette scores and classification accuracies against
 closed-form (Taylor/delta-method) predictions.
 """
 
-from .analytic import ExpectedScores, expected_inter, expected_intra, expected_scores, expected_silhouette
+#: the one place the version is written; the CLI and the build read it here
+__version__ = "0.1.0"
+
+from .analytic import expected_inter, expected_intra, expected_silhouette
 from .channel import ChannelParams, ChannelScenario, Phase, ScenarioMoments, init_trial_channel, sample_csi_block
 from .classifier import LdaModel, accuracy, fit, predict, predict_batch
 from .config import ConfigError, parse_config, render_config
@@ -30,13 +33,11 @@ from .gaussian_moments import (
     direct_ratio_moments,
     in_regime,
     mc_ratio_detail,
-    mc_ratio_oracle,
     paired_product_mean,
     reciprocal_moments,
 )
 from .signal_model import (
     DeviceFingerprint,
-    FeatureMatrix,
     FeatureMoments,
     Method,
     ModelParams,
@@ -46,8 +47,6 @@ from .signal_model import (
 )
 from .silhouette import SilhouetteBreakdown, normalize, normalize_block, silhouette_from_normalized, silhouette_score
 
-__version__ = "0.1.0"
-
 __all__ = [
     "__version__",
     "ChannelParams",
@@ -55,9 +54,7 @@ __all__ = [
     "ConfigError",
     "CorrelationReport",
     "DeviceFingerprint",
-    "ExpectedScores",
     "ExperimentConfig",
-    "FeatureMatrix",
     "FeatureMoments",
     "GaussianMoments",
     "GaussianSpec",
@@ -81,14 +78,12 @@ __all__ = [
     "draw_fingerprint",
     "expected_inter",
     "expected_intra",
-    "expected_scores",
     "expected_silhouette",
     "extract_batch",
     "fit",
     "in_regime",
     "init_trial_channel",
     "mc_ratio_detail",
-    "mc_ratio_oracle",
     "normalize",
     "normalize_block",
     "paired_product_mean",

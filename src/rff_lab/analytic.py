@@ -21,6 +21,13 @@ distinguishes the cases:
   ``g(H) = E_noise[phi]``; both stochastic scenarios draw independent
   channels, giving ``E[phi_tr] * E[phi_te]``.
 
+Both ingredients of ``phi`` come from one place: RAW's ``phi`` is the CSI
+itself, and every ratio method's is the `gaussian_moments` direct ratio
+``H/(rho*H + N)`` of its `signal_model.RatioLaw`, so ``E[phi]`` is
+`direct_ratio_moments` and ``E[g(H)^2]`` is `paired_product_mean` — the same
+functions `validate-claims` checks against Monte Carlo.  The law also
+supplies the amplitude ``a`` and the fingerprint moments.
+
 The expected silhouette score is the matching closed ratio
 
     S = a_tr a_te sigma_t^2 Phi / (sigma_tr sigma_te
@@ -38,31 +45,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import ChannelScenario, Phase, ScenarioMoments
+from .gaussian_moments import GaussianSpec, RatioParams, direct_ratio_moments, paired_product_mean
 from .signal_model import (
     FeatureMoments,
     Method,
     ModelParams,
-    amplification_factor,
     analytic_feature_moments,
+    ratio_law,
 )
 
 __all__ = [
-    "ExpectedScores",
     "ScenarioMoments",
     "expected_intra",
     "expected_inter",
     "expected_silhouette",
-    "expected_scores",
 ]
-
-
-@dataclass(frozen=True)
-class ExpectedScores:
-    """Expected intra distance, inter distance, and silhouette score."""
-
-    intra: float
-    inter: float
-    silhouette: float
 
 
 @dataclass(frozen=True)
@@ -70,20 +67,10 @@ class _PhaseTerms:
     """Per-phase ingredients of the cross-moment expressions."""
 
     amplitude: float  # a: deterministic feature amplitude
+    fingerprint: tuple[float, float]  # (mu_t, sigma_t^2) of the fingerprint
     phi_mean: float  # E[phi]: mean of the channel/noise factor
+    phi_shared: float  # E[g(H)^2] if this phase's channel served both phases
     moments: FeatureMoments  # (mu, sigma^2) of the full feature
-
-
-def _fingerprint_moments(method: Method, params: ModelParams) -> tuple[float, float]:
-    """(mu_t, sigma_t^2) of the fingerprint variate the method observes."""
-    if method is Method.SL:
-        return params.mu_s, params.sigma_s**2
-    return params.mu_u, params.sigma_u**2
-
-
-def _ratio_scale(method: Method, params: ModelParams) -> float:
-    """Denominator scale of the method's ratio (gamma for SL, beta otherwise)."""
-    return params.gamma() if method is Method.SL else params.beta()
 
 
 def _phase_terms(
@@ -92,29 +79,19 @@ def _phase_terms(
     mu_c, sig_c2 = channel_moments
     moments = analytic_feature_moments(method, params, channel_moments)
     if method is Method.RAW:
-        return _PhaseTerms(params.f_ra * params.x, mu_c, moments)
-    rho = _ratio_scale(method, params)
-    phi_mean = (rho**2 * mu_c**2 + params.sigma_n**2) / (rho**3 * mu_c**2)
-    if method is Method.SL:
+        fingerprint = (params.mu_u, params.sigma_u**2)
         amplitude = params.f_ra * params.x
-    elif method is Method.CR:
-        amplitude = params.f_ra * params.x
-    elif method is Method.PC:
-        amplitude = params.f_ra * params.x**2
-    else:  # RC
-        amplitude = params.f_ra * amplification_factor(params, channel_moments)
-    return _PhaseTerms(amplitude, phi_mean, moments)
-
-
-def _shared_channel_factor(
-    method: Method, params: ModelParams, channel_moments: tuple[float, float]
-) -> float:
-    """E[g(H)^2] when one channel realization serves both phases."""
-    mu_c, sig_c2 = channel_moments
-    if method is Method.RAW:
-        return mu_c**2 + sig_c2
-    rho = _ratio_scale(method, params)
-    return (rho**2 * mu_c**2 + 2.0 * params.sigma_n**2) / (rho**4 * mu_c**2)
+        return _PhaseTerms(amplitude, fingerprint, mu_c, mu_c**2 + sig_c2, moments)
+    law = ratio_law(method, params, channel_moments)
+    g = GaussianSpec(mean=mu_c, variance=sig_c2)
+    p = RatioParams(rho=law.rho, noise_variance=params.sigma_n**2)
+    return _PhaseTerms(
+        law.amplitude,
+        law.fingerprint,
+        direct_ratio_moments(g, p).mean,
+        paired_product_mean(g, p),
+        moments,
+    )
 
 
 def _setup(
@@ -127,7 +104,7 @@ def _setup(
     train = _phase_terms(method, params, (mu_tr, sig_tr**2))
     test = _phase_terms(method, params, (mu_te, sig_te**2))
     if scenario is ChannelScenario.DETERMINISTIC:
-        phi_cross = _shared_channel_factor(method, params, (mu_tr, sig_tr**2))
+        phi_cross = train.phi_shared
     else:
         phi_cross = train.phi_mean * test.phi_mean
     return train, test, phi_cross
@@ -144,9 +121,12 @@ def _expected_distance(
     method: Method,
     scenario: ChannelScenario,
     params: ModelParams,
-    fingerprint_sq: float,
+    same_device: bool,
 ) -> float:
     train, test, phi_cross = _setup(method, scenario, params)
+    mu_t, sig_t2 = train.fingerprint
+    # E[t t']: mu_t^2 + sigma_t^2 for one device, mu_t^2 across two devices
+    fingerprint_sq = mu_t**2 + sig_t2 if same_device else mu_t**2
     cross = train.amplitude * test.amplitude * fingerprint_sq * phi_cross
     centered = cross - train.moments.mean * test.moments.mean
     k = method.subcarriers(params)
@@ -157,24 +137,22 @@ def expected_intra(
     method: Method, scenario: ChannelScenario, params: ModelParams
 ) -> float:
     """Expected mean squared normalized distance to the same device's test set."""
-    mu_t, sig_t2 = _fingerprint_moments(method, params)
-    return _expected_distance(method, scenario, params, mu_t**2 + sig_t2)
+    return _expected_distance(method, scenario, params, same_device=True)
 
 
 def expected_inter(
     method: Method, scenario: ChannelScenario, params: ModelParams
 ) -> float:
     """Expected mean squared normalized distance to another device's test set."""
-    mu_t, _ = _fingerprint_moments(method, params)
-    return _expected_distance(method, scenario, params, mu_t**2)
+    return _expected_distance(method, scenario, params, same_device=False)
 
 
 def expected_silhouette(
     method: Method, scenario: ChannelScenario, params: ModelParams
 ) -> float:
     """Closed-form expected silhouette score, ``(inter - intra) / inter``."""
-    mu_t, sig_t2 = _fingerprint_moments(method, params)
     train, test, phi_cross = _setup(method, scenario, params)
+    mu_t, sig_t2 = train.fingerprint
     gain = train.amplitude * test.amplitude
     numerator = gain * sig_t2 * phi_cross
     denominator = _std_product(train, test) - gain * mu_t**2 * (
@@ -187,13 +165,3 @@ def expected_silhouette(
         )
     return numerator / denominator
 
-
-def expected_scores(
-    method: Method, scenario: ChannelScenario, params: ModelParams
-) -> ExpectedScores:
-    """The intra/inter distances and silhouette score in one bundle."""
-    return ExpectedScores(
-        intra=expected_intra(method, scenario, params),
-        inter=expected_inter(method, scenario, params),
-        silhouette=expected_silhouette(method, scenario, params),
-    )

@@ -45,15 +45,11 @@ class LdaModel:
         return self.class_means.shape[0]
 
 
-def _values_of(feature_set) -> np.ndarray:
-    return np.asarray(getattr(feature_set, "values", feature_set), dtype=float)
-
-
-def fit(train: Sequence, ridge: float = DEFAULT_RIDGE) -> LdaModel:
+def fit(train: Sequence[np.ndarray], ridge: float = DEFAULT_RIDGE) -> LdaModel:
     """Fit the discriminant on per-device training sets (class = position)."""
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    mats = [_values_of(ts) for ts in train]
+    mats = [np.asarray(ts, dtype=float) for ts in train]
     if len(mats) < 2:
         raise ValueError("need at least two classes")
     k = mats[0].shape[1]
@@ -118,9 +114,9 @@ def predict(model: LdaModel, sample: np.ndarray) -> int:
     return int(predict_batch(model, sample[None, :])[0])
 
 
-def accuracy(model: LdaModel, test: Sequence) -> float:
+def accuracy(model: LdaModel, test: Sequence[np.ndarray]) -> float:
     """Fraction of test samples assigned to their own device (class = position)."""
-    mats = [_values_of(ts) for ts in test]
+    mats = [np.asarray(ts, dtype=float) for ts in test]
     if len(mats) != model.n_classes:
         raise ValueError("test sets must align with the fitted classes")
     correct = 0

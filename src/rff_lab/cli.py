@@ -39,6 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from .channel import ChannelScenario
 from .config import ConfigError, parse_config, render_config
 from .experiments import (
@@ -63,7 +64,7 @@ from .signal_model import Method
 
 __all__ = ["OutputBundle", "main", "CSV_HEADER", "format_records_csv", "parse_records_csv"]
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 ENV_THREADS = "RFF_LAB_THREADS"
 
 CSV_HEADER = (
@@ -73,6 +74,17 @@ CSV_HEADER = (
 
 MEAN_TOLERANCE = 0.02
 SECOND_MOMENT_TOLERANCE = 0.05
+
+#: each ratio form's closed form, as the quantities it predicts in print order
+CLOSED_FORMS = {
+    RatioForm.DIRECT_RATIO: lambda g, p: asdict(direct_ratio_moments(g, p)),
+    RatioForm.PAIRED_PRODUCT: lambda g, p: {"mean": paired_product_mean(g, p)},
+    RatioForm.CROSS_DIFFERENCE: lambda g, p: asdict(cross_difference_moments(g, p)),
+    RatioForm.RECIPROCAL: lambda g, p: asdict(reciprocal_moments(g, p)),
+}
+#: relative tolerance per quantity (a mean predicted as exactly 0 is gated on
+#: the oracle's standard error instead)
+QUANTITY_TOLERANCE = {"mean": MEAN_TOLERANCE, "second_moment": SECOND_MOMENT_TOLERANCE}
 
 #: validation grid: every combination is exercised against the oracle
 VALIDATION_MU_G = (1.0,)
@@ -259,36 +271,16 @@ def cmd_validate_claims(args: argparse.Namespace) -> int:
         for form_index, form in enumerate(RatioForm):
             seed = _validation_seed(args.seed, point_index, form_index)
             mc = mc_ratio_detail(form, g, p, args.draws, seed)
-            if form is RatioForm.DIRECT_RATIO:
-                analytic = direct_ratio_moments(g, p)
-                quantities = [("mean", analytic.mean, MEAN_TOLERANCE),
-                              ("second_moment", analytic.second_moment,
-                               SECOND_MOMENT_TOLERANCE)]
-            elif form is RatioForm.PAIRED_PRODUCT:
-                quantities = [("mean", paired_product_mean(g, p), MEAN_TOLERANCE)]
-            elif form is RatioForm.CROSS_DIFFERENCE:
-                analytic = cross_difference_moments(g, p)
-                quantities = [("mean", analytic.mean, None),
-                              ("second_moment", analytic.second_moment,
-                               SECOND_MOMENT_TOLERANCE)]
-            else:
-                analytic = reciprocal_moments(g, p)
-                quantities = [("mean", analytic.mean, MEAN_TOLERANCE),
-                              ("second_moment", analytic.second_moment,
-                               SECOND_MOMENT_TOLERANCE)]
-
-            for quantity, predicted, tolerance in quantities:
+            for quantity, predicted in CLOSED_FORMS[form](g, p).items():
                 n_rows += 1
-                observed = (
-                    mc.moments.mean if quantity == "mean" else mc.moments.second_moment
-                )
-                if tolerance is None:
+                observed = getattr(mc.moments, quantity)
+                if quantity == "mean" and predicted == 0.0:
                     # zero-mean prediction: gate on the oracle's own standard error
                     ok = abs(observed) <= 3.0 * mc.se_mean
                     rel_text = "-"
                 else:
                     rel_err = abs(predicted - observed) / abs(observed)
-                    ok = rel_err <= tolerance
+                    ok = rel_err <= QUANTITY_TOLERANCE[quantity]
                     rel_text = f"{rel_err:.5f}"
                 if gated and not ok:
                     n_failures += 1

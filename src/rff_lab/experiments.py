@@ -14,9 +14,10 @@ Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
 stream_id)``; results are bit-identical for a given configuration no matter
 how many worker processes run the sweep, and independent of trial execution
-order.  Stream ids: 0 drives the trial channel; device ``d`` uses
-``3d + 1`` (fingerprint), ``3d + 2`` (train extraction), ``3d + 3`` (test
-extraction).
+order.  Two grid points with the same rounded SNR key would share every
+stream, so `ExperimentConfig` rejects such grids.  Stream ids: 0 drives the
+trial channel; device ``d`` uses ``3d + 1`` (fingerprint), ``3d + 2`` (train
+extraction), ``3d + 3`` (test extraction).
 """
 
 from __future__ import annotations
@@ -86,10 +87,13 @@ class ExperimentConfig:
             raise ValueError("scenarios contains duplicates")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("methods contains duplicates")
-        if len(set(self.snr_db_grid)) != len(self.snr_db_grid):
-            raise ValueError("snr_db_grid contains duplicates")
         if not all(math.isfinite(v) for v in self.snr_db_grid):
             raise ValueError("snr_db_grid must be finite")
+        if len({_snr_stream_key(v) for v in self.snr_db_grid}) != len(self.snr_db_grid):
+            raise ValueError(
+                "snr_db_grid contains duplicates or points under 0.0005 dB apart, "
+                "which would share every random stream"
+            )
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,11 @@ def default_config() -> ExperimentConfig:
     )
 
 
+def _snr_stream_key(snr_db: float) -> int:
+    """The SNR's part of a stream seed: millidecibels, rounded."""
+    return int(round(snr_db * 1000.0)) & 0xFFFFFFFFFFFFFFFF
+
+
 def _stream_rng(
     master_seed: int,
     scenario: ChannelScenario,
@@ -167,13 +176,12 @@ def _stream_rng(
     trial_index: int,
     stream: int,
 ) -> np.random.Generator:
-    snr_key = int(round(snr_db * 1000.0)) & 0xFFFFFFFFFFFFFFFF
     seq = np.random.SeedSequence(
         (
             master_seed,
             _SCENARIO_ORD[scenario],
             _METHOD_ORD[method],
-            snr_key,
+            _snr_stream_key(snr_db),
             trial_index,
             stream,
         )

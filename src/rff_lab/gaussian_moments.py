@@ -30,7 +30,7 @@ Only the reciprocal form retains ``sigma_g^2`` terms; the other three drop
 them by construction (their expansions treat the signal at its mean), which
 limits accuracy when ``sigma_g/mu_g`` is not small.  All four are implemented
 verbatim — no extra correction terms.  The expansions are accurate in the
-high-SNR regime ``sigma_w / (|rho| mu_g) <= 0.1``; `mc_ratio_oracle` provides
+high-SNR regime ``sigma_w / (|rho| mu_g) <= 0.1``; `mc_ratio_detail` provides
 a brute-force Monte-Carlo estimate to quantify the approximation error, and
 `in_regime` exposes the regime gate.
 """
@@ -53,7 +53,6 @@ __all__ = [
     "paired_product_mean",
     "cross_difference_moments",
     "reciprocal_moments",
-    "mc_ratio_oracle",
     "mc_ratio_detail",
     "in_regime",
     "MAX_NONFINITE_FRACTION",
@@ -261,13 +260,3 @@ def mc_ratio_detail(
         nonfinite_fraction=nonfinite_fraction,
     )
 
-
-def mc_ratio_oracle(
-    form: RatioForm,
-    g: GaussianSpec,
-    p: RatioParams,
-    n_draws: int,
-    seed: int,
-) -> GaussianMoments:
-    """Sample mean and second moment of ``n_draws`` realizations of a form."""
-    return mc_ratio_detail(form, g, p, n_draws, seed).moments

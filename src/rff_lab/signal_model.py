@@ -27,8 +27,20 @@ moment of ``1/(beta*H + N_u)`` under the phase's CSI distribution (see
 non-finite values at very low SNR; extraction reports them unmasked and the
 experiment harness counts and excludes those samples.
 
-The closed-form per-subcarrier mean/variance of each law (second-order ratio
-moments; see `gaussian_moments`) is provided by `analytic_feature_moments`.
+The four ratio laws differ only in a few constants, and `ratio_law` states
+them once per method as a `RatioLaw`: the ratio scale ``rho`` (``gamma`` for
+SL, ``beta`` otherwise), the observed fingerprint ``t`` and its moments
+(``tu_s`` for SL, ``tu`` otherwise), the amplitude ``a`` (``f_ra*x``,
+``f_ra*x^2`` or ``alpha*f_ra``), and whether the noise enters the numerator
+(SL, CR) or is added after the ratio (PC, RC)::
+
+    numerator noise   r = (a*H*t + N) / (rho*H + N)
+    additive noise    r =  a*H*t / (rho*H + N) + N
+
+That record is the single description of each ratio method: `extract_batch`
+draws from it, `analytic_feature_moments` evaluates its closed-form
+per-subcarrier mean/variance (second-order ratio moments; see
+`gaussian_moments`), and `analytic` builds the expected silhouette from it.
 
 The noise level is configured through a conventional SNR mapping:
 ``sigma_n^2 = s^2 * 10^(-snr_db/10)`` where ``s = f_ra*mu_u*mu_h*x`` is the
@@ -50,12 +62,13 @@ __all__ = [
     "ModelParams",
     "Method",
     "DeviceFingerprint",
-    "FeatureMatrix",
     "FeatureMoments",
+    "RatioLaw",
     "draw_fingerprint",
     "extract_sample",
     "extract_batch",
     "amplification_factor",
+    "ratio_law",
     "analytic_feature_moments",
 ]
 
@@ -144,22 +157,6 @@ class DeviceFingerprint:
 
 
 @dataclass(frozen=True)
-class FeatureMatrix:
-    """A cleaned (all-finite) set of extracted feature vectors."""
-
-    values: np.ndarray
-    device_id: int
-    phase: Phase
-    method: Method
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValueError(f"values must be 2-D, got shape {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise ValueError("feature matrix contains non-finite entries")
-
-
-@dataclass(frozen=True)
 class FeatureMoments:
     """Closed-form per-subcarrier mean and variance of a feature law."""
 
@@ -203,6 +200,42 @@ def amplification_factor(
     return math.sqrt(params.eta * beta**4 * mu_hc**4 / p_num)
 
 
+@dataclass(frozen=True)
+class RatioLaw:
+    """The constants that set one ratio method apart from the others."""
+
+    rho: float  # ratio scale: gamma for SL, beta otherwise
+    fingerprint: tuple[float, float]  # (mu_t, sigma_t^2) of the observed fingerprint
+    amplitude: float  # a in a*H*t
+    noise_in_numerator: bool  # (a*H*t + N)/(rho*H + N), else a*H*t/(rho*H + N) + N
+    short_preamble: bool = False  # observes tu_s on the r_s short-preamble subcarriers
+
+
+def ratio_law(
+    method: Method, params: ModelParams, channel_moments: tuple[float, float]
+) -> RatioLaw:
+    """The law of a ratio method under CSI moments ``(mu_hc, sigma_hc_sq)``.
+
+    ``channel_moments`` only matters for RC, whose gain ``alpha`` depends on
+    them (see `amplification_factor`).
+    """
+    x, f_ra, beta = params.x, params.f_ra, params.beta()
+    long = (params.mu_u, params.sigma_u**2)
+    if method is Method.SL:
+        short = (params.mu_s, params.sigma_s**2)
+        return RatioLaw(
+            params.gamma(), short, f_ra * x, noise_in_numerator=True, short_preamble=True
+        )
+    if method is Method.CR:
+        return RatioLaw(beta, long, f_ra * x, noise_in_numerator=True)
+    if method is Method.PC:
+        return RatioLaw(beta, long, f_ra * x**2, noise_in_numerator=False)
+    if method is Method.RC:
+        alpha = amplification_factor(params, channel_moments)
+        return RatioLaw(beta, long, alpha * f_ra, noise_in_numerator=False)
+    raise ValueError(f"{method.value!r} is not a ratio method")
+
+
 def extract_batch(
     method: Method,
     params: ModelParams,
@@ -215,8 +248,8 @@ def extract_batch(
     """(n_samples, K) raw feature matrix; may contain non-finite entries.
 
     Draw order within the rng stream is fixed: the CSI block first, then the
-    noise blocks in formula reading order (SL: numerator then denominator;
-    CR: numerator then denominator; PC/RC: denominator then additive).
+    noise blocks in formula reading order (numerator noise then denominator
+    noise for SL/CR; denominator noise then additive noise for PC/RC).
     """
     k = method.subcarriers(params)
     if trial.n_subcarriers != k:
@@ -224,7 +257,6 @@ def extract_batch(
             f"trial channel has {trial.n_subcarriers} subcarriers, "
             f"method {method.value!r} needs {k}"
         )
-    x, f_ra = params.x, params.f_ra
     csi = sample_csi_block(trial, phase, rng, n_samples)
 
     def noise() -> np.ndarray:
@@ -232,23 +264,12 @@ def extract_batch(
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if method is Method.RAW:
-            return f_ra * csi * fp.tu * x + noise()
-        if method is Method.SL:
-            num = f_ra * csi * fp.tu_s * x + noise()
-            den = f_ra * csi * params.f_tu_l * x + noise()
-            return num / den
-        if method is Method.CR:
-            num = f_ra * csi * fp.tu * x + noise()
-            den = params.f_ru * csi * params.f_ta * x + noise()
-            return num / den
-        if method is Method.PC:
-            den = params.f_ru * csi * params.f_ta * x + noise()
-            return f_ra * csi * fp.tu * x**2 / den + noise()
-        if method is Method.RC:
-            alpha = amplification_factor(params, _phase_channel_moments(trial, phase))
-            den = params.f_ru * csi * params.f_ta * x + noise()
-            return alpha * f_ra * csi * fp.tu / den + noise()
-    raise ValueError(f"unknown method: {method!r}")
+            return params.f_ra * csi * fp.tu * params.x + noise()
+        law = ratio_law(method, params, _phase_channel_moments(trial, phase))
+        signal = law.amplitude * csi * (fp.tu_s if law.short_preamble else fp.tu)
+        if law.noise_in_numerator:
+            return (signal + noise()) / (law.rho * csi + noise())
+        return signal / (law.rho * csi + noise()) + noise()
 
 
 def extract_sample(
@@ -275,12 +296,11 @@ def analytic_feature_moments(
     second-order approximations from `gaussian_moments`.
     """
     mu_h, sig_h2 = scenario_moments
-    x, f = params.x, params.f_ra
     sn2 = params.sigma_n**2
-    mu_u, su2 = params.mu_u, params.sigma_u**2
-    mu_s, ss2 = params.mu_s, params.sigma_s**2
 
     if method is Method.RAW:
+        f, x = params.f_ra, params.x
+        mu_u, su2 = params.mu_u, params.sigma_u**2
         return FeatureMoments(
             mean=f * x * mu_u * mu_h,
             variance=f**2 * x**2 * (mu_u**2 * sig_h2 + su2 * mu_h**2 + su2 * sig_h2)
@@ -288,45 +308,15 @@ def analytic_feature_moments(
         )
     if mu_h == 0.0:
         raise ValueError("feature moments undefined: mu_hc == 0")
-    if method is Method.SL:
-        g = params.gamma()
-        mean = f * x * mu_s * (g**2 * mu_h**2 + sn2) / (g**3 * mu_h**2)
-        variance = (
-            f**2 * x**2 * (
-                mu_s**2 * sn2 * (g**2 * mu_h**2 - sn2)
-                + g**2 * mu_h**2 * ss2 * (g**2 * mu_h**2 + 3.0 * sn2)
-            )
-            + g**2 * sn2 * (g**2 * mu_h**2 + 3.0 * g**2 * sig_h2 + 3.0 * sn2)
-        ) / (g**6 * mu_h**4)
-        return FeatureMoments(mean, variance)
-    b = params.beta()
-    if method is Method.CR:
-        mean = f * x * mu_u * (b**2 * mu_h**2 + sn2) / (b**3 * mu_h**2)
-        variance = (
-            f**2 * x**2 * (
-                mu_u**2 * sn2 * (b**2 * mu_h**2 - sn2)
-                + b**2 * mu_h**2 * su2 * (b**2 * mu_h**2 + 3.0 * sn2)
-            )
-            + b**2 * sn2 * (b**2 * mu_h**2 + 3.0 * b**2 * sig_h2 + 3.0 * sn2)
-        ) / (b**6 * mu_h**4)
-        return FeatureMoments(mean, variance)
-    if method is Method.PC:
-        mean = f * x**2 * mu_u * (b**2 * mu_h**2 + sn2) / (b**3 * mu_h**2)
-        variance = (
-            f**2 * x**4 * (
-                mu_u**2 * sn2 * (b**2 * mu_h**2 - sn2)
-                + b**2 * mu_h**2 * su2 * (b**2 * mu_h**2 + 3.0 * sn2)
-            )
-        ) / (b**6 * mu_h**4) + sn2
-        return FeatureMoments(mean, variance)
-    if method is Method.RC:
-        alpha = amplification_factor(params, scenario_moments)
-        mean = alpha * f * mu_u * (b**2 * mu_h**2 + sn2) / (b**3 * mu_h**2)
-        variance = (
-            alpha**2 * f**2 * (
-                mu_u**2 * sn2 * (b**2 * mu_h**2 - sn2)
-                + su2 * (b**4 * mu_h**4 + 3.0 * b**2 * mu_h**2 * sn2)
-            )
-        ) / (b**6 * mu_h**4) + sn2
-        return FeatureMoments(mean, variance)
-    raise ValueError(f"unknown method: {method!r}")
+    law = ratio_law(method, params, scenario_moments)
+    a, r = law.amplitude, law.rho
+    mu_t, st2 = law.fingerprint
+    mean = a * mu_t * (r**2 * mu_h**2 + sn2) / (r**3 * mu_h**2)
+    signal = a**2 * (
+        mu_t**2 * sn2 * (r**2 * mu_h**2 - sn2)
+        + r**2 * mu_h**2 * st2 * (r**2 * mu_h**2 + 3.0 * sn2)
+    )
+    if law.noise_in_numerator:
+        noise = r**2 * sn2 * (r**2 * mu_h**2 + 3.0 * r**2 * sig_h2 + 3.0 * sn2)
+        return FeatureMoments(mean, (signal + noise) / (r**6 * mu_h**4))
+    return FeatureMoments(mean, signal / (r**6 * mu_h**4) + sn2)

@@ -141,10 +141,6 @@ def _check_k(train: NormalizedSample, mat: np.ndarray, k: int) -> None:
         )
 
 
-def _values_of(feature_set) -> np.ndarray:
-    return np.asarray(getattr(feature_set, "values", feature_set), dtype=float)
-
-
 def silhouette_from_normalized(
     train_sets: Sequence[np.ndarray], test_sets: Sequence[np.ndarray]
 ) -> float:
@@ -178,13 +174,14 @@ def silhouette_from_normalized(
     return float(np.concatenate(coefficients).mean())
 
 
-def silhouette_score(train_sets, test_sets) -> float:
+def silhouette_score(
+    train_sets: Sequence[np.ndarray], test_sets: Sequence[np.ndarray]
+) -> float:
     """Average silhouette coefficient over all devices' training samples.
 
-    Accepts per-device feature matrices (`FeatureMatrix` or plain (n, K)
-    arrays) of *raw* features; every sample is normalized here.  Result is in
-    ``[-1, 1]``.
+    Accepts per-device (n, K) matrices of *raw* features; every sample is
+    normalized here.  Result is in ``[-1, 1]``.
     """
-    train_norm = [normalize_block(_values_of(ts))[0] for ts in train_sets]
-    test_norm = [normalize_block(_values_of(ts))[0] for ts in test_sets]
+    train_norm = [normalize_block(ts)[0] for ts in train_sets]
+    test_norm = [normalize_block(ts)[0] for ts in test_sets]
     return silhouette_from_normalized(train_norm, test_norm)

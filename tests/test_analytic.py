@@ -14,13 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rff_lab.analytic import (
-    ExpectedScores,
-    expected_inter,
-    expected_intra,
-    expected_scores,
-    expected_silhouette,
-)
+from rff_lab.analytic import expected_inter, expected_intra, expected_silhouette
 from rff_lab.channel import ChannelParams, ChannelScenario, Phase, init_trial_channel
 from rff_lab.experiments import default_config
 from rff_lab.signal_model import Method, ModelParams, draw_fingerprint, extract_batch
@@ -320,15 +314,6 @@ class TestComposition:
                 assert 0.0 <= intra <= inter, (method, scenario)
                 assert 0.0 <= sil < 1.0, (method, scenario)
 
-    def test_scores_bundle_matches_parts(self):
-        p = params_at(25.0)
-        bundle = expected_scores(Method.PC, ChannelScenario.IID_STOCHASTIC, p)
-        assert bundle == ExpectedScores(
-            intra=expected_intra(Method.PC, ChannelScenario.IID_STOCHASTIC, p),
-            inter=expected_inter(Method.PC, ChannelScenario.IID_STOCHASTIC, p),
-            silhouette=expected_silhouette(Method.PC, ChannelScenario.IID_STOCHASTIC, p),
-        )
-
 
 class TestScenarioReduction:
     def test_matched_test_distribution_reduces_to_iid(self):
@@ -341,11 +326,10 @@ class TestScenarioReduction:
         for snr_db in (10.0, 25.0, 40.0):
             p = replace(params_at(snr_db), channel=channel)
             for method in ALL_METHODS:
-                iid = expected_scores(method, ChannelScenario.IID_STOCHASTIC, p)
-                non = expected_scores(method, ChannelScenario.NON_IID_STOCHASTIC, p)
-                assert non.intra == pytest.approx(iid.intra, rel=1e-6)
-                assert non.inter == pytest.approx(iid.inter, rel=1e-6)
-                assert non.silhouette == pytest.approx(iid.silhouette, rel=1e-6)
+                for expected in (expected_intra, expected_inter, expected_silhouette):
+                    iid = expected(method, ChannelScenario.IID_STOCHASTIC, p)
+                    non = expected(method, ChannelScenario.NON_IID_STOCHASTIC, p)
+                    assert non == pytest.approx(iid, rel=1e-6), (method, expected)
 
 
 # ---------------------------------------------------------------------------

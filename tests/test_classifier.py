@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rff_lab.classifier import LdaModel, accuracy, fit, predict, predict_batch
-from rff_lab.signal_model import FeatureMatrix, Method, Phase
 
 
 def _symmetric_two_class_train(delta: float = 0.5) -> list[np.ndarray]:
@@ -102,21 +101,6 @@ class TestInvariances:
         for new_pos, old_class in enumerate(perm):
             relabel[old_class] = new_pos
         assert np.array_equal(relabel[base], permuted)
-
-    def test_feature_matrix_wrappers_match_plain_arrays(self):
-        rng = np.random.default_rng(29)
-        arrays = [rng.standard_normal((10, 3)) + mu for mu in (0.0, 3.0)]
-        wrapped = [
-            FeatureMatrix(values=a, device_id=d, phase=Phase.TRAIN, method=Method.RAW)
-            for d, a in enumerate(arrays)
-        ]
-        plain_model = fit(arrays)
-        wrapped_model = fit(wrapped)
-        assert np.array_equal(plain_model.class_means, wrapped_model.class_means)
-        assert np.array_equal(
-            plain_model.pooled_covariance_inverse,
-            wrapped_model.pooled_covariance_inverse,
-        )
 
 
 class TestValidation:

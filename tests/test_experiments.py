@@ -1,5 +1,6 @@
 """Tests for the trial/sweep harness and the correlation report."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from rff_lab.analytic import expected_silhouette
 from rff_lab.channel import ChannelScenario
+from rff_lab.cli import format_records_csv
 from rff_lab.experiments import (
     MIN_PERMUTATIONS,
     CorrelationReport,
@@ -64,6 +66,7 @@ class TestConfig:
             {"scenarios": (ChannelScenario.DETERMINISTIC,) * 2},
             {"snr_db_grid": (20.0, 20.0)},
             {"snr_db_grid": (20.0, float("nan"))},
+            {"snr_db_grid": (20.0001, 20.0004)},  # same random streams
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -133,6 +136,20 @@ class TestRunSweep:
     def test_worker_count_does_not_change_results(self):
         cfg = small_config()
         assert run_sweep(cfg, n_threads=1) == run_sweep(cfg, n_threads=2)
+
+    def test_default_grid_bytes_are_pinned(self):
+        """One trial per default cell at seed 42 reproduces these exact bytes.
+
+        This pins the "same (seed, cell) -> same bytes" contract across
+        commits.  A deliberate change to the random streams or to the feature
+        or closed-form arithmetic re-records this digest together with a
+        version bump.
+        """
+        text = format_records_csv(run_sweep(replace(default_config(), n_trials=1)))
+        assert len(text.splitlines()) == 1 + 105
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f4412c16e9e216c0ffc36fcc4099c88b79e8924bf266a774766357bdb657fec7"
+        )
 
     def test_rejects_nonpositive_thread_count(self):
         with pytest.raises(ValueError, match="n_threads"):

@@ -16,7 +16,6 @@ from rff_lab.gaussian_moments import (
     direct_ratio_moments,
     in_regime,
     mc_ratio_detail,
-    mc_ratio_oracle,
     paired_product_mean,
     reciprocal_moments,
 )
@@ -108,21 +107,21 @@ def test_in_regime_boundary_and_sign():
 
 def test_direct_ratio_mean_vs_oracle_half_percent():
     g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.0025)
-    oracle = mc_ratio_oracle(RatioForm.DIRECT_RATIO, g, p, 10**6, SEED)
+    oracle = mc_ratio_detail(RatioForm.DIRECT_RATIO, g, p, 10**6, SEED).moments
     analytic = direct_ratio_moments(g, p)
     assert abs(analytic.mean - oracle.mean) / abs(oracle.mean) <= 0.005
 
 
 def test_paired_product_mean_vs_oracle_one_percent():
     g, p = GaussianSpec(2.0, 0.0), RatioParams(1.0, 0.04)
-    oracle = mc_ratio_oracle(RatioForm.PAIRED_PRODUCT, g, p, 10**6, SEED)
+    oracle = mc_ratio_detail(RatioForm.PAIRED_PRODUCT, g, p, 10**6, SEED).moments
     analytic = paired_product_mean(g, p)
     assert abs(analytic - oracle.mean) / abs(oracle.mean) <= 0.01
 
 
 def test_cross_difference_second_vs_oracle_two_percent():
     g, p = GaussianSpec(1.0, 0.0), RatioParams(2.0, 0.01)
-    oracle = mc_ratio_oracle(RatioForm.CROSS_DIFFERENCE, g, p, 10**6, SEED)
+    oracle = mc_ratio_detail(RatioForm.CROSS_DIFFERENCE, g, p, 10**6, SEED).moments
     analytic = cross_difference_moments(g, p)
     rel = abs(analytic.second_moment - oracle.second_moment) / abs(
         oracle.second_moment
@@ -132,22 +131,22 @@ def test_cross_difference_second_vs_oracle_two_percent():
 
 def test_cross_difference_oracle_mean_near_zero():
     g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
-    oracle = mc_ratio_oracle(RatioForm.CROSS_DIFFERENCE, g, p, 10**6, SEED)
+    oracle = mc_ratio_detail(RatioForm.CROSS_DIFFERENCE, g, p, 10**6, SEED).moments
     assert abs(oracle.mean) <= 0.005
 
 
 def test_reciprocal_mean_vs_oracle_one_percent():
     g, p = GaussianSpec(1.0, 0.0225), RatioParams(1.0, 0.001)
-    oracle = mc_ratio_oracle(RatioForm.RECIPROCAL, g, p, 10**6, SEED)
+    oracle = mc_ratio_detail(RatioForm.RECIPROCAL, g, p, 10**6, SEED).moments
     analytic = reciprocal_moments(g, p)
     assert abs(analytic.mean - oracle.mean) / abs(oracle.mean) <= 0.01
 
 
 def test_oracle_degenerate_point_is_exact():
-    oracle = mc_ratio_oracle(
+    oracle = mc_ratio_detail(
         RatioForm.DIRECT_RATIO, GaussianSpec(1.0, 0.0), RatioParams(1.0, 0.0),
         10**4, SEED,
-    )
+    ).moments
     assert oracle.mean == pytest.approx(1.0, abs=1e-14)
     assert oracle.second_moment == pytest.approx(1.0, abs=1e-14)
 

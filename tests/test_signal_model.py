@@ -8,10 +8,9 @@ import pytest
 
 from rff_lab.channel import ChannelParams, ChannelScenario, Phase, ScenarioMoments, init_trial_channel
 from rff_lab.experiments import default_config
-from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_oracle
+from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
 from rff_lab.signal_model import (
     DeviceFingerprint,
-    FeatureMatrix,
     Method,
     ModelParams,
     amplification_factor,
@@ -168,18 +167,6 @@ def test_sl_uses_short_subcarrier_count():
     assert batch.shape == (3, p.r_s)
 
 
-def test_feature_matrix_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
-        FeatureMatrix(
-            values=np.array([[1.0, np.inf]]), device_id=0,
-            phase=Phase.TRAIN, method=Method.RAW,
-        )
-    with pytest.raises(ValueError):
-        FeatureMatrix(
-            values=np.ones(3), device_id=0, phase=Phase.TRAIN, method=Method.RAW
-        )
-
-
 # ---------------------------------------------------------------------------
 # amplification factor
 # ---------------------------------------------------------------------------
@@ -204,13 +191,13 @@ def test_amplification_power_matches_reciprocal_second_moment():
     p = replace(BASE_PARAMS, sigma_n=math.sqrt(1e-3))
     alpha = amplification_factor(p, (1.0, 0.15**2))
     power = p.eta / alpha**2
-    oracle = mc_ratio_oracle(
+    oracle = mc_ratio_detail(
         RatioForm.RECIPROCAL,
         GaussianSpec(1.0, 0.15**2),
         RatioParams(p.beta(), p.sigma_n**2),
         10**6,
         42,
-    )
+    ).moments
     assert abs(power - oracle.second_moment) / oracle.second_moment <= 0.02
 
 
