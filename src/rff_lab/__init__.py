@@ -45,7 +45,7 @@ from .signal_model import (
     draw_fingerprint,
     extract_batch,
 )
-from .silhouette import SilhouetteBreakdown, normalize, normalize_block, silhouette_from_normalized, silhouette_score
+from .silhouette import normalize_block, silhouette_from_normalized, silhouette_score
 
 __all__ = [
     "__version__",
@@ -66,7 +66,6 @@ __all__ = [
     "RatioForm",
     "RatioParams",
     "ScenarioMoments",
-    "SilhouetteBreakdown",
     "SweepRecord",
     "TrialResult",
     "accuracy",
@@ -84,7 +83,6 @@ __all__ = [
     "in_regime",
     "init_trial_channel",
     "mc_ratio_detail",
-    "normalize",
     "normalize_block",
     "paired_product_mean",
     "parse_config",

@@ -111,10 +111,15 @@ def _setup(
 
 
 def _std_product(train: _PhaseTerms, test: _PhaseTerms) -> float:
-    product = (train.moments.variance * test.moments.variance) ** 0.5
-    if product == 0.0:
-        raise ValueError("feature variance is zero; normalized distances undefined")
-    return product
+    # The truncated ratio expansion can go negative (noise above the ratio
+    # denominator); there is then no standard deviation to normalize by.
+    for phase, terms in (("train", train), ("test", test)):
+        if not terms.moments.variance > 0.0:
+            raise ValueError(
+                f"{phase} feature variance {terms.moments.variance:.6g} is not "
+                "positive; normalized distances undefined at these parameters"
+            )
+    return (train.moments.variance * test.moments.variance) ** 0.5
 
 
 def _expected_distance(

@@ -8,15 +8,18 @@ identical).  A sample is assigned to the class with the largest
     delta_c(x) = x . Sigma^-1 mu_c - 1/2 mu_c . Sigma^-1 mu_c + log prior_c
 
 with ties resolved toward the lowest class index.  Class labels are the
-positions of the per-device feature sets passed to `fit` / `accuracy`.
+positions of the per-device feature sets passed to `fit` / `accuracy`: a
+``(C, N, K)`` tensor, or C per-device ``(n, K)`` matrices that are padded to
+one (`silhouette.device_tensor`).  Both work on the whole tensor at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+
+from .silhouette import DeviceSets, device_tensor
 
 __all__ = ["LdaModel", "fit", "predict", "predict_batch", "accuracy"]
 
@@ -45,27 +48,27 @@ class LdaModel:
         return self.class_means.shape[0]
 
 
-def fit(train: Sequence[np.ndarray], ridge: float = DEFAULT_RIDGE) -> LdaModel:
+def fit(train: DeviceSets, ridge: float = DEFAULT_RIDGE) -> LdaModel:
     """Fit the discriminant on per-device training sets (class = position)."""
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    mats = [np.asarray(ts, dtype=float) for ts in train]
-    if len(mats) < 2:
+    if len(train) < 2:
         raise ValueError("need at least two classes")
-    k = mats[0].shape[1]
-    if any(m.ndim != 2 or m.shape[1] != k or m.shape[0] < 1 for m in mats):
+    samples, mask = device_tensor(train)
+    counts = mask.sum(axis=1)
+    if counts.min() < 1:
         raise ValueError("every class needs >= 1 sample of consistent dimension")
 
-    n_total = sum(m.shape[0] for m in mats)
-    n_classes = len(mats)
+    n_classes, _, k = samples.shape
+    n_total = int(counts.sum())
     if n_total <= n_classes:
         raise ValueError("need more samples than classes to pool covariance")
 
-    means = np.stack([m.mean(axis=0) for m in mats])
-    scatter = np.zeros((k, k))
-    for m, mu in zip(mats, means):
-        centered = m - mu
-        scatter += centered.T @ centered
+    means = samples.sum(axis=1) / counts[:, None]
+    centered = samples - means[:, None, :]
+    centered[~mask] = 0.0
+    # One (K, K) scatter per class, summed in class order.
+    scatter = (centered.transpose(0, 2, 1) @ centered).sum(axis=0)
     pooled = scatter / (n_total - n_classes)
 
     trace = float(np.trace(pooled))
@@ -114,17 +117,15 @@ def predict(model: LdaModel, sample: np.ndarray) -> int:
     return int(predict_batch(model, sample[None, :])[0])
 
 
-def accuracy(model: LdaModel, test: Sequence[np.ndarray]) -> float:
+def accuracy(model: LdaModel, test: DeviceSets) -> float:
     """Fraction of test samples assigned to their own device (class = position)."""
-    mats = [np.asarray(ts, dtype=float) for ts in test]
-    if len(mats) != model.n_classes:
+    if len(test) != model.n_classes:
         raise ValueError("test sets must align with the fitted classes")
-    correct = 0
-    total = 0
-    for label, mat in enumerate(mats):
-        predictions = predict_batch(model, mat)
-        correct += int((predictions == label).sum())
-        total += mat.shape[0]
+    samples, mask = device_tensor(test)
+    total = int(mask.sum())
     if total == 0:
         raise ValueError("no test samples")
-    return correct / total
+    n_classes, n, k = samples.shape
+    predictions = predict_batch(model, samples.reshape(n_classes * n, k))
+    own = predictions.reshape(n_classes, n) == np.arange(n_classes)[:, None]
+    return int((own & mask).sum()) / total

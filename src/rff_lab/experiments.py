@@ -10,6 +10,16 @@ A *sweep* runs ``n_trials`` independent trials for every (scenario, method,
 SNR) cell of the grid and aggregates means and standard errors, pairing each
 cell with its closed-form expected silhouette score.
 
+Layout: a trial holds one ``(D, N, K)`` train tensor and one ``(D, N, K)``
+test tensor (device, sample, subcarrier).  Extraction fills them one device
+and phase at a time, each from that device's own streams; every later stage
+runs once per phase over the whole tensor.  One non-finite screen gives a
+``(D, N)`` kept mask: a row with any non-finite entry is zeroed, counted as
+dropped, and left out of the silhouette and the classifier, which then take
+each device's kept rows and pad them back to a tensor with a row mask
+(`silhouette.device_tensor`).  A device with fewer than 2 kept rows in
+either phase aborts the trial.
+
 Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
 stream_id)``; results are bit-identical for a given configuration no matter
@@ -17,7 +27,9 @@ how many worker processes run the sweep, and independent of trial execution
 order.  Two grid points with the same rounded SNR key would share every
 stream, so `ExperimentConfig` rejects such grids.  Stream ids: 0 drives the
 trial channel; device ``d`` uses ``3d + 1`` (fingerprint), ``3d + 2`` (train
-extraction), ``3d + 3`` (test extraction).
+extraction), ``3d + 3`` (test extraction).  A trial builds its ``3D + 1``
+generators from one precomputed word prefix of that key (`_trial_streams`);
+the key, and so every stream, is the same as a `SeedSequence` of the tuple.
 """
 
 from __future__ import annotations
@@ -168,32 +180,56 @@ def _snr_stream_key(snr_db: float) -> int:
     return int(round(snr_db * 1000.0)) & 0xFFFFFFFFFFFFFFFF
 
 
-def _stream_rng(
-    master_seed: int,
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as `SeedSequence` reads an int: 32-bit words, least significant first."""
+    if value < 0:
+        raise ValueError(f"stream keys must be non-negative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _trial_streams(
+    cfg: ExperimentConfig,
     scenario: ChannelScenario,
     method: Method,
     snr_db: float,
     trial_index: int,
-    stream: int,
-) -> np.random.Generator:
-    seq = np.random.SeedSequence(
-        (
-            master_seed,
-            _SCENARIO_ORD[scenario],
-            _METHOD_ORD[method],
-            _snr_stream_key(snr_db),
-            trial_index,
-            stream,
-        )
+) -> list[np.random.Generator]:
+    """The trial's ``3D + 1`` generators, indexed by stream id.
+
+    `SeedSequence` reads a tuple of ints as the concatenation of each int's
+    words, so the key's words up to the trial index are computed once and
+    every stream appends its id: the state equals that of the tuple
+    ``(master_seed, scenario, method, snr key, trial_index, stream)``, at
+    about half the set-up cost.
+    """
+    key = (
+        cfg.master_seed,
+        _SCENARIO_ORD[scenario],
+        _METHOD_ORD[method],
+        _snr_stream_key(snr_db),
+        trial_index,
     )
-    return np.random.default_rng(seq)
+    prefix = [word for part in key for word in _uint32_words(part)]
+    n_streams = 3 * cfg.n_devices + 1
+    entropy = np.empty((n_streams, len(prefix) + 1), dtype=np.uint32)
+    entropy[:, :-1] = prefix
+    entropy[:, -1] = np.arange(n_streams)
+    return [np.random.default_rng(np.random.SeedSequence(words)) for words in entropy]
 
 
-def _drop_nonfinite_rows(matrix: np.ndarray) -> tuple[np.ndarray, int]:
-    """Remove rows containing non-finite entries; return (kept, n_dropped)."""
-    finite = np.isfinite(matrix).all(axis=1)
-    n_dropped = int(matrix.shape[0] - finite.sum())
-    return (matrix if n_dropped == 0 else matrix[finite]), n_dropped
+def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
+    """The (D, N) mask of rows with only finite entries; the other rows are zeroed."""
+    kept = np.isfinite(block).all(axis=2)
+    block[~kept] = 0.0
+    return kept
+
+
+def _kept_rows(block: np.ndarray, kept: np.ndarray) -> np.ndarray | list[np.ndarray]:
+    """The (D, N, K) block itself if every row is kept, else each device's kept rows."""
+    return block if kept.all() else [rows[mask] for rows, mask in zip(block, kept)]
 
 
 def run_trial(
@@ -211,42 +247,44 @@ def run_trial(
     """
     params = cfg.params.with_snr(snr_db)
     k = method.subcarriers(params)
+    streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
+    trial = init_trial_channel(scenario, params.channel, k, streams[0])
 
-    def rng(stream: int) -> np.random.Generator:
-        return _stream_rng(cfg.master_seed, scenario, method, snr_db, trial_index, stream)
-
-    trial = init_trial_channel(scenario, params.channel, k, rng(0))
-
-    train_sets: list[np.ndarray] = []
-    test_sets: list[np.ndarray] = []
-    n_dropped = 0
-    n_total = 0
+    train = np.empty((cfg.n_devices, cfg.n_train, k))
+    test = np.empty((cfg.n_devices, cfg.n_test, k))
     for device in range(cfg.n_devices):
-        fp = draw_fingerprint(params, rng(3 * device + 1))
-        plan = (
-            (Phase.TRAIN, cfg.n_train, 3 * device + 2, train_sets),
-            (Phase.TEST, cfg.n_test, 3 * device + 3, test_sets),
+        fp_rng, train_rng, test_rng = streams[3 * device + 1 : 3 * device + 4]
+        fp = draw_fingerprint(params, fp_rng)
+        train[device] = extract_batch(
+            method, params, fp, trial, Phase.TRAIN, cfg.n_train, train_rng
         )
-        for phase, n_samples, stream, sink in plan:
-            raw = extract_batch(method, params, fp, trial, phase, n_samples, rng(stream))
-            kept, dropped = _drop_nonfinite_rows(raw)
-            n_dropped += dropped
-            n_total += n_samples
-            if kept.shape[0] < 2:
-                raise RuntimeError(
-                    f"device {device} {phase.value} set has fewer than 2 finite "
-                    f"samples at snr_db={snr_db}"
-                )
-            sink.append(kept)
+        test[device] = extract_batch(
+            method, params, fp, trial, Phase.TEST, cfg.n_test, test_rng
+        )
 
-    train_norm = [normalize_block(m)[0] for m in train_sets]
-    test_norm = [normalize_block(m)[0] for m in test_sets]
-    score = silhouette_from_normalized(train_norm, test_norm)
+    train_kept = _screen_nonfinite(train)
+    test_kept = _screen_nonfinite(test)
+    counts = np.stack([train_kept.sum(axis=1), test_kept.sum(axis=1)], axis=1)
+    short = np.argwhere(counts < 2)  # (device, phase), in extraction order
+    if short.size:
+        device, phase = short[0]
+        raise RuntimeError(
+            f"device {device} {(Phase.TRAIN, Phase.TEST)[phase].value} set has "
+            f"fewer than 2 finite samples at snr_db={snr_db}"
+        )
+    n_total = cfg.n_devices * (cfg.n_train + cfg.n_test)
+    n_dropped = n_total - int(counts.sum())
 
-    cls_train = train_norm if cfg.classify_normalized else train_sets
-    cls_test = test_norm if cfg.classify_normalized else test_sets
-    model = classifier.fit(cls_train)
-    acc = classifier.accuracy(model, cls_test)
+    train_norm = normalize_block(train)[0]
+    test_norm = normalize_block(test)[0]
+    score = silhouette_from_normalized(
+        _kept_rows(train_norm, train_kept), _kept_rows(test_norm, test_kept)
+    )
+
+    if cfg.classify_normalized:
+        train, test = train_norm, test_norm
+    model = classifier.fit(_kept_rows(train, train_kept))
+    acc = classifier.accuracy(model, _kept_rows(test, test_kept))
 
     return TrialResult(
         silhouette=score, accuracy=acc, nonfinite_rate=n_dropped / n_total

@@ -14,6 +14,11 @@ The score is the average coefficient over all training samples of all
 devices, always in ``[-1, 1]``.  Distances pair training samples against test
 sets only — training samples are never compared with each other.
 
+A phase's samples are one ``(D, N, K)`` tensor: device, sample, subcarrier.
+Per-device sets of unequal size are zero-padded to the largest and carry a
+``(D, N)`` mask of their real rows (`device_tensor`); every reduction
+below runs once over the whole tensor, never once per device.
+
 Full K-dimensional distances are used (not a single-subcarrier shortcut), and
 the per-device mean of squared distances is evaluated through the exact
 identity ``mean_m ||a - b_m||^2 = ||a||^2 - 2 a . mean(b) + mean_m ||b_m||^2``
@@ -22,18 +27,13 @@ so the cost is O(N*C*K) instead of O(N*M*K).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "NormalizedSample",
-    "SilhouetteBreakdown",
-    "normalize",
+    "device_tensor",
     "normalize_block",
-    "intra_distance",
-    "inter_distance",
     "silhouette_score",
     "silhouette_from_normalized",
 ]
@@ -45,143 +45,106 @@ __all__ = [
 #: normalized samples are many orders of magnitude above this.
 ZERO_DISTANCE_TOLERANCE = 1e-12
 
+#: Per-device sample sets: a (D, N, K) tensor, or D matrices of shape (n_d, K).
+DeviceSets = np.ndarray | Sequence[np.ndarray]
 
-@dataclass(frozen=True)
-class NormalizedSample:
-    """A feature vector with (mean, population std) scaled to (0, 1).
 
-    A constant raw vector cannot be normalized; it maps to all-zeros with
-    ``degenerate=True`` instead of raising.
+def device_tensor(sets: DeviceSets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-device sample sets as one ``(D, N, K)`` tensor and its ``(D, N)`` row mask.
+
+    A three-dimensional array already holds N rows for every device and is
+    used as it is.  Matrices of unequal height are zero-padded at the end to
+    the tallest; the mask marks each device's real rows, which come first.
     """
-
-    values: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        self.values.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class SilhouetteBreakdown:
-    """Intra/inter distances of one training sample and their coefficient."""
-
-    intra: float
-    inter: float
-    coefficient: float
-
-    @classmethod
-    def from_distances(cls, intra: float, inter: float) -> "SilhouetteBreakdown":
-        biggest = max(inter, intra)
-        coefficient = (inter - intra) / biggest if biggest > 0.0 else 0.0
-        return cls(intra=intra, inter=inter, coefficient=coefficient)
-
-
-def normalize(raw: np.ndarray) -> NormalizedSample:
-    """Z-normalize one feature vector across its subcarriers."""
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or raw.shape[0] < 2:
-        raise ValueError(f"expected a vector of length >= 2, got shape {raw.shape}")
-    std = float(raw.std())
-    if std == 0.0:
-        return NormalizedSample(values=np.zeros_like(raw), degenerate=True)
-    return NormalizedSample(values=(raw - raw.mean()) / std)
+    if isinstance(sets, np.ndarray) and sets.ndim == 3:
+        return np.asarray(sets, dtype=float), np.ones(sets.shape[:2], dtype=bool)
+    mats = [np.asarray(m, dtype=float) for m in sets]
+    k = mats[0].shape[-1] if mats else 0
+    if not mats or any(m.ndim != 2 or m.shape[1] != k for m in mats):
+        raise ValueError("expected per-device (n, K) sets of one consistent dimension")
+    sizes = np.array([m.shape[0] for m in mats])
+    tensor = np.zeros((len(mats), int(sizes.max()), k))
+    for rows, mat in zip(tensor, mats):
+        rows[: mat.shape[0]] = mat
+    return tensor, np.arange(tensor.shape[1]) < sizes[:, None]
 
 
 def normalize_block(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise `normalize` of an (n, K) matrix.
+    """Z-normalize every row of an ``(..., K)`` array across its K entries.
 
-    Returns the normalized matrix and a boolean vector marking degenerate
-    (constant, mapped-to-zero) rows.
+    Returns the normalized array and a boolean array over the rows (the input
+    shape without its last axis) marking degenerate rows: a constant row
+    cannot be normalized and maps to all zeros instead.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[1] < 2:
-        raise ValueError(f"expected an (n, K>=2) matrix, got shape {matrix.shape}")
-    std = matrix.std(axis=1, keepdims=True)
-    degenerate = std[:, 0] == 0.0
-    safe_std = np.where(std == 0.0, 1.0, std)
-    out = (matrix - matrix.mean(axis=1, keepdims=True)) / safe_std
+    if matrix.ndim < 2 or matrix.shape[-1] < 2:
+        raise ValueError(f"expected an (..., n, K>=2) array, got shape {matrix.shape}")
+    # The steps of np.std, keeping the centered rows for the output.
+    centered = matrix - matrix.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))
+    degenerate = std[..., 0] == 0.0
+    out = centered / np.where(std == 0.0, 1.0, std)
     out[degenerate] = 0.0
     return out, degenerate
 
 
-def _as_matrix(samples: Sequence[NormalizedSample]) -> np.ndarray:
-    return np.stack([s.values for s in samples])
-
-
-def intra_distance(
-    train: NormalizedSample, test_set: Sequence[NormalizedSample], k: int
+def _score(
+    train: np.ndarray, train_mask: np.ndarray, test: np.ndarray, test_mask: np.ndarray
 ) -> float:
-    """Mean squared distance from one training sample to its own test set."""
-    if len(test_set) == 0:
-        raise ValueError("test_set must be nonempty")
-    mat = _as_matrix(test_set)
-    _check_k(train, mat, k)
-    value = float(((mat - train.values) ** 2).sum(axis=1).mean())
-    return 0.0 if value < k * ZERO_DISTANCE_TOLERANCE else value
+    """Silhouette score of normalized, padded (D, N, K) tensors."""
+    n_dev, _, k = train.shape
+    # Per-device test moments: mean vector and mean squared norm.  Padded rows
+    # are zeros, so they add nothing to either sum.
+    test_counts = test_mask.sum(axis=1)
+    te_mean = test.sum(axis=1) / test_counts[:, None]  # (D, K)
+    te_sq = (test**2).sum(axis=2).sum(axis=1) / test_counts  # (D,)
+
+    row_sq = (train**2).sum(axis=2)  # (D, N)
+    # dists[i, n, d] = mean over device d's test samples of ||train[i, n] - te||^2;
+    # the expanded form can leave cancellation residue (negative or dust-
+    # positive) where the true value is 0, so snap that band to exactly 0.
+    dists = row_sq[:, :, None] - 2.0 * (train @ te_mean.T) + te_sq
+    dists = np.where(dists < k * ZERO_DISTANCE_TOLERANCE, 0.0, dists)
+    own = np.eye(n_dev, dtype=bool)[:, None, :]  # (D, 1, D): d == i
+    intra = np.diagonal(dists, axis1=0, axis2=2).T  # (D, N)
+    inter = np.where(own, np.inf, dists).min(axis=2)
+    biggest = np.maximum(inter, intra)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        coef = np.where(biggest > 0.0, (inter - intra) / np.where(biggest > 0.0, biggest, 1.0), 0.0)
+    return float(coef[train_mask].mean())
 
 
-def inter_distance(
-    train: NormalizedSample,
-    other_test_sets: Sequence[tuple[int, Sequence[NormalizedSample]]],
-    k: int,
-) -> float:
-    """Smallest per-device mean squared distance to the other devices' test sets."""
-    if len(other_test_sets) == 0:
-        raise ValueError("at least one other device is required")
-    return min(
-        intra_distance(train, test_set, k) for _, test_set in other_test_sets
-    )
-
-
-def _check_k(train: NormalizedSample, mat: np.ndarray, k: int) -> None:
-    if train.values.shape != (k,) or mat.shape[1] != k:
-        raise ValueError(
-            f"inconsistent dimensions: train {train.values.shape}, "
-            f"test {mat.shape}, expected K={k}"
-        )
-
-
-def silhouette_from_normalized(
-    train_sets: Sequence[np.ndarray], test_sets: Sequence[np.ndarray]
-) -> float:
-    """Silhouette score over already-normalized per-device (n, K) matrices."""
+def _phase_tensors(
+    train_sets: DeviceSets, test_sets: DeviceSets
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     n_dev = len(train_sets)
     if n_dev < 2 or len(test_sets) != n_dev:
         raise ValueError("need >= 2 devices with aligned train and test sets")
-    k = train_sets[0].shape[1]
-    for mat in (*train_sets, *test_sets):
-        if mat.ndim != 2 or mat.shape[1] != k or mat.shape[0] < 1:
-            raise ValueError("every device needs >= 1 sample of consistent dimension")
-
-    # Per-device test moments: mean vector and mean squared norm.
-    te_mean = np.stack([mat.mean(axis=0) for mat in test_sets])  # (C, K)
-    te_sq = np.array([(mat**2).sum(axis=1).mean() for mat in test_sets])  # (C,)
-
-    coefficients: list[np.ndarray] = []
-    for i, train in enumerate(train_sets):
-        row_sq = (train**2).sum(axis=1)  # (n_i,)
-        # dists[n, d] = mean over device d's test samples of ||train_n - te||^2;
-        # the expanded form can leave cancellation residue (negative or dust-
-        # positive) where the true value is 0, so snap that band to exactly 0.
-        dists = row_sq[:, None] - 2.0 * (train @ te_mean.T) + te_sq[None, :]
-        dists = np.where(dists < k * ZERO_DISTANCE_TOLERANCE, 0.0, dists)
-        intra = dists[:, i]
-        inter = np.min(np.delete(dists, i, axis=1), axis=1)
-        biggest = np.maximum(inter, intra)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            coef = np.where(biggest > 0.0, (inter - intra) / np.where(biggest > 0.0, biggest, 1.0), 0.0)
-        coefficients.append(coef)
-    return float(np.concatenate(coefficients).mean())
+    train, train_mask = device_tensor(train_sets)
+    test, test_mask = device_tensor(test_sets)
+    if (
+        train.shape[2] != test.shape[2]
+        or not train_mask.any(axis=1).all()
+        or not test_mask.any(axis=1).all()
+    ):
+        raise ValueError("every device needs >= 1 sample of consistent dimension")
+    return train, train_mask, test, test_mask
 
 
-def silhouette_score(
-    train_sets: Sequence[np.ndarray], test_sets: Sequence[np.ndarray]
-) -> float:
+def silhouette_from_normalized(train_sets: DeviceSets, test_sets: DeviceSets) -> float:
+    """Silhouette score over already-normalized per-device samples.
+
+    Each phase is a (D, N, K) tensor or D per-device (n, K) matrices.
+    """
+    return _score(*_phase_tensors(train_sets, test_sets))
+
+
+def silhouette_score(train_sets: DeviceSets, test_sets: DeviceSets) -> float:
     """Average silhouette coefficient over all devices' training samples.
 
-    Accepts per-device (n, K) matrices of *raw* features; every sample is
-    normalized here.  Result is in ``[-1, 1]``.
+    Accepts per-device samples of *raw* features, as for
+    `silhouette_from_normalized`; every sample is normalized here.  Result is
+    in ``[-1, 1]``.
     """
-    train_norm = [normalize_block(ts)[0] for ts in train_sets]
-    test_norm = [normalize_block(ts)[0] for ts in test_sets]
-    return silhouette_from_normalized(train_norm, test_norm)
+    train, train_mask, test, test_mask = _phase_tensors(train_sets, test_sets)
+    return _score(normalize_block(train)[0], train_mask, normalize_block(test)[0], test_mask)

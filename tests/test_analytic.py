@@ -18,12 +18,8 @@ from rff_lab.analytic import expected_inter, expected_intra, expected_silhouette
 from rff_lab.channel import ChannelParams, ChannelScenario, Phase, init_trial_channel
 from rff_lab.experiments import default_config
 from rff_lab.signal_model import Method, ModelParams, draw_fingerprint, extract_batch
-from rff_lab.silhouette import (
-    NormalizedSample,
-    inter_distance,
-    intra_distance,
-    normalize_block,
-)
+from rff_lab.silhouette import normalize_block
+from silhouette_reference import NormalizedSample, inter_distance, intra_distance
 
 BASE_PARAMS = default_config().params
 
@@ -501,6 +497,18 @@ class TestFrozenValues:
         )
         with pytest.raises(ValueError, match="variance"):
             expected_intra(Method.RAW, ChannelScenario.DETERMINISTIC, p)
+
+    def test_negative_feature_variance_is_rejected(self):
+        # PC's truncated train-phase variance is -0.473 here: the noise is
+        # above the ratio denominator, and there is no std to normalize by.
+        p = replace(
+            BASE_PARAMS, x=0.7, f_ra=1.3, f_ta=0.9, f_ru=1.1, f_tu_l=1.2,
+            channel=replace(BASE_PARAMS.channel, mu_h=0.8, mu_h_non=1.1),
+        ).with_snr(0.0)
+        scenario = ChannelScenario.NON_IID_STOCHASTIC
+        for expected in (expected_intra, expected_inter, expected_silhouette):
+            with pytest.raises(ValueError, match="train feature variance .* not positive"):
+                expected(Method.PC, scenario, p)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,20 @@ class TestCliSweep:
         assert main(["sweep", "--config", str(config_path)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_closed_form_outside_its_validity_exits_2(self, tmp_path, capsys):
+        # PC's truncated train-phase feature variance is negative at 0 dB here.
+        config_path = tmp_path / "negative_variance.cfg"
+        config_path.write_text(
+            SMALL_CONFIG_TEXT.replace("deterministic", "non_iid")
+            .replace("raw,cr", "pc")
+            .replace("snr_db_grid = 20", "snr_db_grid = 0")
+            + "model.x = 0.7\nmodel.f_ra = 1.3\nmodel.f_ta = 0.9\nmodel.f_ru = 1.1\n"
+            "model.f_tu_l = 1.2\nchannel.mu_h = 0.8\nchannel.mu_h_non = 1.1\n",
+            encoding="utf-8",
+        )
+        assert main(["sweep", "--config", str(config_path), "--trials", "1"]) == 2
+        assert "feature variance" in capsys.readouterr().err
+
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
         config_path = tmp_path / "small.cfg"
         config_path.write_text(SMALL_CONFIG_TEXT, encoding="utf-8")

@@ -6,9 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rff_lab import experiments
 from rff_lab.analytic import expected_silhouette
 from rff_lab.channel import ChannelScenario
+from rff_lab.classifier import DEFAULT_RIDGE
 from rff_lab.cli import format_records_csv
 from rff_lab.experiments import (
     MIN_PERMUTATIONS,
@@ -20,8 +24,15 @@ from rff_lab.experiments import (
     run_sweep,
     run_trial,
 )
-from rff_lab.experiments import _drop_nonfinite_rows
+from rff_lab.experiments import (
+    _kept_rows,
+    _screen_nonfinite,
+    _snr_stream_key,
+    _trial_streams,
+)
 from rff_lab.signal_model import Method
+from rff_lab.silhouette import normalize_block
+from silhouette_reference import definition_silhouette
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -235,17 +246,135 @@ class TestCorrelate:
         )
 
 
+class TestTrialStreams:
+    @given(
+        st.integers(0, 2**63 - 1),  # master seed
+        st.sampled_from(list(ChannelScenario)),
+        st.sampled_from(list(Method)),
+        st.one_of(  # SNR: negative and fractional keys take two words
+            st.floats(-60.0, 60.0, allow_nan=False),
+            st.sampled_from([-10.0, -0.0004, 0.0004, 12.3456, 2.5e6]),
+        ),
+        st.integers(0, 2**40),  # trial index
+        st.integers(2, 40),  # devices
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_stream_equals_the_tuple_key(
+        self, master_seed, scenario, method, snr_db, trial_index, n_devices
+    ):
+        cfg = small_config(master_seed=master_seed, n_devices=n_devices)
+        streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
+        assert len(streams) == 3 * n_devices + 1
+        key = (
+            master_seed,
+            list(ChannelScenario).index(scenario),
+            list(Method).index(method),
+            _snr_stream_key(snr_db),
+            trial_index,
+        )
+        for stream, rng in enumerate(streams):
+            expected = np.random.default_rng(np.random.SeedSequence(key + (stream,)))
+            assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_negative_trial_index_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_trial(small_config(), ChannelScenario.DETERMINISTIC, Method.RAW, 20.0, -1)
+
+
+def _reference_trial(cfg, train_sets, test_sets):
+    """`run_trial`'s scores from raw per-device sets, one device at a time."""
+    train_sets = [m[np.isfinite(m).all(axis=1)] for m in train_sets]
+    test_sets = [m[np.isfinite(m).all(axis=1)] for m in test_sets]
+    train_norm = [normalize_block(m)[0] for m in train_sets]
+    test_norm = [normalize_block(m)[0] for m in test_sets]
+    silhouette = definition_silhouette(train_norm, test_norm)
+    if cfg.classify_normalized:
+        train_sets, test_sets = train_norm, test_norm
+    # equal-prior LDA on the pooled, ridge-regularized within-class covariance
+    k = train_sets[0].shape[1]
+    means = np.array([m.mean(axis=0) for m in train_sets])
+    scatter = sum((m - mu).T @ (m - mu) for m, mu in zip(train_sets, means))
+    pooled = scatter / (sum(len(m) for m in train_sets) - len(train_sets))
+    pooled += DEFAULT_RIDGE * np.trace(pooled) / k * np.eye(k)
+    weights = np.linalg.inv(pooled) @ means.T
+    offsets = -0.5 * np.einsum("ck,kc->c", means, weights)
+    correct = sum(
+        int((np.argmax(m @ weights + offsets, axis=1) == label).sum())
+        for label, m in enumerate(test_sets)
+    )
+    return silhouette, correct / sum(len(m) for m in test_sets)
+
+
 class TestNonfiniteHandling:
     def test_drop_nonfinite_rows(self):
-        matrix = np.array(
-            [[1.0, 2.0], [np.nan, 0.0], [3.0, np.inf], [4.0, 5.0]]
+        block = np.array(
+            [[[1.0, 2.0], [np.nan, 0.0], [3.0, np.inf], [4.0, 5.0]]]
         )
-        kept, dropped = _drop_nonfinite_rows(matrix)
-        assert dropped == 2
-        assert np.array_equal(kept, [[1.0, 2.0], [4.0, 5.0]])
+        kept = _screen_nonfinite(block)
+        assert kept.tolist() == [[True, False, False, True]]
+        assert np.array_equal(block, [[[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [4.0, 5.0]]])
+        sets = _kept_rows(block, kept)
+        assert len(sets) == 1
+        assert np.array_equal(sets[0], [[1.0, 2.0], [4.0, 5.0]])
 
     def test_all_finite_matrix_is_returned_unchanged(self):
-        matrix = np.ones((3, 2))
-        kept, dropped = _drop_nonfinite_rows(matrix)
-        assert dropped == 0
-        assert kept is matrix
+        block = np.ones((2, 3, 2))
+        kept = _screen_nonfinite(block)
+        assert kept.all()
+        assert _kept_rows(block, kept) is block
+
+    @staticmethod
+    def _poison(monkeypatch, drops):
+        """Make extraction blank ``drops(call)`` rows of its ``call``-th batch.
+
+        Returns the list the poisoned batches are recorded in, in call order:
+        device 0 train, device 0 test, device 1 train, ...
+        """
+        real = experiments.extract_batch
+        batches = []
+        values = (np.nan, np.inf, -np.inf)
+
+        def extract(*args):
+            batch = real(*args)
+            call = len(batches)
+            rows = np.random.default_rng(call).choice(len(batch), drops(call), replace=False)
+            for i, row in enumerate(rows):
+                batch[row, (7 * i) % batch.shape[1]] = values[(call + i) % 3]
+            batches.append(batch.copy())
+            return batch
+
+        monkeypatch.setattr(experiments, "extract_batch", extract)
+        return batches
+
+    @pytest.mark.parametrize(
+        "scenario, method, classify_normalized, n_devices, n_train, n_test",
+        [
+            (ChannelScenario.DETERMINISTIC, Method.RAW, True, 3, 12, 9),
+            (ChannelScenario.IID_STOCHASTIC, Method.PC, True, 5, 10, 14),
+            (ChannelScenario.NON_IID_STOCHASTIC, Method.SL, False, 4, 8, 8),
+            (ChannelScenario.IID_STOCHASTIC, Method.RC, False, 6, 15, 11),
+        ],
+    )
+    def test_dropped_rows_match_a_per_device_reference(
+        self, monkeypatch, scenario, method, classify_normalized, n_devices, n_train, n_test
+    ):
+        cfg = small_config(
+            n_devices=n_devices,
+            n_train=n_train,
+            n_test=n_test,
+            classify_normalized=classify_normalized,
+        )
+        batches = self._poison(monkeypatch, lambda call: call % 5)
+        result = run_trial(cfg, scenario, method, 25.0, 3)
+        silhouette, accuracy = _reference_trial(cfg, batches[0::2], batches[1::2])
+        n_dropped = sum(call % 5 for call in range(2 * n_devices))
+        assert result.nonfinite_rate == n_dropped / (n_devices * (n_train + n_test))
+        assert result.accuracy == accuracy
+        assert result.silhouette == pytest.approx(silhouette, abs=1e-12)
+
+    def test_device_with_one_finite_row_aborts_the_trial(self, monkeypatch):
+        cfg = small_config(n_devices=3, n_train=6, n_test=6)
+        # device 1's test batch, the fourth call, keeps one row
+        self._poison(monkeypatch, lambda call: 5 if call == 3 else call % 2)
+        with pytest.raises(RuntimeError, match="device 1 test set has fewer than 2"):
+            run_trial(cfg, ChannelScenario.DETERMINISTIC, Method.CR, 20.0, 0)

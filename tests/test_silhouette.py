@@ -10,14 +10,18 @@ from rff_lab.experiments import default_config
 from rff_lab.analytic import expected_intra
 from rff_lab.signal_model import Method, draw_fingerprint, extract_batch
 from rff_lab.silhouette import (
-    NormalizedSample,
-    SilhouetteBreakdown,
-    inter_distance,
-    intra_distance,
-    normalize,
+    device_tensor,
     normalize_block,
     silhouette_from_normalized,
     silhouette_score,
+)
+from silhouette_reference import (
+    NormalizedSample,
+    SilhouetteBreakdown,
+    definition_silhouette,
+    inter_distance,
+    intra_distance,
+    normalize,
 )
 
 
@@ -29,27 +33,6 @@ def _normalized_sets(rng, n_devices=4, n_samples=6, k=5, spread=1.0):
         raw = center + rng.normal(0.0, 1.0, (n_samples, k))
         sets.append(normalize_block(raw)[0])
     return sets
-
-
-def _definition_silhouette(train_sets, test_sets):
-    """Literal per-sample evaluation used as the oracle for the fast path."""
-    k = train_sets[0].shape[1]
-    coefficients = []
-    for i, train in enumerate(train_sets):
-        own = [NormalizedSample(v.copy()) for v in test_sets[i]]
-        others = [
-            (j, [NormalizedSample(v.copy()) for v in test_sets[j]])
-            for j in range(len(test_sets))
-            if j != i
-        ]
-        for row in train:
-            sample = NormalizedSample(row.copy())
-            intra = intra_distance(sample, own, k)
-            inter = inter_distance(sample, others, k)
-            coefficients.append(
-                SilhouetteBreakdown.from_distances(intra, inter).coefficient
-            )
-    return float(np.mean(coefficients))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +69,31 @@ def test_normalize_block_matches_rowwise_normalize():
         np.testing.assert_allclose(block[i], normalize(row).values, atol=1e-12)
         assert degenerate[i] == normalize(row).degenerate
     assert degenerate.tolist() == [False, False, False, True, False, False, False]
+
+
+def test_normalize_block_of_a_tensor_matches_each_matrix():
+    rng = np.random.default_rng(1)
+    tensor = rng.normal(0.5, 3.0, (4, 6, 5))
+    tensor[2, 1] = -1.5  # constant row
+    block, degenerate = normalize_block(tensor)
+    assert block.shape == tensor.shape and degenerate.shape == (4, 6)
+    for device, matrix in enumerate(tensor):
+        rows, flags = normalize_block(matrix)
+        np.testing.assert_array_equal(block[device], rows)
+        np.testing.assert_array_equal(degenerate[device], flags)
+    assert degenerate.sum() == 1 and degenerate[2, 1]
+
+
+def test_device_tensor_pads_ragged_sets_and_keeps_tensors():
+    tensor = np.ones((3, 2, 4))
+    same, mask = device_tensor(tensor)
+    assert same is tensor and mask.all() and mask.shape == (3, 2)
+    padded, mask = device_tensor([np.ones((2, 4)), 2.0 * np.ones((1, 4))])
+    assert padded.shape == (2, 2, 4)
+    assert mask.tolist() == [[True, True], [True, False]]
+    np.testing.assert_array_equal(padded[1], [[2.0] * 4, [0.0] * 4])
+    with pytest.raises(ValueError, match="consistent dimension"):
+        device_tensor([np.ones((2, 4)), np.ones((2, 3))])
 
 
 def test_normalized_sample_is_immutable():
@@ -159,7 +167,7 @@ def test_fast_path_matches_definition():
         train = _normalized_sets(rng)
         test = _normalized_sets(rng)
         fast = silhouette_from_normalized(train, test)
-        literal = _definition_silhouette(train, test)
+        literal = definition_silhouette(train, test)
         assert fast == pytest.approx(literal, abs=1e-12)
 
 
@@ -176,8 +184,26 @@ def test_fast_path_matches_definition_property(n_dev, n_tr, n_te, k, seed):
     train = [normalize_block(rng.normal(0, 1, (n_tr, k)))[0] for _ in range(n_dev)]
     test = [normalize_block(rng.normal(0, 1, (n_te, k)))[0] for _ in range(n_dev)]
     fast = silhouette_from_normalized(train, test)
-    literal = _definition_silhouette(train, test)
+    literal = definition_silhouette(train, test)
     assert fast == pytest.approx(literal, abs=1e-12)
+    assert -1.0 <= fast <= 1.0
+    # the same sets as one (D, N, K) tensor per phase
+    assert silhouette_from_normalized(np.stack(train), np.stack(test)) == fast
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=2, max_size=5),  # train size per device
+    st.integers(2, 6),  # K
+    st.integers(0, 10**6),  # seed
+)
+@settings(max_examples=40, deadline=None)
+def test_fast_path_matches_definition_property_ragged(train_sizes, k, seed):
+    rng = np.random.default_rng(seed)
+    test_sizes = rng.integers(1, 7, len(train_sizes))
+    train = [normalize_block(rng.normal(0, 1, (n, k)))[0] for n in train_sizes]
+    test = [normalize_block(rng.normal(0, 1, (n, k)))[0] for n in test_sizes]
+    fast = silhouette_from_normalized(train, test)
+    assert fast == pytest.approx(definition_silhouette(train, test), abs=1e-12)
     assert -1.0 <= fast <= 1.0
 
 
