@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .analytic import expected_inter, expected_intra, expected_silhouette
 from .channel import ChannelParams, ChannelScenario, Phase, ScenarioMoments, init_trial_channel, sample_csi_block
-from .classifier import LdaModel, accuracy, fit, predict, predict_batch
+from .classifier import LdaModel, accuracy, fit, predict_batch
 from .config import ConfigError, parse_config, render_config
 from .experiments import (
     CorrelationReport,
@@ -45,7 +45,7 @@ from .signal_model import (
     draw_fingerprint,
     extract_batch,
 )
-from .silhouette import normalize_block, silhouette_from_normalized, silhouette_score
+from .silhouette import normalize_block, silhouette_from_normalized
 
 __all__ = [
     "__version__",
@@ -86,7 +86,6 @@ __all__ = [
     "normalize_block",
     "paired_product_mean",
     "parse_config",
-    "predict",
     "predict_batch",
     "reciprocal_moments",
     "render_config",
@@ -94,5 +93,4 @@ __all__ = [
     "run_trial",
     "sample_csi_block",
     "silhouette_from_normalized",
-    "silhouette_score",
 ]

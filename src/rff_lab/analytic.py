@@ -55,7 +55,6 @@ from .signal_model import (
 )
 
 __all__ = [
-    "ScenarioMoments",
     "expected_intra",
     "expected_inter",
     "expected_silhouette",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "ScenarioMoments",
     "TrialChannel",
     "init_trial_channel",
-    "sample_csi",
     "sample_csi_block",
 ]
 
@@ -50,6 +49,14 @@ class Phase(enum.Enum):
     TEST = "test"
 
 
+def require_finite(params) -> None:
+    """Reject a parameter record whose float fields hold a NaN or an infinity."""
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Gaussian CSI parameters: train-phase pair and non-i.i.d. test pair."""
@@ -60,13 +67,11 @@ class ChannelParams:
     sigma_h_non: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("sigma_h", "sigma_h_non"):
             value = getattr(self, name)
-            if not (value >= 0.0):
+            if value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
-        for name in ("mu_h", "mu_h_non"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -148,10 +153,3 @@ def sample_csi_block(
         return np.broadcast_to(trial.fixed_csi, (n_samples, k))
     mu, sigma = trial.moments.for_phase(phase)
     return rng.normal(mu, sigma, size=(n_samples, k))
-
-
-def sample_csi(trial: TrialChannel, phase: Phase, rng: np.random.Generator) -> np.ndarray:
-    """One sample's CSI vector of length K, fresh per call unless deterministic."""
-    if trial.fixed_csi is not None:
-        return trial.fixed_csi
-    return sample_csi_block(trial, phase, rng, 1)[0]

@@ -8,9 +8,9 @@ identical).  A sample is assigned to the class with the largest
     delta_c(x) = x . Sigma^-1 mu_c - 1/2 mu_c . Sigma^-1 mu_c + log prior_c
 
 with ties resolved toward the lowest class index.  Class labels are the
-positions of the per-device feature sets passed to `fit` / `accuracy`: a
-``(C, N, K)`` tensor, or C per-device ``(n, K)`` matrices that are padded to
-one (`silhouette.device_tensor`).  Both work on the whole tensor at once.
+device positions of the ``(C, N, K)`` tensor passed to `fit` / `accuracy`,
+with an optional ``(C, N)`` kept mask of the rows to use (see
+`silhouette.device_tensor`).  Both work on the whole tensor at once.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .silhouette import DeviceSets, device_tensor
+from .silhouette import device_tensor
 
-__all__ = ["LdaModel", "fit", "predict", "predict_batch", "accuracy"]
+__all__ = ["LdaModel", "fit", "predict_batch", "accuracy"]
 
 DEFAULT_RIDGE = 1e-6
 
@@ -48,16 +48,18 @@ class LdaModel:
         return self.class_means.shape[0]
 
 
-def fit(train: DeviceSets, ridge: float = DEFAULT_RIDGE) -> LdaModel:
-    """Fit the discriminant on per-device training sets (class = position)."""
+def fit(
+    train: np.ndarray, kept: np.ndarray | None = None, ridge: float = DEFAULT_RIDGE
+) -> LdaModel:
+    """Fit the discriminant on a (C, N, K) training tensor (class = position)."""
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    if len(train) < 2:
+    samples, mask = device_tensor(train, kept)
+    if len(samples) < 2:
         raise ValueError("need at least two classes")
-    samples, mask = device_tensor(train)
     counts = mask.sum(axis=1)
     if counts.min() < 1:
-        raise ValueError("every class needs >= 1 sample of consistent dimension")
+        raise ValueError("every class needs >= 1 kept sample")
 
     n_classes, _, k = samples.shape
     n_total = int(counts.sum())
@@ -109,19 +111,11 @@ def predict_batch(model: LdaModel, samples: np.ndarray) -> np.ndarray:
     return np.argmax(scores, axis=1)
 
 
-def predict(model: LdaModel, sample: np.ndarray) -> int:
-    """Class label for a single K-vector."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.ndim != 1:
-        raise ValueError(f"expected a single K-vector, got shape {sample.shape}")
-    return int(predict_batch(model, sample[None, :])[0])
-
-
-def accuracy(model: LdaModel, test: DeviceSets) -> float:
-    """Fraction of test samples assigned to their own device (class = position)."""
-    if len(test) != model.n_classes:
+def accuracy(model: LdaModel, test: np.ndarray, kept: np.ndarray | None = None) -> float:
+    """Fraction of kept test samples assigned to their own device (class = position)."""
+    samples, mask = device_tensor(test, kept)
+    if len(samples) != model.n_classes:
         raise ValueError("test sets must align with the fitted classes")
-    samples, mask = device_tensor(test)
     total = int(mask.sum())
     if total == 0:
         raise ValueError("no test samples")

@@ -34,7 +34,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from typing import Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ from . import __version__
 from .channel import ChannelScenario
 from .config import ConfigError, parse_config, render_config
 from .experiments import (
-    CorrelationReport,
     SweepRecord,
     correlate,
     default_config,
@@ -62,7 +61,7 @@ from .gaussian_moments import (
 )
 from .signal_model import Method
 
-__all__ = ["OutputBundle", "main", "CSV_HEADER", "format_records_csv", "parse_records_csv"]
+__all__ = ["main", "CSV_HEADER", "format_records_csv", "parse_records_csv"]
 
 TOOL_VERSION = __version__
 ENV_THREADS = "RFF_LAB_THREADS"
@@ -91,16 +90,6 @@ VALIDATION_MU_G = (1.0,)
 VALIDATION_SIGMA_G = (0.0, 0.1, 0.15)
 VALIDATION_RHO = (0.5, 1.0, 2.0)
 VALIDATION_SIGMA_W = (0.001, 0.01, 0.05)
-
-
-@dataclass(frozen=True)
-class OutputBundle:
-    """Everything a sweep run emits in JSON format."""
-
-    records: list[SweepRecord]
-    config_echo: str
-    tool_version: str
-    wall_time_seconds: float
 
 
 def _g17(value: float) -> str:
@@ -157,18 +146,21 @@ def parse_records_csv(text: str) -> list[SweepRecord]:
     return records
 
 
-def format_bundle_json(bundle: OutputBundle) -> str:
+def format_bundle_json(
+    records: Sequence[SweepRecord], config_echo: str, wall_time_seconds: float
+) -> str:
+    """The JSON bundle: tool version, wall time, config echo and the records."""
     payload = {
-        "tool_version": bundle.tool_version,
-        "wall_time_seconds": bundle.wall_time_seconds,
-        "config_echo": bundle.config_echo,
+        "tool_version": TOOL_VERSION,
+        "wall_time_seconds": wall_time_seconds,
+        "config_echo": config_echo,
         "records": [
             {
                 **asdict(r),
                 "scenario": r.scenario.value,
                 "method": r.method.value,
             }
-            for r in bundle.records
+            for r in records
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -222,13 +214,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "csv":
         text = format_records_csv(records)
     else:
-        bundle = OutputBundle(
-            records=records,
-            config_echo=render_config(cfg),
-            tool_version=TOOL_VERSION,
-            wall_time_seconds=wall,
-        )
-        text = format_bundle_json(bundle)
+        text = format_bundle_json(records, render_config(cfg), wall)
     _write_out(args.out, text)
     print(
         f"sweep: {len(records)} records, {cfg.n_trials} trials/cell, "

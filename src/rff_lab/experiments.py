@@ -14,11 +14,10 @@ Layout: a trial holds one ``(D, N, K)`` train tensor and one ``(D, N, K)``
 test tensor (device, sample, subcarrier).  Extraction fills them one device
 and phase at a time, each from that device's own streams; every later stage
 runs once per phase over the whole tensor.  One non-finite screen gives a
-``(D, N)`` kept mask: a row with any non-finite entry is zeroed, counted as
-dropped, and left out of the silhouette and the classifier, which then take
-each device's kept rows and pad them back to a tensor with a row mask
-(`silhouette.device_tensor`).  A device with fewer than 2 kept rows in
-either phase aborts the trial.
+``(D, N)`` kept mask per phase: a row with any non-finite entry is zeroed,
+counted as dropped, and left out of the silhouette and the classifier, which
+take the tensor and its kept mask as they are.  A device with fewer than 2
+kept rows in either phase aborts the trial.
 
 Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
@@ -227,11 +226,6 @@ def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _kept_rows(block: np.ndarray, kept: np.ndarray) -> np.ndarray | list[np.ndarray]:
-    """The (D, N, K) block itself if every row is kept, else each device's kept rows."""
-    return block if kept.all() else [rows[mask] for rows, mask in zip(block, kept)]
-
-
 def run_trial(
     cfg: ExperimentConfig,
     scenario: ChannelScenario,
@@ -277,14 +271,12 @@ def run_trial(
 
     train_norm = normalize_block(train)[0]
     test_norm = normalize_block(test)[0]
-    score = silhouette_from_normalized(
-        _kept_rows(train_norm, train_kept), _kept_rows(test_norm, test_kept)
-    )
+    score = silhouette_from_normalized(train_norm, test_norm, train_kept, test_kept)
 
     if cfg.classify_normalized:
         train, test = train_norm, test_norm
-    model = classifier.fit(_kept_rows(train, train_kept))
-    acc = classifier.accuracy(model, _kept_rows(test, test_kept))
+    model = classifier.fit(train, train_kept)
+    acc = classifier.accuracy(model, test, test_kept)
 
     return TrialResult(
         silhouette=score, accuracy=acc, nonfinite_rate=n_dropped / n_total
@@ -353,14 +345,13 @@ def run_sweep(cfg: ExperimentConfig, n_threads: int = 1) -> list[SweepRecord]:
 
 
 def correlate(
-    records: Sequence[SweepRecord] | Sequence[tuple[float, float]],
+    records: Sequence[SweepRecord],
     n_permutations: int = MIN_PERMUTATIONS,
     seed: int = 0,
 ) -> CorrelationReport:
     """Pearson correlation between empirical silhouette score and accuracy.
 
-    Accepts sweep records or plain ``(silhouette, accuracy)`` pairs.  The
-    two-sided p-value comes from a permutation test that shuffles the
+    The two-sided p-value comes from a permutation test that shuffles the
     accuracy column: ``(1 + #{|r_perm| >= |r_obs|}) / (n_permutations + 1)``.
     The least-squares line regresses accuracy on silhouette.
     """
@@ -368,12 +359,8 @@ def correlate(
         raise ValueError(f"n_permutations must be >= {MIN_PERMUTATIONS}")
     if len(records) < 3:
         raise ValueError(f"need at least 3 records, got {len(records)}")
-    if hasattr(records[0], "silhouette_empirical"):
-        pairs = [(r.silhouette_empirical, r.accuracy) for r in records]
-    else:
-        pairs = [(float(s), float(a)) for s, a in records]
-    x = np.array([s for s, _ in pairs])
-    y = np.array([a for _, a in pairs])
+    x = np.array([r.silhouette_empirical for r in records])
+    y = np.array([r.accuracy for r in records])
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("records contain non-finite scores")
     if x.std() == 0.0 or y.std() == 0.0:

@@ -136,8 +136,6 @@ class RatioForm(enum.Enum):
 def _check_domain(g: GaussianSpec, p: RatioParams) -> None:
     if g.mean == 0.0:
         raise ValueError("formula is singular at mu_g == 0")
-    if p.rho == 0.0:  # unreachable through RatioParams, kept for direct calls
-        raise ValueError("formula is singular at rho == 0")
 
 
 def in_regime(g: GaussianSpec, p: RatioParams) -> bool:

@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, Phase, TrialChannel, sample_csi_block
+from .channel import ChannelParams, Phase, TrialChannel, require_finite, sample_csi_block
 
 __all__ = [
     "ModelParams",
@@ -65,7 +65,6 @@ __all__ = [
     "FeatureMoments",
     "RatioLaw",
     "draw_fingerprint",
-    "extract_sample",
     "extract_batch",
     "amplification_factor",
     "ratio_law",
@@ -93,14 +92,15 @@ class ModelParams:
     channel: ChannelParams
 
     def __post_init__(self) -> None:
-        if not (self.eta > 0.0):
+        require_finite(self)
+        if self.eta <= 0.0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if self.r_l < 1 or self.r_s < 1:
             raise ValueError("subcarrier counts must be >= 1")
         if self.r_s > self.r_l:
             raise ValueError(f"r_s ({self.r_s}) must be <= r_l ({self.r_l})")
         for name in ("sigma_u", "sigma_s", "sigma_n"):
-            if not (getattr(self, name) >= 0.0):
+            if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         for name, value in (("gamma", self.gamma()), ("beta", self.beta())):
             if value == 0.0 or not math.isfinite(value):
@@ -270,18 +270,6 @@ def extract_batch(
         if law.noise_in_numerator:
             return (signal + noise()) / (law.rho * csi + noise())
         return signal / (law.rho * csi + noise()) + noise()
-
-
-def extract_sample(
-    method: Method,
-    params: ModelParams,
-    fp: DeviceFingerprint,
-    trial: TrialChannel,
-    phase: Phase,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One extracted feature vector of length K (non-finite values unmasked)."""
-    return extract_batch(method, params, fp, trial, phase, 1, rng)[0]
 
 
 def analytic_feature_moments(

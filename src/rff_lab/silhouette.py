@@ -15,9 +15,10 @@ devices, always in ``[-1, 1]``.  Distances pair training samples against test
 sets only — training samples are never compared with each other.
 
 A phase's samples are one ``(D, N, K)`` tensor: device, sample, subcarrier.
-Per-device sets of unequal size are zero-padded to the largest and carry a
-``(D, N)`` mask of their real rows (`device_tensor`); every reduction
-below runs once over the whole tensor, never once per device.
+An optional ``(D, N)`` kept mask leaves rows out (the non-finite screen of
+`experiments.run_trial`); a row outside the mask counts for nothing, whatever
+its values.  Every reduction below runs once over the whole tensor, never
+once per device.
 
 Full K-dimensional distances are used (not a single-subcarrier shortcut), and
 the per-device mean of squared distances is evaluated through the exact
@@ -27,14 +28,11 @@ so the cost is O(N*C*K) instead of O(N*M*K).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = [
     "device_tensor",
     "normalize_block",
-    "silhouette_score",
     "silhouette_from_normalized",
 ]
 
@@ -45,28 +43,29 @@ __all__ = [
 #: normalized samples are many orders of magnitude above this.
 ZERO_DISTANCE_TOLERANCE = 1e-12
 
-#: Per-device sample sets: a (D, N, K) tensor, or D matrices of shape (n_d, K).
-DeviceSets = np.ndarray | Sequence[np.ndarray]
 
+def device_tensor(
+    samples: np.ndarray, kept: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A phase's ``(D, N, K)`` samples and ``(D, N)`` kept mask (default: all rows).
 
-def device_tensor(sets: DeviceSets) -> tuple[np.ndarray, np.ndarray]:
-    """Per-device sample sets as one ``(D, N, K)`` tensor and its ``(D, N)`` row mask.
-
-    A three-dimensional array already holds N rows for every device and is
-    used as it is.  Matrices of unequal height are zero-padded at the end to
-    the tallest; the mask marks each device's real rows, which come first.
+    Rows outside the mask are zeroed in the returned tensor, so per-device
+    sums over it count only the kept rows.
     """
-    if isinstance(sets, np.ndarray) and sets.ndim == 3:
-        return np.asarray(sets, dtype=float), np.ones(sets.shape[:2], dtype=bool)
-    mats = [np.asarray(m, dtype=float) for m in sets]
-    k = mats[0].shape[-1] if mats else 0
-    if not mats or any(m.ndim != 2 or m.shape[1] != k for m in mats):
-        raise ValueError("expected per-device (n, K) sets of one consistent dimension")
-    sizes = np.array([m.shape[0] for m in mats])
-    tensor = np.zeros((len(mats), int(sizes.max()), k))
-    for rows, mat in zip(tensor, mats):
-        rows[: mat.shape[0]] = mat
-    return tensor, np.arange(tensor.shape[1]) < sizes[:, None]
+    try:
+        samples = np.asarray(samples, dtype=float)
+    except ValueError:  # per-device sets of unequal shape
+        raise ValueError("expected equal (N, K) sets of one consistent dimension") from None
+    if samples.ndim != 3:
+        raise ValueError(f"expected a (D, N, K) tensor, got shape {samples.shape}")
+    if kept is None:
+        return samples, np.ones(samples.shape[:2], dtype=bool)
+    kept = np.asarray(kept, dtype=bool)
+    if kept.shape != samples.shape[:2]:
+        raise ValueError(f"kept mask has shape {kept.shape}, expected {samples.shape[:2]}")
+    if not kept.all():
+        samples = np.where(kept[..., None], samples, 0.0)
+    return samples, kept
 
 
 def normalize_block(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,10 +90,10 @@ def normalize_block(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _score(
     train: np.ndarray, train_mask: np.ndarray, test: np.ndarray, test_mask: np.ndarray
 ) -> float:
-    """Silhouette score of normalized, padded (D, N, K) tensors."""
+    """Silhouette score of normalized (D, N, K) tensors with their kept masks."""
     n_dev, _, k = train.shape
-    # Per-device test moments: mean vector and mean squared norm.  Padded rows
-    # are zeros, so they add nothing to either sum.
+    # Per-device test moments: mean vector and mean squared norm.  Rows outside
+    # the mask are zeros, so they add nothing to either sum.
     test_counts = test_mask.sum(axis=1)
     te_mean = test.sum(axis=1) / test_counts[:, None]  # (D, K)
     te_sq = (test**2).sum(axis=2).sum(axis=1) / test_counts  # (D,)
@@ -114,37 +113,26 @@ def _score(
     return float(coef[train_mask].mean())
 
 
-def _phase_tensors(
-    train_sets: DeviceSets, test_sets: DeviceSets
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n_dev = len(train_sets)
-    if n_dev < 2 or len(test_sets) != n_dev:
+def silhouette_from_normalized(
+    train: np.ndarray,
+    test: np.ndarray,
+    train_kept: np.ndarray | None = None,
+    test_kept: np.ndarray | None = None,
+) -> float:
+    """Silhouette score of already-normalized ``(D, N, K)`` train and test tensors.
+
+    ``train_kept``/``test_kept`` are optional ``(D, N)`` masks of the rows to
+    score; every device needs at least one kept row in each phase.  Result
+    is in ``[-1, 1]``.
+    """
+    train, train_kept = device_tensor(train, train_kept)
+    test, test_kept = device_tensor(test, test_kept)
+    if train.shape[0] < 2 or test.shape[0] != train.shape[0]:
         raise ValueError("need >= 2 devices with aligned train and test sets")
-    train, train_mask = device_tensor(train_sets)
-    test, test_mask = device_tensor(test_sets)
     if (
         train.shape[2] != test.shape[2]
-        or not train_mask.any(axis=1).all()
-        or not test_mask.any(axis=1).all()
+        or not train_kept.any(axis=1).all()
+        or not test_kept.any(axis=1).all()
     ):
         raise ValueError("every device needs >= 1 sample of consistent dimension")
-    return train, train_mask, test, test_mask
-
-
-def silhouette_from_normalized(train_sets: DeviceSets, test_sets: DeviceSets) -> float:
-    """Silhouette score over already-normalized per-device samples.
-
-    Each phase is a (D, N, K) tensor or D per-device (n, K) matrices.
-    """
-    return _score(*_phase_tensors(train_sets, test_sets))
-
-
-def silhouette_score(train_sets: DeviceSets, test_sets: DeviceSets) -> float:
-    """Average silhouette coefficient over all devices' training samples.
-
-    Accepts per-device samples of *raw* features, as for
-    `silhouette_from_normalized`; every sample is normalized here.  Result is
-    in ``[-1, 1]``.
-    """
-    train, train_mask, test, test_mask = _phase_tensors(train_sets, test_sets)
-    return _score(normalize_block(train)[0], train_mask, normalize_block(test)[0], test_mask)
+    return _score(train, train_kept, test, test_kept)

@@ -4,6 +4,8 @@ This is the O(N*M*K) definition that `rff_lab.silhouette` evaluates in
 vectorized form: every training sample's mean squared distance to every
 sample of its own and of each other device's test set.  Tests use it as the
 oracle for the vectorized path and as a plain per-sample distance probe.
+`definition_lda` does the same for `rff_lab.classifier`: the equal-prior LDA
+fitted and scored one device's set at a time.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from rff_lab.classifier import DEFAULT_RIDGE
 from rff_lab.silhouette import ZERO_DISTANCE_TOLERANCE
 
 
@@ -107,3 +110,21 @@ def definition_silhouette(
                 SilhouetteBreakdown.from_distances(intra, inter).coefficient
             )
     return float(np.mean(coefficients))
+
+
+def definition_lda(
+    train_sets: Sequence[np.ndarray], test_sets: Sequence[np.ndarray]
+) -> tuple[np.ndarray, float]:
+    """Class means and test accuracy of the pooled, ridge-regularized LDA."""
+    k = train_sets[0].shape[1]
+    means = np.array([m.mean(axis=0) for m in train_sets])
+    scatter = sum((m - mu).T @ (m - mu) for m, mu in zip(train_sets, means))
+    pooled = scatter / (sum(len(m) for m in train_sets) - len(train_sets))
+    pooled += DEFAULT_RIDGE * np.trace(pooled) / k * np.eye(k)
+    weights = np.linalg.inv(pooled) @ means.T
+    offsets = -0.5 * np.einsum("ck,kc->c", means, weights)
+    correct = sum(
+        int((np.argmax(m @ weights + offsets, axis=1) == label).sum())
+        for label, m in enumerate(test_sets)
+    )
+    return means, correct / sum(len(m) for m in test_sets)

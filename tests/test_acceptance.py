@@ -22,7 +22,7 @@ from rff_lab.classifier import fit, predict_batch
 from rff_lab.cli import main as cli_main
 from rff_lab.experiments import correlate, default_config, run_sweep, run_trial
 from rff_lab.signal_model import Method
-from rff_lab.silhouette import normalize_block, silhouette_score
+from rff_lab.silhouette import normalize_block, silhouette_from_normalized
 
 RATIO_METHODS = (Method.SL, Method.CR, Method.PC, Method.RC)
 
@@ -246,6 +246,15 @@ def test_7_score_accuracy_correlation(full_sweep, capsys):
     )
 
 
+def _padded(sets):
+    """Normalized per-device (n_d, K) sets as one zero-padded tensor and its kept mask."""
+    sizes = np.array([len(m) for m in sets])
+    kept = np.arange(sizes.max()) < sizes[:, None]
+    tensor = np.zeros(kept.shape + (sets[0].shape[1],))
+    tensor[kept] = np.concatenate(sets)
+    return normalize_block(tensor)[0], kept
+
+
 def test_8_invariant_suite(tmp_path, capsys):
     """Bounds, invariances, byte-reproducibility, and degenerate floors."""
     # (a) silhouette score stays in [-1, 1] on 1000 random inputs.
@@ -263,7 +272,8 @@ def test_8_invariant_suite(tmp_path, capsys):
             train[0][0] = 1.25  # constant feature row -> degenerate normalization
         if i % 11 == 0:
             test[1][0] = train[1][0]  # exact duplicate -> zero distance
-        s = silhouette_score(train, test)
+        (train, train_kept), (test, test_kept) = _padded(train), _padded(test)
+        s = silhouette_from_normalized(train, test, train_kept, test_kept)
         bounds_ok = bounds_ok and math.isfinite(s) and -1.0 <= s <= 1.0
 
     # (b) per-sample normalization is invariant to positive affine maps.

@@ -10,7 +10,6 @@ from rff_lab.channel import (
     Phase,
     ScenarioMoments,
     init_trial_channel,
-    sample_csi,
     sample_csi_block,
 )
 
@@ -63,8 +62,8 @@ def test_deterministic_phase_invariance_bitwise():
         ChannelScenario.DETERMINISTIC, BASE_CHANNEL, 52, np.random.default_rng(7)
     )
     rng = np.random.default_rng(1)
-    first = sample_csi(trial, Phase.TRAIN, rng)
-    second = sample_csi(trial, Phase.TEST, rng)
+    first = sample_csi_block(trial, Phase.TRAIN, rng, 1)[0]
+    second = sample_csi_block(trial, Phase.TEST, rng, 1)[0]
     assert first.tobytes() == second.tobytes()
     block = sample_csi_block(trial, Phase.TRAIN, rng, 5)
     assert all(row.tobytes() == first.tobytes() for row in block)
@@ -85,8 +84,8 @@ def test_stochastic_draws_are_fresh_per_call():
         ChannelScenario.IID_STOCHASTIC, BASE_CHANNEL, 16, np.random.default_rng(0)
     )
     rng = np.random.default_rng(5)
-    a = sample_csi(trial, Phase.TRAIN, rng)
-    b = sample_csi(trial, Phase.TRAIN, rng)
+    a = sample_csi_block(trial, Phase.TRAIN, rng, 1)[0]
+    b = sample_csi_block(trial, Phase.TRAIN, rng, 1)[0]
     assert not np.array_equal(a, b)
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rff_lab.classifier import LdaModel, accuracy, fit, predict, predict_batch
+from rff_lab.classifier import LdaModel, accuracy, fit, predict_batch
+from silhouette_reference import definition_lda
 
 
 def _symmetric_two_class_train(delta: float = 0.5) -> list[np.ndarray]:
@@ -15,6 +16,11 @@ def _symmetric_two_class_train(delta: float = 0.5) -> list[np.ndarray]:
         [[delta, 0.0], [-delta, 0.0], [0.0, delta], [0.0, -delta]]
     )
     return [e1 + offsets, -e1 + offsets]
+
+
+def predict(model: LdaModel, sample: np.ndarray) -> int:
+    """The label of one K-vector."""
+    return int(predict_batch(model, sample[None])[0])
 
 
 class TestDecisionBoundary:
@@ -103,6 +109,42 @@ class TestInvariances:
         assert np.array_equal(relabel[base], permuted)
 
 
+class TestKeptMask:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masked_fit_and_accuracy_match_a_per_device_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n_classes, n, k = int(rng.integers(2, 6)), int(rng.integers(3, 12)), 4
+        centers = rng.normal(0.0, 1.5, (n_classes, 1, k))
+        train = centers + rng.standard_normal((n_classes, n, k))
+        test = centers + rng.standard_normal((n_classes, n + 2, k))
+        train_kept = rng.random(train.shape[:2]) < 0.7
+        test_kept = rng.random(test.shape[:2]) < 0.7
+        train_kept[:, :2] = True  # >= 2 kept rows per class
+        test_kept[:, 0] = True
+        # dropped rows count for nothing, whatever they hold
+        train[~train_kept] = rng.choice([np.nan, np.inf, 1e6], size=((~train_kept).sum(), 1))
+        test[~test_kept] = 1e6
+        model = fit(train, train_kept)
+        means, expected = definition_lda(
+            [rows[kept] for rows, kept in zip(train, train_kept)],
+            [rows[kept] for rows, kept in zip(test, test_kept)],
+        )
+        np.testing.assert_allclose(model.class_means, means, rtol=1e-12, atol=1e-12)
+        assert accuracy(model, test, test_kept) == expected
+
+    def test_all_kept_mask_equals_no_mask(self):
+        rng = np.random.default_rng(8)
+        train = rng.standard_normal((3, 10, 4)) + np.arange(3)[:, None, None]
+        test = rng.standard_normal((3, 7, 4)) + np.arange(3)[:, None, None]
+        model = fit(train)
+        masked = fit(train, np.ones((3, 10), dtype=bool))
+        np.testing.assert_array_equal(model.class_means, masked.class_means)
+        np.testing.assert_array_equal(
+            model.pooled_covariance_inverse, masked.pooled_covariance_inverse
+        )
+        assert accuracy(model, test) == accuracy(model, test, np.ones((3, 7), dtype=bool))
+
+
 class TestValidation:
     def test_fit_rejects_single_class(self):
         with pytest.raises(ValueError, match="two classes"):
@@ -120,11 +162,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="more samples than classes"):
             fit([np.zeros((1, 2)), np.ones((1, 2))])
 
-    def test_predict_rejects_matrix_input(self):
-        model = fit(_symmetric_two_class_train())
-        with pytest.raises(ValueError, match="single K-vector"):
-            predict(model, np.zeros((2, 2)))
-
     def test_predict_batch_rejects_wrong_width(self):
         model = fit(_symmetric_two_class_train())
         with pytest.raises(ValueError, match="got shape"):
@@ -139,6 +176,15 @@ class TestValidation:
         model = fit(_symmetric_two_class_train())
         with pytest.raises(ValueError, match="no test samples"):
             accuracy(model, [np.empty((0, 2)), np.empty((0, 2))])
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (4, 3, 1)])
+    def test_a_kept_mask_of_the_wrong_shape_is_rejected(self, shape):
+        train = np.random.default_rng(1).standard_normal((4, 3, 2))
+        with pytest.raises(ValueError, match="kept mask"):
+            fit(train, np.ones(shape, dtype=bool))
+        model = fit(train)
+        with pytest.raises(ValueError, match="kept mask"):
+            accuracy(model, train, np.ones(shape, dtype=bool))
 
     def test_model_rejects_mismatched_precision_shape(self):
         with pytest.raises(ValueError, match="precision"):

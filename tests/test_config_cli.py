@@ -252,6 +252,22 @@ class TestCliSweep:
         assert main(["sweep", "--config", str(config_path), "--trials", "1"]) == 2
         assert "feature variance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            key
+            for key, (section, _, parse, _) in CONFIG_KEYS.items()
+            if section in ("model", "channel") and parse is float
+        ],
+    )
+    def test_non_finite_constant_exits_2_naming_it(self, key, value, tmp_path, capsys):
+        config_path = tmp_path / "non_finite.cfg"
+        config_path.write_text(f"{SMALL_CONFIG_TEXT}{key} = {value}\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path), "--trials", "1"]) == 2
+        attribute = key.partition(".")[2]
+        assert f"{attribute} must be finite, got {value}" in capsys.readouterr().err
+
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
         config_path = tmp_path / "small.cfg"
         config_path.write_text(SMALL_CONFIG_TEXT, encoding="utf-8")

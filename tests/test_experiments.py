@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from rff_lab import experiments
 from rff_lab.analytic import expected_silhouette
 from rff_lab.channel import ChannelScenario
-from rff_lab.classifier import DEFAULT_RIDGE
 from rff_lab.cli import format_records_csv
 from rff_lab.experiments import (
     MIN_PERMUTATIONS,
@@ -24,15 +23,10 @@ from rff_lab.experiments import (
     run_sweep,
     run_trial,
 )
-from rff_lab.experiments import (
-    _kept_rows,
-    _screen_nonfinite,
-    _snr_stream_key,
-    _trial_streams,
-)
+from rff_lab.experiments import _screen_nonfinite, _snr_stream_key, _trial_streams
 from rff_lab.signal_model import Method
 from rff_lab.silhouette import normalize_block
-from silhouette_reference import definition_silhouette
+from silhouette_reference import definition_lda, definition_silhouette
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -183,11 +177,29 @@ class TestRunSweep:
         assert high.silhouette_empirical > low.silhouette_empirical
 
 
+def records_of(pairs) -> list[SweepRecord]:
+    """Sweep records carrying the given (silhouette, accuracy) pairs."""
+    return [
+        SweepRecord(
+            scenario=ChannelScenario.DETERMINISTIC,
+            method=Method.RAW,
+            snr_db=0.0,
+            silhouette_empirical=float(sil),
+            silhouette_empirical_stderr=0.0,
+            silhouette_analytic=float(sil),
+            accuracy=float(acc),
+            accuracy_stderr=0.0,
+            nonfinite_rate=0.0,
+        )
+        for sil, acc in pairs
+    ]
+
+
 class TestCorrelate:
     def test_perfect_line_gives_unit_correlation(self):
         x = np.linspace(0.1, 0.9, 10)
         pairs = [(float(s), float(2.0 * s + 3.0)) for s in x]
-        report = correlate(pairs, n_permutations=1000, seed=0)
+        report = correlate(records_of(pairs), n_permutations=1000, seed=0)
         assert report.pearson_r == pytest.approx(1.0, rel=1e-12)
         assert report.p_value == pytest.approx(1.0 / 1001.0)
         assert report.ls_slope == pytest.approx(2.0, rel=1e-9)
@@ -196,46 +208,37 @@ class TestCorrelate:
 
     def test_perfect_anticorrelation(self):
         x = np.linspace(0.1, 0.9, 12)
-        report = correlate([(float(s), float(1.0 - s)) for s in x])
+        report = correlate(records_of((s, 1.0 - s) for s in x))
         assert report.pearson_r == pytest.approx(-1.0, rel=1e-12)
         assert report.p_value == pytest.approx(1.0 / (MIN_PERMUTATIONS + 1.0))
 
     def test_independent_noise_is_insignificant(self):
         rng = np.random.default_rng(99)
         pairs = list(zip(rng.standard_normal(60), rng.standard_normal(60)))
-        report = correlate(pairs, seed=1)
+        report = correlate(records_of(pairs), seed=1)
         assert abs(report.pearson_r) < 0.5
         assert report.p_value > 0.01
 
     def test_accepts_sweep_records(self):
-        def record(sil, acc):
-            return SweepRecord(
-                scenario=ChannelScenario.DETERMINISTIC,
-                method=Method.RAW,
-                snr_db=0.0,
-                silhouette_empirical=sil,
-                silhouette_empirical_stderr=0.0,
-                silhouette_analytic=sil,
-                accuracy=acc,
-                accuracy_stderr=0.0,
-                nonfinite_rate=0.0,
-            )
-
         pairs = [(0.1, 0.5), (0.4, 0.8), (0.7, 0.9), (0.9, 0.99)]
-        from_records = correlate([record(s, a) for s, a in pairs], seed=5)
-        from_pairs = correlate(pairs, seed=5)
-        assert from_records == from_pairs
+        report = correlate(records_of(pairs), seed=5)
+        x, y = np.array(pairs).T
+        slope, intercept = np.polyfit(x, y, deg=1)
+        assert report.pearson_r == pytest.approx(np.corrcoef(x, y)[0, 1], rel=1e-12)
+        assert (report.ls_slope, report.ls_intercept) == (slope, intercept)
+        assert report.n_points == 4
+        assert report == correlate(records_of(pairs), seed=5)
 
     def test_validation_errors(self):
-        good = [(0.1, 0.2), (0.3, 0.5), (0.6, 0.7)]
+        good = records_of([(0.1, 0.2), (0.3, 0.5), (0.6, 0.7)])
         with pytest.raises(ValueError, match="at least 3"):
             correlate(good[:2])
         with pytest.raises(ValueError, match="n_permutations"):
             correlate(good, n_permutations=MIN_PERMUTATIONS - 1)
         with pytest.raises(ValueError, match="zero variance"):
-            correlate([(0.5, a) for a in (0.1, 0.2, 0.3)])
+            correlate(records_of((0.5, a) for a in (0.1, 0.2, 0.3)))
         with pytest.raises(ValueError, match="non-finite"):
-            correlate([(0.1, 0.2), (float("nan"), 0.5), (0.6, 0.7)])
+            correlate(records_of([(0.1, 0.2), (float("nan"), 0.5), (0.6, 0.7)]))
 
     def test_report_is_a_value_object(self):
         report = CorrelationReport(
@@ -290,19 +293,7 @@ def _reference_trial(cfg, train_sets, test_sets):
     silhouette = definition_silhouette(train_norm, test_norm)
     if cfg.classify_normalized:
         train_sets, test_sets = train_norm, test_norm
-    # equal-prior LDA on the pooled, ridge-regularized within-class covariance
-    k = train_sets[0].shape[1]
-    means = np.array([m.mean(axis=0) for m in train_sets])
-    scatter = sum((m - mu).T @ (m - mu) for m, mu in zip(train_sets, means))
-    pooled = scatter / (sum(len(m) for m in train_sets) - len(train_sets))
-    pooled += DEFAULT_RIDGE * np.trace(pooled) / k * np.eye(k)
-    weights = np.linalg.inv(pooled) @ means.T
-    offsets = -0.5 * np.einsum("ck,kc->c", means, weights)
-    correct = sum(
-        int((np.argmax(m @ weights + offsets, axis=1) == label).sum())
-        for label, m in enumerate(test_sets)
-    )
-    return silhouette, correct / sum(len(m) for m in test_sets)
+    return silhouette, definition_lda(train_sets, test_sets)[1]
 
 
 class TestNonfiniteHandling:
@@ -313,15 +304,12 @@ class TestNonfiniteHandling:
         kept = _screen_nonfinite(block)
         assert kept.tolist() == [[True, False, False, True]]
         assert np.array_equal(block, [[[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [4.0, 5.0]]])
-        sets = _kept_rows(block, kept)
-        assert len(sets) == 1
-        assert np.array_equal(sets[0], [[1.0, 2.0], [4.0, 5.0]])
 
     def test_all_finite_matrix_is_returned_unchanged(self):
-        block = np.ones((2, 3, 2))
+        block = np.arange(12.0).reshape(2, 3, 2)
         kept = _screen_nonfinite(block)
-        assert kept.all()
-        assert _kept_rows(block, kept) is block
+        assert kept.shape == (2, 3) and kept.all()
+        assert np.array_equal(block, np.arange(12.0).reshape(2, 3, 2))
 
     @staticmethod
     def _poison(monkeypatch, drops):

@@ -17,7 +17,6 @@ from rff_lab.signal_model import (
     analytic_feature_moments,
     draw_fingerprint,
     extract_batch,
-    extract_sample,
 )
 
 BASE_PARAMS = default_config().params  # shipped defaults; sigma_n is set per test
@@ -117,10 +116,10 @@ def test_fingerprint_is_immutable():
 
 def test_raw_noiseless_identity():
     p = unit_params()
-    sample = extract_sample(
+    sample = extract_batch(
         Method.RAW, p, draw_fingerprint(p, np.random.default_rng(0)),
-        det_trial(p), Phase.TRAIN, np.random.default_rng(1),
-    )
+        det_trial(p), Phase.TRAIN, 1, np.random.default_rng(1),
+    )[0]
     np.testing.assert_allclose(sample, np.ones(8), rtol=0, atol=0)
 
 
@@ -128,7 +127,7 @@ def test_cr_noiseless_channel_cancellation_returns_fingerprint():
     p = unit_params(sigma_u=0.1, channel=ChannelParams(1.0, 0.3, 1.0, 0.3))
     fp = draw_fingerprint(p, np.random.default_rng(3))
     trial = det_trial(p, seed=4)
-    sample = extract_sample(Method.CR, p, fp, trial, Phase.TRAIN, np.random.default_rng(5))
+    sample = extract_batch(Method.CR, p, fp, trial, Phase.TRAIN, 1, np.random.default_rng(5))[0]
     np.testing.assert_allclose(sample, fp.tu, rtol=1e-12)
 
 

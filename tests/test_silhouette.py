@@ -9,12 +9,7 @@ from rff_lab.channel import ChannelScenario, Phase, init_trial_channel
 from rff_lab.experiments import default_config
 from rff_lab.analytic import expected_intra
 from rff_lab.signal_model import Method, draw_fingerprint, extract_batch
-from rff_lab.silhouette import (
-    device_tensor,
-    normalize_block,
-    silhouette_from_normalized,
-    silhouette_score,
-)
+from rff_lab.silhouette import device_tensor, normalize_block, silhouette_from_normalized
 from silhouette_reference import (
     NormalizedSample,
     SilhouetteBreakdown,
@@ -33,6 +28,13 @@ def _normalized_sets(rng, n_devices=4, n_samples=6, k=5, spread=1.0):
         raw = center + rng.normal(0.0, 1.0, (n_samples, k))
         sets.append(normalize_block(raw)[0])
     return sets
+
+
+def _random_kept(rng, n_devices, n_rows):
+    """A random (D, N) kept mask with at least one kept row per device."""
+    kept = rng.random((n_devices, n_rows)) < 0.6
+    kept[np.arange(n_devices), rng.integers(0, n_rows, n_devices)] = True
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +86,28 @@ def test_normalize_block_of_a_tensor_matches_each_matrix():
     assert degenerate.sum() == 1 and degenerate[2, 1]
 
 
-def test_device_tensor_pads_ragged_sets_and_keeps_tensors():
+def test_device_tensor_checks_the_mask_and_zeroes_dropped_rows():
     tensor = np.ones((3, 2, 4))
     same, mask = device_tensor(tensor)
     assert same is tensor and mask.all() and mask.shape == (3, 2)
-    padded, mask = device_tensor([np.ones((2, 4)), 2.0 * np.ones((1, 4))])
-    assert padded.shape == (2, 2, 4)
-    assert mask.tolist() == [[True, True], [True, False]]
-    np.testing.assert_array_equal(padded[1], [[2.0] * 4, [0.0] * 4])
+    kept = np.array([[True, True], [True, False], [False, True]])
+    zeroed, mask = device_tensor(tensor, kept)
+    assert np.array_equal(mask, kept)
+    np.testing.assert_array_equal(zeroed.any(axis=2), kept)
+    assert tensor.all()  # the input is left as it was
     with pytest.raises(ValueError, match="consistent dimension"):
         device_tensor([np.ones((2, 4)), np.ones((2, 3))])
+    with pytest.raises(ValueError, match="tensor"):
+        device_tensor(np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (3, 2, 1), (3, 3)])
+def test_a_kept_mask_of_the_wrong_shape_is_rejected(shape):
+    tensor = np.ones((3, 2, 4))
+    with pytest.raises(ValueError, match="kept mask"):
+        silhouette_from_normalized(tensor, tensor, train_kept=np.ones(shape, dtype=bool))
+    with pytest.raises(ValueError, match="kept mask"):
+        silhouette_from_normalized(tensor, tensor, test_kept=np.ones(shape, dtype=bool))
 
 
 def test_normalized_sample_is_immutable():
@@ -192,18 +206,28 @@ def test_fast_path_matches_definition_property(n_dev, n_tr, n_te, k, seed):
 
 
 @given(
-    st.lists(st.integers(1, 6), min_size=2, max_size=5),  # train size per device
+    st.integers(2, 5),  # devices
+    st.integers(1, 6),  # train rows per device, kept or not
+    st.integers(1, 6),  # test rows per device, kept or not
     st.integers(2, 6),  # K
     st.integers(0, 10**6),  # seed
 )
 @settings(max_examples=40, deadline=None)
-def test_fast_path_matches_definition_property_ragged(train_sizes, k, seed):
+def test_fast_path_matches_definition_property_masked(n_dev, n_tr, n_te, k, seed):
+    """Dropped rows anywhere, zeroed as the non-finite screen leaves them."""
     rng = np.random.default_rng(seed)
-    test_sizes = rng.integers(1, 7, len(train_sizes))
-    train = [normalize_block(rng.normal(0, 1, (n, k)))[0] for n in train_sizes]
-    test = [normalize_block(rng.normal(0, 1, (n, k)))[0] for n in test_sizes]
-    fast = silhouette_from_normalized(train, test)
-    assert fast == pytest.approx(definition_silhouette(train, test), abs=1e-12)
+    train = normalize_block(rng.normal(0, 1, (n_dev, n_tr, k)))[0]
+    test = normalize_block(rng.normal(0, 1, (n_dev, n_te, k)))[0]
+    train_kept = _random_kept(rng, n_dev, n_tr)
+    test_kept = _random_kept(rng, n_dev, n_te)
+    train[~train_kept] = 0.0
+    test[~test_kept] = 0.0
+    fast = silhouette_from_normalized(train, test, train_kept, test_kept)
+    literal = definition_silhouette(
+        [rows[kept] for rows, kept in zip(train, train_kept)],
+        [rows[kept] for rows, kept in zip(test, test_kept)],
+    )
+    assert fast == pytest.approx(literal, abs=1e-12)
     assert -1.0 <= fast <= 1.0
 
 
@@ -215,7 +239,8 @@ def test_fast_path_matches_definition_property_ragged(train_sizes, k, seed):
 def test_score_zero_when_devices_identical_sets():
     rng = np.random.default_rng(2)
     shared = rng.normal(0.0, 1.0, (40, 6))
-    score = silhouette_score([shared, shared.copy()], [shared.copy(), shared.copy()])
+    block = normalize_block(np.stack([shared, shared]))[0]
+    score = silhouette_from_normalized(block, block.copy())
     assert abs(score) <= 1e-12  # intra == inter exactly for every sample
 
 
@@ -231,7 +256,8 @@ def test_score_approaches_one_for_disjoint_tight_clusters():
         base_a + rng.normal(0, 1e-6, (30, 8)),
         base_b + rng.normal(0, 1e-6, (30, 8)),
     ]
-    assert silhouette_score(train, test) >= 0.999
+    score = silhouette_from_normalized(normalize_block(train)[0], normalize_block(test)[0])
+    assert score >= 0.999
 
 
 def test_score_bounds_on_random_inputs():
@@ -240,16 +266,19 @@ def test_score_bounds_on_random_inputs():
     for _ in range(1000):
         n_dev = int(rng.integers(2, 5))
         k = int(rng.integers(2, 7))
+        n_tr, n_te = (int(n) for n in rng.integers(1, 5, 2))
         scale = 10.0 ** rng.integers(-6, 7)
-        train = [
-            rng.normal(0, scale, (int(rng.integers(1, 5)), k)) for _ in range(n_dev)
-        ]
-        test = [
-            rng.normal(0, scale, (int(rng.integers(1, 5)), k)) for _ in range(n_dev)
-        ]
+        train = rng.normal(0, scale, (n_dev, n_tr, k))
+        test = rng.normal(0, scale, (n_dev, n_te, k))
         if rng.random() < 0.2:
-            train[0][0] = 7.7  # inject degenerate constant rows
-        score = silhouette_score(train, test)
+            train[0, 0] = 7.7  # inject degenerate constant rows
+        train_kept = _random_kept(rng, n_dev, n_tr)
+        test_kept = _random_kept(rng, n_dev, n_te)
+        train[~train_kept] = 0.0
+        test[~test_kept] = 0.0
+        score = silhouette_from_normalized(
+            normalize_block(train)[0], normalize_block(test)[0], train_kept, test_kept
+        )
         assert -1.0 <= score <= 1.0
 
 
@@ -274,15 +303,16 @@ def test_score_affine_invariance_per_sample():
     rng = np.random.default_rng(9)
     train_raw = [rng.normal(2.0, 1.5, (6, 7)) for _ in range(3)]
     test_raw = [rng.normal(2.0, 1.5, (6, 7)) for _ in range(3)]
-    base = silhouette_score(train_raw, test_raw)
+    base = silhouette_from_normalized(normalize_block(train_raw)[0], normalize_block(test_raw)[0])
 
     def affine(mat):
         a = rng.uniform(0.5, 3.0, (mat.shape[0], 1))
         b = rng.normal(0.0, 4.0, (mat.shape[0], 1))
         return a * mat + b
 
-    assert silhouette_score(
-        [affine(m) for m in train_raw], [affine(m) for m in test_raw]
+    assert silhouette_from_normalized(
+        normalize_block([affine(m) for m in train_raw])[0],
+        normalize_block([affine(m) for m in test_raw])[0],
     ) == pytest.approx(base, abs=1e-9)
 
 
@@ -308,7 +338,9 @@ def test_identical_fingerprint_devices_score_near_zero():
         extract_batch(Method.RAW, params, fp, trial, Phase.TRAIN, 600, rng)
         for _ in range(4)
     ]
-    score = silhouette_score(sets[:2], sets[2:])
+    score = silhouette_from_normalized(
+        normalize_block(sets[:2])[0], normalize_block(sets[2:])[0]
+    )
     assert abs(score) <= 0.05
 
 
