@@ -9,8 +9,8 @@ closed-form (Taylor/delta-method) predictions.
 #: the one place the version is written; the CLI and the build read it here
 __version__ = "0.1.0"
 
-from .analytic import expected_inter, expected_intra, expected_silhouette
-from .channel import ChannelParams, ChannelScenario, Phase, ScenarioMoments, init_trial_channel, sample_csi_block
+from .analytic import FeatureLaw, expected_inter, expected_intra, expected_silhouette, feature_law
+from .channel import ChannelParams, ChannelScenario, Phase, init_trial_channel, sample_csi_block
 from .classifier import LdaModel, accuracy, fit, predict_batch
 from .config import ConfigError, parse_config, render_config
 from .experiments import (
@@ -38,10 +38,8 @@ from .gaussian_moments import (
 )
 from .signal_model import (
     DeviceFingerprint,
-    FeatureMoments,
     Method,
     ModelParams,
-    analytic_feature_moments,
     draw_fingerprint,
     extract_batch,
 )
@@ -55,7 +53,7 @@ __all__ = [
     "CorrelationReport",
     "DeviceFingerprint",
     "ExperimentConfig",
-    "FeatureMoments",
+    "FeatureLaw",
     "GaussianMoments",
     "GaussianSpec",
     "LdaModel",
@@ -65,11 +63,9 @@ __all__ = [
     "Phase",
     "RatioForm",
     "RatioParams",
-    "ScenarioMoments",
     "SweepRecord",
     "TrialResult",
     "accuracy",
-    "analytic_feature_moments",
     "correlate",
     "cross_difference_moments",
     "default_config",
@@ -79,6 +75,7 @@ __all__ = [
     "expected_intra",
     "expected_silhouette",
     "extract_batch",
+    "feature_law",
     "fit",
     "in_regime",
     "init_trial_channel",

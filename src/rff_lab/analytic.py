@@ -10,9 +10,8 @@ subcarriers is
 
     D = K * (2 - 2 * (E[r_tr * r_te] - mu_tr * mu_te) / (sigma_tr * sigma_te))
 
-with per-phase feature moments ``(mu, sigma^2)`` from
-`analytic_feature_moments`.  Only the cross moment ``E[r_tr * r_te]``
-distinguishes the cases:
+with per-phase feature moments ``(mu, sigma^2)``.  Only the cross moment
+``E[r_tr * r_te]`` distinguishes the cases:
 
 * intra (same device) shares the fingerprint: ``E[t^2] = mu_t^2 + sigma_t^2``;
   inter (different devices) factorizes: ``E[t] E[t'] = mu_t^2``;
@@ -21,12 +20,14 @@ distinguishes the cases:
   ``g(H) = E_noise[phi]``; both stochastic scenarios draw independent
   channels, giving ``E[phi_tr] * E[phi_te]``.
 
-Both ingredients of ``phi`` come from one place: RAW's ``phi`` is the CSI
-itself, and every ratio method's is the `gaussian_moments` direct ratio
+`feature_law` states all of a (method, phase) in one `FeatureLaw`: the
+amplitude ``a``, the fingerprint moments, ``E[phi]``, ``E[g(H)^2]`` and the
+feature's mean and variance.  RAW's ``phi`` is the CSI itself, so its law is
+exact.  Every ratio method's ``phi`` is the `gaussian_moments` direct ratio
 ``H/(rho*H + N)`` of its `signal_model.RatioLaw`, so ``E[phi]`` is
 `direct_ratio_moments` and ``E[g(H)^2]`` is `paired_product_mean` — the same
-functions `validate-claims` checks against Monte Carlo.  The law also
-supplies the amplitude ``a`` and the fingerprint moments.
+functions `validate-claims` checks against Monte Carlo — and the feature's
+mean and variance are second-order ratio moments.
 
 The expected silhouette score is the matching closed ratio
 
@@ -44,17 +45,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .channel import ChannelScenario, Phase, ScenarioMoments
+from .channel import ChannelScenario, Phase
 from .gaussian_moments import GaussianSpec, RatioParams, direct_ratio_moments, paired_product_mean
-from .signal_model import (
-    FeatureMoments,
-    Method,
-    ModelParams,
-    analytic_feature_moments,
-    ratio_law,
-)
+from .signal_model import Method, ModelParams, phase_law, ratio_law
 
 __all__ = [
+    "FeatureLaw",
+    "feature_law",
     "expected_intra",
     "expected_inter",
     "expected_silhouette",
@@ -62,46 +59,64 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class _PhaseTerms:
-    """Per-phase ingredients of the cross-moment expressions."""
+class FeatureLaw:
+    """Closed-form law of one method's feature in one phase: ``r = a t phi + w``."""
 
     amplitude: float  # a: deterministic feature amplitude
     fingerprint: tuple[float, float]  # (mu_t, sigma_t^2) of the fingerprint
     phi_mean: float  # E[phi]: mean of the channel/noise factor
     phi_shared: float  # E[g(H)^2] if this phase's channel served both phases
-    moments: FeatureMoments  # (mu, sigma^2) of the full feature
+    mean: float  # per-subcarrier mean of the feature
+    variance: float  # per-subcarrier variance of the feature
 
 
-def _phase_terms(
+def feature_law(
     method: Method, params: ModelParams, channel_moments: tuple[float, float]
-) -> _PhaseTerms:
-    mu_c, sig_c2 = channel_moments
-    moments = analytic_feature_moments(method, params, channel_moments)
+) -> FeatureLaw:
+    """The law of one method's feature under CSI moments ``(mu_hc, sigma_hc_sq)``.
+
+    RAW's moments are exact; the four ratio laws use the second-order
+    approximations from `gaussian_moments`.
+    """
+    mu_h, sig_h2 = channel_moments
+    sn2 = params.sigma_n**2
     if method is Method.RAW:
-        fingerprint = (params.mu_u, params.sigma_u**2)
-        amplitude = params.f_ra * params.x
-        return _PhaseTerms(amplitude, fingerprint, mu_c, mu_c**2 + sig_c2, moments)
+        f, x = params.f_ra, params.x
+        mu_u, su2 = params.mu_u, params.sigma_u**2
+        variance = f**2 * x**2 * (mu_u**2 * sig_h2 + su2 * mu_h**2 + su2 * sig_h2) + sn2
+        return FeatureLaw(
+            f * x, (mu_u, su2), mu_h, mu_h**2 + sig_h2, f * x * mu_u * mu_h, variance
+        )
+    if mu_h == 0.0:
+        raise ValueError("feature moments undefined: mu_hc == 0")
     law = ratio_law(method, params, channel_moments)
-    g = GaussianSpec(mean=mu_c, variance=sig_c2)
-    p = RatioParams(rho=law.rho, noise_variance=params.sigma_n**2)
-    return _PhaseTerms(
-        law.amplitude,
-        law.fingerprint,
-        direct_ratio_moments(g, p).mean,
-        paired_product_mean(g, p),
-        moments,
+    a, r = law.amplitude, law.rho
+    mu_t, st2 = law.fingerprint
+    mean = a * mu_t * (r**2 * mu_h**2 + sn2) / (r**3 * mu_h**2)
+    signal = a**2 * (
+        mu_t**2 * sn2 * (r**2 * mu_h**2 - sn2)
+        + r**2 * mu_h**2 * st2 * (r**2 * mu_h**2 + 3.0 * sn2)
     )
+    if law.noise_in_numerator:
+        noise = r**2 * sn2 * (r**2 * mu_h**2 + 3.0 * r**2 * sig_h2 + 3.0 * sn2)
+        variance = (signal + noise) / (r**6 * mu_h**4)
+    else:
+        variance = signal / (r**6 * mu_h**4) + sn2
+    g = GaussianSpec(mean=mu_h, variance=sig_h2)
+    p = RatioParams(rho=r, noise_variance=sn2)
+    phi_mean = direct_ratio_moments(g, p).mean
+    return FeatureLaw(a, law.fingerprint, phi_mean, paired_product_mean(g, p), mean, variance)
 
 
 def _setup(
     method: Method, scenario: ChannelScenario, params: ModelParams
-) -> tuple[_PhaseTerms, _PhaseTerms, float]:
-    """Per-phase terms plus the scenario's cross factor Phi."""
-    moments = ScenarioMoments.resolve(params.channel, scenario)
-    mu_tr, sig_tr = moments.for_phase(Phase.TRAIN)
-    mu_te, sig_te = moments.for_phase(Phase.TEST)
-    train = _phase_terms(method, params, (mu_tr, sig_tr**2))
-    test = _phase_terms(method, params, (mu_te, sig_te**2))
+) -> tuple[FeatureLaw, FeatureLaw, float]:
+    """Per-phase laws plus the scenario's cross factor Phi."""
+    channel = params.channel
+    train, test = (
+        phase_law(feature_law, method, params, channel.for_phase(scenario, phase), phase)
+        for phase in (Phase.TRAIN, Phase.TEST)
+    )
     if scenario is ChannelScenario.DETERMINISTIC:
         phi_cross = train.phi_shared
     else:
@@ -109,16 +124,16 @@ def _setup(
     return train, test, phi_cross
 
 
-def _std_product(train: _PhaseTerms, test: _PhaseTerms) -> float:
+def _std_product(train: FeatureLaw, test: FeatureLaw) -> float:
     # The truncated ratio expansion can go negative (noise above the ratio
     # denominator); there is then no standard deviation to normalize by.
-    for phase, terms in (("train", train), ("test", test)):
-        if not terms.moments.variance > 0.0:
+    for phase, law in (("train", train), ("test", test)):
+        if not law.variance > 0.0:
             raise ValueError(
-                f"{phase} feature variance {terms.moments.variance:.6g} is not "
+                f"{phase} feature variance {law.variance:.6g} is not "
                 "positive; normalized distances undefined at these parameters"
             )
-    return (train.moments.variance * test.moments.variance) ** 0.5
+    return (train.variance * test.variance) ** 0.5
 
 
 def _expected_distance(
@@ -132,7 +147,7 @@ def _expected_distance(
     # E[t t']: mu_t^2 + sigma_t^2 for one device, mu_t^2 across two devices
     fingerprint_sq = mu_t**2 + sig_t2 if same_device else mu_t**2
     cross = train.amplitude * test.amplitude * fingerprint_sq * phi_cross
-    centered = cross - train.moments.mean * test.moments.mean
+    centered = cross - train.mean * test.mean
     k = method.subcarriers(params)
     return k * (2.0 - 2.0 * centered / _std_product(train, test))
 

@@ -29,7 +29,6 @@ __all__ = [
     "ChannelScenario",
     "Phase",
     "ChannelParams",
-    "ScenarioMoments",
     "TrialChannel",
     "init_trial_channel",
     "sample_csi_block",
@@ -73,27 +72,11 @@ class ChannelParams:
             if value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
 
-
-@dataclass(frozen=True)
-class ScenarioMoments:
-    """(mean, std) of the CSI distribution for each phase of a scenario."""
-
-    mu_h_train: float
-    sigma_h_train: float
-    mu_h_test: float
-    sigma_h_test: float
-
-    @classmethod
-    def resolve(cls, params: ChannelParams, scenario: ChannelScenario) -> "ScenarioMoments":
-        if scenario is ChannelScenario.NON_IID_STOCHASTIC:
-            return cls(params.mu_h, params.sigma_h, params.mu_h_non, params.sigma_h_non)
-        return cls(params.mu_h, params.sigma_h, params.mu_h, params.sigma_h)
-
-    def for_phase(self, phase: Phase) -> tuple[float, float]:
-        """(mean, std) of the CSI draw distribution in the given phase."""
-        if phase is Phase.TRAIN:
-            return self.mu_h_train, self.sigma_h_train
-        return self.mu_h_test, self.sigma_h_test
+    def for_phase(self, scenario: ChannelScenario, phase: Phase) -> tuple[float, float]:
+        """(mean, std) of the CSI draws in one phase of a scenario."""
+        if scenario is ChannelScenario.NON_IID_STOCHASTIC and phase is Phase.TEST:
+            return self.mu_h_non, self.sigma_h_non
+        return self.mu_h, self.sigma_h
 
 
 @dataclass(frozen=True)
@@ -114,10 +97,6 @@ class TrialChannel:
                 f"fixed_csi has shape {self.fixed_csi.shape}, "
                 f"expected ({self.n_subcarriers},)"
             )
-
-    @property
-    def moments(self) -> ScenarioMoments:
-        return ScenarioMoments.resolve(self.params, self.scenario)
 
 
 def init_trial_channel(
@@ -151,5 +130,5 @@ def sample_csi_block(
     k = trial.n_subcarriers
     if trial.fixed_csi is not None:
         return np.broadcast_to(trial.fixed_csi, (n_samples, k))
-    mu, sigma = trial.moments.for_phase(phase)
+    mu, sigma = trial.params.for_phase(trial.scenario, phase)
     return rng.normal(mu, sigma, size=(n_samples, k))

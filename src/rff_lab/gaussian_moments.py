@@ -108,10 +108,6 @@ class GaussianMoments:
     mean: float
     second_moment: float
 
-    @property
-    def variance(self) -> float:
-        return self.second_moment - self.mean**2
-
 
 @dataclass(frozen=True)
 class McRatioResult:

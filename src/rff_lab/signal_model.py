@@ -38,9 +38,9 @@ SL, ``beta`` otherwise), the observed fingerprint ``t`` and its moments
     additive noise    r =  a*H*t / (rho*H + N) + N
 
 That record is the single description of each ratio method: `extract_batch`
-draws from it, `analytic_feature_moments` evaluates its closed-form
-per-subcarrier mean/variance (second-order ratio moments; see
-`gaussian_moments`), and `analytic` builds the expected silhouette from it.
+draws from it and `analytic.feature_law` derives closed-form moments from it
+(see `gaussian_moments`); both take a phase's law through `phase_law`, which
+rejects a law that overflows the floats with a ValueError.
 
 The noise level is configured through a conventional SNR mapping:
 ``sigma_n^2 = s^2 * 10^(-snr_db/10)`` where ``s = f_ra*mu_u*mu_h*x`` is the
@@ -62,13 +62,12 @@ __all__ = [
     "ModelParams",
     "Method",
     "DeviceFingerprint",
-    "FeatureMoments",
     "RatioLaw",
     "draw_fingerprint",
     "extract_batch",
     "amplification_factor",
     "ratio_law",
-    "analytic_feature_moments",
+    "phase_law",
 ]
 
 
@@ -95,8 +94,9 @@ class ModelParams:
         require_finite(self)
         if self.eta <= 0.0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.r_l < 1 or self.r_s < 1:
-            raise ValueError("subcarrier counts must be >= 1")
+        for name in ("r_l", "r_s"):  # per-sample normalization needs K >= 2
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
         if self.r_s > self.r_l:
             raise ValueError(f"r_s ({self.r_s}) must be <= r_l ({self.r_l})")
         for name in ("sigma_u", "sigma_s", "sigma_n"):
@@ -156,25 +156,11 @@ class DeviceFingerprint:
         self.tu_s.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class FeatureMoments:
-    """Closed-form per-subcarrier mean and variance of a feature law."""
-
-    mean: float
-    variance: float
-
-
 def draw_fingerprint(params: ModelParams, rng: np.random.Generator) -> DeviceFingerprint:
     """Draw one device's fingerprints (``tu`` first, then ``tu_s``)."""
     tu = rng.normal(params.mu_u, params.sigma_u, size=params.r_l)
     tu_s = rng.normal(params.mu_s, params.sigma_s, size=params.r_s)
     return DeviceFingerprint(tu=tu, tu_s=tu_s)
-
-
-def _phase_channel_moments(trial: TrialChannel, phase: Phase) -> tuple[float, float]:
-    """(mean, variance) of the CSI distribution governing this phase's draws."""
-    mu, sigma = trial.moments.for_phase(phase)
-    return mu, sigma**2
 
 
 def amplification_factor(
@@ -236,6 +222,26 @@ def ratio_law(
     raise ValueError(f"{method.value!r} is not a ratio method")
 
 
+def phase_law(
+    build, method: Method, params: ModelParams, csi: tuple[float, float], phase: Phase
+):
+    """``build(method, params, (mu, sigma^2))`` for a phase whose CSI is ``(mu, sigma)``.
+
+    ``build`` is `ratio_law` or `analytic.feature_law`.  A float overflow, a
+    zero division or a non-finite field is a ValueError naming the phase.
+    """
+    mu, sigma = csi
+    try:
+        law = build(method, params, (mu, sigma**2))
+        values = vars(law).values()
+        numbers = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+        if all(map(math.isfinite, numbers)):
+            return law
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"{method.value} closed form is not finite in the {phase.value} phase")
+
+
 def extract_batch(
     method: Method,
     params: ModelParams,
@@ -265,46 +271,9 @@ def extract_batch(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if method is Method.RAW:
             return params.f_ra * csi * fp.tu * params.x + noise()
-        law = ratio_law(method, params, _phase_channel_moments(trial, phase))
+        csi_law = trial.params.for_phase(trial.scenario, phase)
+        law = phase_law(ratio_law, method, params, csi_law, phase)
         signal = law.amplitude * csi * (fp.tu_s if law.short_preamble else fp.tu)
         if law.noise_in_numerator:
             return (signal + noise()) / (law.rho * csi + noise())
         return signal / (law.rho * csi + noise()) + noise()
-
-
-def analytic_feature_moments(
-    method: Method,
-    params: ModelParams,
-    scenario_moments: tuple[float, float],
-) -> FeatureMoments:
-    """Closed-form per-subcarrier (mean, variance) of one feature law.
-
-    ``scenario_moments`` is ``(mu_hc, sigma_hc_sq)`` of the governing CSI
-    distribution.  RAW's moments are exact; the four ratio laws use the
-    second-order approximations from `gaussian_moments`.
-    """
-    mu_h, sig_h2 = scenario_moments
-    sn2 = params.sigma_n**2
-
-    if method is Method.RAW:
-        f, x = params.f_ra, params.x
-        mu_u, su2 = params.mu_u, params.sigma_u**2
-        return FeatureMoments(
-            mean=f * x * mu_u * mu_h,
-            variance=f**2 * x**2 * (mu_u**2 * sig_h2 + su2 * mu_h**2 + su2 * sig_h2)
-            + sn2,
-        )
-    if mu_h == 0.0:
-        raise ValueError("feature moments undefined: mu_hc == 0")
-    law = ratio_law(method, params, scenario_moments)
-    a, r = law.amplitude, law.rho
-    mu_t, st2 = law.fingerprint
-    mean = a * mu_t * (r**2 * mu_h**2 + sn2) / (r**3 * mu_h**2)
-    signal = a**2 * (
-        mu_t**2 * sn2 * (r**2 * mu_h**2 - sn2)
-        + r**2 * mu_h**2 * st2 * (r**2 * mu_h**2 + 3.0 * sn2)
-    )
-    if law.noise_in_numerator:
-        noise = r**2 * sn2 * (r**2 * mu_h**2 + 3.0 * r**2 * sig_h2 + 3.0 * sn2)
-        return FeatureMoments(mean, (signal + noise) / (r**6 * mu_h**4))
-    return FeatureMoments(mean, signal / (r**6 * mu_h**4) + sn2)

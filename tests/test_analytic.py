@@ -510,6 +510,44 @@ class TestFrozenValues:
             with pytest.raises(ValueError, match="train feature variance .* not positive"):
                 expected(Method.PC, scenario, p)
 
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize(
+        "channel, phase",
+        [
+            (replace(BASE_PARAMS.channel, sigma_h=1e200), "train"),  # sigma^2 overflows
+            (replace(BASE_PARAMS.channel, sigma_h_non=1e200), "test"),
+        ],
+    )
+    def test_closed_form_past_the_floats_names_method_and_phase(self, method, channel, phase):
+        p = replace(params_at(30.0), channel=channel)
+        for expected in (expected_intra, expected_inter, expected_silhouette):
+            with pytest.raises(
+                ValueError, match=f"{method.value} closed form is not finite in the {phase} phase"
+            ):
+                expected(method, ChannelScenario.NON_IID_STOCHASTIC, p)
+
+    def test_a_variance_that_sums_past_the_floats_is_rejected_not_scored(self):
+        # each term of RAW's variance is finite, their sum is inf; scoring it
+        # would report a silhouette of exactly 0
+        p = replace(
+            BASE_PARAMS, mu_u=1.3e154, sigma_u=1.3e154,
+            channel=replace(BASE_PARAMS.channel, sigma_h=1.0),
+        ).with_snr(30.0)
+        with pytest.raises(ValueError, match="raw closed form is not finite in the train"):
+            expected_silhouette(Method.RAW, ChannelScenario.IID_STOCHASTIC, p)
+
+    def test_ratio_law_past_the_floats_stops_extraction(self):
+        # RC's gain alpha needs the test-phase CSI variance, which overflows
+        p = replace(params_at(30.0), channel=replace(BASE_PARAMS.channel, sigma_h_non=1e200))
+        fp = draw_fingerprint(p, np.random.default_rng(0))
+        trial = init_trial_channel(
+            ChannelScenario.NON_IID_STOCHASTIC, p.channel, p.r_l, np.random.default_rng(1)
+        )
+        rng = np.random.default_rng(2)
+        assert np.isfinite(extract_batch(Method.RC, p, fp, trial, Phase.TRAIN, 4, rng)).all()
+        with pytest.raises(ValueError, match="rc closed form is not finite in the test phase"):
+            extract_batch(Method.RC, p, fp, trial, Phase.TEST, 4, rng)
+
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo cross-check of one stochastic-scenario prediction

@@ -8,7 +8,6 @@ from rff_lab.channel import (
     ChannelParams,
     ChannelScenario,
     Phase,
-    ScenarioMoments,
     init_trial_channel,
     sample_csi_block,
 )
@@ -25,12 +24,11 @@ def test_params_validation():
 
 def test_scenario_moments_resolution():
     for scenario in (ChannelScenario.DETERMINISTIC, ChannelScenario.IID_STOCHASTIC):
-        m = ScenarioMoments.resolve(BASE_CHANNEL, scenario)
-        assert m.for_phase(Phase.TRAIN) == (1.0, 0.15)
-        assert m.for_phase(Phase.TEST) == (1.0, 0.15)
-    m = ScenarioMoments.resolve(BASE_CHANNEL, ChannelScenario.NON_IID_STOCHASTIC)
-    assert m.for_phase(Phase.TRAIN) == (1.0, 0.15)
-    assert m.for_phase(Phase.TEST) == (1.0, 0.2)
+        assert BASE_CHANNEL.for_phase(scenario, Phase.TRAIN) == (1.0, 0.15)
+        assert BASE_CHANNEL.for_phase(scenario, Phase.TEST) == (1.0, 0.15)
+    non_iid = ChannelScenario.NON_IID_STOCHASTIC
+    assert BASE_CHANNEL.for_phase(non_iid, Phase.TRAIN) == (1.0, 0.15)
+    assert BASE_CHANNEL.for_phase(non_iid, Phase.TEST) == (1.0, 0.2)
 
 
 def test_deterministic_zero_variance_csi_is_mean_vector():

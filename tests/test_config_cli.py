@@ -118,6 +118,13 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="configuration invalid"):
             parse_config("experiment.n_devices = 1\n")
 
+    @pytest.mark.parametrize("key", ["model.r_l", "model.r_s"])
+    def test_a_single_subcarrier_is_rejected_naming_the_field(self, key):
+        # per-sample normalization needs at least two subcarriers
+        attribute = key.partition(".")[2]
+        with pytest.raises(ConfigError, match=f"{attribute} must be >= 2, got 1"):
+            parse_config(f"{key} = 1\n")
+
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
 
@@ -267,6 +274,32 @@ class TestCliSweep:
         assert main(["sweep", "--config", str(config_path), "--trials", "1"]) == 2
         attribute = key.partition(".")[2]
         assert f"{attribute} must be finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", [m.value for m in Method])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "channel.sigma_h = 1e200",
+            "model.sigma_u = 1e200",
+            "model.mu_s = 1e300",
+            "model.x = 1e-200",
+            "channel.mu_h_non = 1e-300",
+        ],
+    )
+    def test_extreme_finite_constant_never_exits_3(self, setting, method, tmp_path, capsys):
+        config_path = tmp_path / "extreme.cfg"
+        config_path.write_text(
+            SMALL_CONFIG_TEXT.replace("deterministic", "deterministic,iid,non_iid")
+            .replace("raw,cr", method)
+            .replace("snr_db_grid = 20", "snr_db_grid = 30")
+            + f"{setting}\n",
+            encoding="utf-8",
+        )
+        code = main(["sweep", "--config", str(config_path), "--trials", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code in (0, 2)
+        if code == 2:
+            assert "error: " in capsys.readouterr().err
 
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
         config_path = tmp_path / "small.cfg"

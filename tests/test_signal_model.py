@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rff_lab.channel import ChannelParams, ChannelScenario, Phase, ScenarioMoments, init_trial_channel
+from rff_lab.analytic import feature_law
+from rff_lab.channel import ChannelParams, ChannelScenario, Phase, init_trial_channel
 from rff_lab.experiments import default_config
 from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
 from rff_lab.signal_model import (
@@ -14,7 +15,6 @@ from rff_lab.signal_model import (
     Method,
     ModelParams,
     amplification_factor,
-    analytic_feature_moments,
     draw_fingerprint,
     extract_batch,
 )
@@ -222,20 +222,20 @@ def test_amplification_factor_domain_error():
 
 
 def test_raw_moments_degenerate():
-    m = analytic_feature_moments(Method.RAW, unit_params(), (1.0, 0.0))
+    m = feature_law(Method.RAW, unit_params(), (1.0, 0.0))
     assert (m.mean, m.variance) == (1.0, 0.0)
 
 
 def test_raw_moments_table_value():
     p = replace(BASE_PARAMS, sigma_n=0.1)
-    m = analytic_feature_moments(Method.RAW, p, (1.0, 0.15**2))
+    m = feature_law(Method.RAW, p, (1.0, 0.15**2))
     assert m.mean == pytest.approx(1.0, rel=1e-12)
     assert m.variance == pytest.approx(0.042725, rel=1e-12)
 
 
 def test_moments_domain_error_on_zero_channel_mean():
     with pytest.raises(ValueError):
-        analytic_feature_moments(Method.SL, BASE_PARAMS, (0.0, 0.01))
+        feature_law(Method.SL, BASE_PARAMS, (0.0, 0.01))
 
 
 def _pooled_extraction_moments(method, scenario, params, n_trials=1500, n=50, seed=100):
@@ -263,9 +263,8 @@ def _pooled_extraction_moments(method, scenario, params, n_trials=1500, n=50, se
 def test_moment_agreement_in_regime(method, scenario):
     """Sample moments track the closed forms at SNR 25 dB (2% mean, 5% var)."""
     params = BASE_PARAMS.with_snr(25.0)
-    moments = ScenarioMoments.resolve(params.channel, scenario)
-    mu_c, sigma_c = moments.for_phase(Phase.TRAIN)
-    analytic = analytic_feature_moments(method, params, (mu_c, sigma_c**2))
+    mu_c, sigma_c = params.channel.for_phase(scenario, Phase.TRAIN)
+    analytic = feature_law(method, params, (mu_c, sigma_c**2))
     mean, var = _pooled_extraction_moments(method, scenario, params)
     assert abs(mean - analytic.mean) / abs(analytic.mean) <= 0.02
     assert abs(var - analytic.variance) / analytic.variance <= 0.05
@@ -274,7 +273,7 @@ def test_moment_agreement_in_regime(method, scenario):
 def test_rc_extraction_mean_matches_closed_form_tightly():
     """Deterministic scenario at 30 dB: batch mean within 1% of the formula."""
     params = BASE_PARAMS.with_snr(30.0)
-    analytic = analytic_feature_moments(Method.RC, params, (1.0, 0.15**2))
+    analytic = feature_law(Method.RC, params, (1.0, 0.15**2))
     mean, _ = _pooled_extraction_moments(
         Method.RC, ChannelScenario.DETERMINISTIC, params, n_trials=2000, seed=200
     )
