@@ -37,7 +37,7 @@ from .gaussian_moments import (
     reciprocal_moments,
 )
 from .signal_model import (
-    DeviceFingerprint,
+    Fingerprints,
     Method,
     ModelParams,
     draw_fingerprint,
@@ -51,9 +51,9 @@ __all__ = [
     "ChannelScenario",
     "ConfigError",
     "CorrelationReport",
-    "DeviceFingerprint",
     "ExperimentConfig",
     "FeatureLaw",
+    "Fingerprints",
     "GaussianMoments",
     "GaussianSpec",
     "LdaModel",

@@ -123,12 +123,12 @@ def init_trial_channel(
     return TrialChannel(scenario=scenario, params=params, n_subcarriers=k, fixed_csi=fixed)
 
 
-def sample_csi_block(
-    trial: TrialChannel, phase: Phase, rng: np.random.Generator, n_samples: int
-) -> np.ndarray:
-    """(n_samples, K) CSI matrix; the deterministic row repeats without consuming rng."""
-    k = trial.n_subcarriers
+def sample_csi_block(trial: TrialChannel, phase: Phase, block: np.ndarray) -> np.ndarray:
+    """Overwrite ``block`` with a phase's CSI: its standard normals scaled, or the fixed row."""
     if trial.fixed_csi is not None:
-        return np.broadcast_to(trial.fixed_csi, (n_samples, k))
+        block[...] = trial.fixed_csi
+        return block
     mu, sigma = trial.params.for_phase(trial.scenario, phase)
-    return rng.normal(mu, sigma, size=(n_samples, k))
+    block *= sigma
+    block += mu
+    return block

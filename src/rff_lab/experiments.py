@@ -11,13 +11,13 @@ SNR) cell of the grid and aggregates means and standard errors, pairing each
 cell with its closed-form expected silhouette score.
 
 Layout: a trial holds one ``(D, N, K)`` train tensor and one ``(D, N, K)``
-test tensor (device, sample, subcarrier).  Extraction fills them one device
-and phase at a time, each from that device's own streams; every later stage
-runs once per phase over the whole tensor.  One non-finite screen gives a
+test tensor (device, sample, subcarrier).  Extraction fills each in one
+call, every device drawing from its own streams, and every later stage runs
+once per phase over the whole tensor.  One non-finite screen gives a
 ``(D, N)`` kept mask per phase: a row with any non-finite entry is zeroed,
 counted as dropped, and left out of the silhouette and the classifier, which
 take the tensor and its kept mask as they are.  A device with fewer than 2
-kept rows in either phase aborts the trial.
+kept rows in either phase aborts the trial with a ValueError.
 
 Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
@@ -216,7 +216,7 @@ def _trial_streams(
     entropy = np.empty((n_streams, len(prefix) + 1), dtype=np.uint32)
     entropy[:, :-1] = prefix
     entropy[:, -1] = np.arange(n_streams)
-    return [np.random.default_rng(np.random.SeedSequence(words)) for words in entropy]
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(w))) for w in entropy]
 
 
 def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
@@ -235,34 +235,24 @@ def run_trial(
 ) -> TrialResult:
     """One independent population simulation; deterministic in its indices.
 
-    Samples with non-finite features are excluded from both the silhouette
-    and the classifier; their fraction is reported (a high rate degrades the
-    estimates but does not abort the trial).
+    Samples with non-finite features are counted and left out of the silhouette
+    and the classifier; a device left with fewer than 2 in a phase is a ValueError.
     """
     params = cfg.params.with_snr(snr_db)
-    k = method.subcarriers(params)
     streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
-    trial = init_trial_channel(scenario, params.channel, k, streams[0])
+    trial = init_trial_channel(scenario, params.channel, method.subcarriers(params), streams[0])
 
-    train = np.empty((cfg.n_devices, cfg.n_train, k))
-    test = np.empty((cfg.n_devices, cfg.n_test, k))
-    for device in range(cfg.n_devices):
-        fp_rng, train_rng, test_rng = streams[3 * device + 1 : 3 * device + 4]
-        fp = draw_fingerprint(params, fp_rng)
-        train[device] = extract_batch(
-            method, params, fp, trial, Phase.TRAIN, cfg.n_train, train_rng
-        )
-        test[device] = extract_batch(
-            method, params, fp, trial, Phase.TEST, cfg.n_test, test_rng
-        )
+    fp = draw_fingerprint(params, streams[1::3])
+    train = extract_batch(method, params, fp, trial, Phase.TRAIN, cfg.n_train, streams[2::3])
+    test = extract_batch(method, params, fp, trial, Phase.TEST, cfg.n_test, streams[3::3])
 
     train_kept = _screen_nonfinite(train)
     test_kept = _screen_nonfinite(test)
     counts = np.stack([train_kept.sum(axis=1), test_kept.sum(axis=1)], axis=1)
-    short = np.argwhere(counts < 2)  # (device, phase), in extraction order
+    short = np.argwhere(counts < 2)  # (device, phase), device-major
     if short.size:
         device, phase = short[0]
-        raise RuntimeError(
+        raise ValueError(
             f"device {device} {(Phase.TRAIN, Phase.TEST)[phase].value} set has "
             f"fewer than 2 finite samples at snr_db={snr_db}"
         )

@@ -61,7 +61,7 @@ from .channel import ChannelParams, Phase, TrialChannel, require_finite, sample_
 __all__ = [
     "ModelParams",
     "Method",
-    "DeviceFingerprint",
+    "Fingerprints",
     "RatioLaw",
     "draw_fingerprint",
     "extract_batch",
@@ -145,22 +145,24 @@ class Method(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DeviceFingerprint:
-    """One device's per-subcarrier fingerprints, fixed for a whole trial."""
+class Fingerprints:
+    """Every device's per-subcarrier fingerprints, one row each, fixed for a trial."""
 
-    tu: np.ndarray
-    tu_s: np.ndarray
+    tu: np.ndarray  # (D, r_l)
+    tu_s: np.ndarray  # (D, r_s)
 
     def __post_init__(self) -> None:
         self.tu.flags.writeable = False
         self.tu_s.flags.writeable = False
 
 
-def draw_fingerprint(params: ModelParams, rng: np.random.Generator) -> DeviceFingerprint:
-    """Draw one device's fingerprints (``tu`` first, then ``tu_s``)."""
-    tu = rng.normal(params.mu_u, params.sigma_u, size=params.r_l)
-    tu_s = rng.normal(params.mu_s, params.sigma_s, size=params.r_s)
-    return DeviceFingerprint(tu=tu, tu_s=tu_s)
+def draw_fingerprint(params: ModelParams, rngs: list[np.random.Generator]) -> Fingerprints:
+    """Draw device ``d``'s fingerprints from ``rngs[d]`` (``tu`` first, then ``tu_s``)."""
+    z = np.empty((len(rngs), params.r_l + params.r_s))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    tu, tu_s = z[:, : params.r_l], z[:, params.r_l :]
+    return Fingerprints(tu * params.sigma_u + params.mu_u, tu_s * params.sigma_s + params.mu_s)
 
 
 def amplification_factor(
@@ -245,35 +247,43 @@ def phase_law(
 def extract_batch(
     method: Method,
     params: ModelParams,
-    fp: DeviceFingerprint,
+    fp: Fingerprints,
     trial: TrialChannel,
     phase: Phase,
     n_samples: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """(n_samples, K) raw feature matrix; may contain non-finite entries.
+    """(D, n_samples, K) raw features of one phase; may contain non-finite entries.
 
-    Draw order within the rng stream is fixed: the CSI block first, then the
-    noise blocks in formula reading order (numerator noise then denominator
-    noise for SL/CR; denominator noise then additive noise for PC/RC).
+    Device ``d`` draws one block of standard normals from ``rngs[d]``: the CSI
+    block first (none in the deterministic scenario), then the noise blocks in
+    formula reading order (numerator then denominator noise for SL/CR;
+    denominator then additive noise for PC/RC).  The arithmetic then runs once
+    over the phase, in place, so it holds the blocks and one (D, N, K) array.
     """
     k = method.subcarriers(params)
     if trial.n_subcarriers != k:
-        raise ValueError(
-            f"trial channel has {trial.n_subcarriers} subcarriers, "
-            f"method {method.value!r} needs {k}"
-        )
-    csi = sample_csi_block(trial, phase, rng, n_samples)
-
-    def noise() -> np.ndarray:
-        return rng.normal(0.0, params.sigma_n, size=(n_samples, k))
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if method is Method.RAW:
-            return params.f_ra * csi * fp.tu * params.x + noise()
+        raise ValueError(f"{method.value} needs {k} subcarriers, trial has {trial.n_subcarriers}")
+    if method is not Method.RAW:
         csi_law = trial.params.for_phase(trial.scenario, phase)
         law = phase_law(ratio_law, method, params, csi_law, phase)
-        signal = law.amplitude * csi * (fp.tu_s if law.short_preamble else fp.tu)
+    blocks = np.empty((len(rngs), 2 if method is Method.RAW else 3, n_samples, k))
+    for rng, block in zip(rngs, blocks):  # the deterministic scenario draws no CSI
+        rng.standard_normal(out=block if trial.fixed_csi is None else block[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        csi = sample_csi_block(trial, phase, blocks[:, 0])
+        noise = blocks[:, 1:]
+        noise *= params.sigma_n
+        noise += 0.0  # as numpy's normal(0.0, sigma_n) does: -0.0 becomes 0.0
+        if method is Method.RAW:  # f_ra*H*tu*x, in place of H
+            csi *= params.f_ra
+            csi *= fp.tu[:, None]
+            csi *= params.x
+            return csi + noise[:, 0]
+        denominator = noise[:, int(law.noise_in_numerator)]
+        denominator += law.rho * csi
+        csi *= law.amplitude  # the signal a*H*t, in place of H
+        csi *= (fp.tu_s if law.short_preamble else fp.tu)[:, None]
         if law.noise_in_numerator:
-            return (signal + noise()) / (law.rho * csi + noise())
-        return signal / (law.rho * csi + noise()) + noise()
+            return np.add(csi, noise[:, 0], out=csi) / denominator
+        return np.divide(csi, denominator, out=csi) + noise[:, 1]

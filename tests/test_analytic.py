@@ -539,14 +539,14 @@ class TestFrozenValues:
     def test_ratio_law_past_the_floats_stops_extraction(self):
         # RC's gain alpha needs the test-phase CSI variance, which overflows
         p = replace(params_at(30.0), channel=replace(BASE_PARAMS.channel, sigma_h_non=1e200))
-        fp = draw_fingerprint(p, np.random.default_rng(0))
+        fp = draw_fingerprint(p, [np.random.default_rng(0)])
         trial = init_trial_channel(
             ChannelScenario.NON_IID_STOCHASTIC, p.channel, p.r_l, np.random.default_rng(1)
         )
-        rng = np.random.default_rng(2)
-        assert np.isfinite(extract_batch(Method.RC, p, fp, trial, Phase.TRAIN, 4, rng)).all()
+        rngs = [np.random.default_rng(2)]
+        assert np.isfinite(extract_batch(Method.RC, p, fp, trial, Phase.TRAIN, 4, rngs)).all()
         with pytest.raises(ValueError, match="rc closed form is not finite in the test phase"):
-            extract_batch(Method.RC, p, fp, trial, Phase.TEST, 4, rng)
+            extract_batch(Method.RC, p, fp, trial, Phase.TEST, 4, rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -565,14 +565,14 @@ class TestMonteCarloAgreement:
             trial = init_trial_channel(
                 ChannelScenario.IID_STOCHASTIC, p.channel, k, rng
             )
-            raw = extract_batch(method, p, fp, trial, phase, n_per_phase, rng)
+            raw = extract_batch(method, p, fp, trial, phase, n_per_phase, [rng])[0]
             values, _ = normalize_block(raw)
             return [NormalizedSample(values=v) for v in values]
 
         intra_sum, inter_sum, count = 0.0, 0.0, 0
         for _ in range(400):
-            fp_a = draw_fingerprint(p, rng)
-            fp_b = draw_fingerprint(p, rng)
+            fp_a = draw_fingerprint(p, [rng])
+            fp_b = draw_fingerprint(p, [rng])
             train_a = normalized_set(fp_a, Phase.TRAIN)
             test_a = normalized_set(fp_a, Phase.TEST)
             test_b = normalized_set(fp_b, Phase.TEST)

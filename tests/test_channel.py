@@ -1,5 +1,7 @@
 """CSI sharing semantics and distributional checks for the three scenarios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,8 +13,20 @@ from rff_lab.channel import (
     init_trial_channel,
     sample_csi_block,
 )
+from rff_lab.experiments import default_config
+from rff_lab.signal_model import Method, draw_fingerprint, extract_batch
 
 BASE_CHANNEL = ChannelParams(mu_h=1.0, sigma_h=0.15, mu_h_non=1.0, sigma_h_non=0.2)
+
+
+def csi_block(trial, phase, rng, n_samples):
+    """(n_samples, K) CSI of one device in a phase, drawn as `extract_batch` draws it.
+
+    The deterministic scenario draws nothing: every sample gets the fixed row.
+    """
+    shape = (n_samples, trial.n_subcarriers)
+    drawn = trial.fixed_csi is None
+    return sample_csi_block(trial, phase, rng.standard_normal(shape) if drawn else np.empty(shape))
 
 
 def test_params_validation():
@@ -60,10 +74,10 @@ def test_deterministic_phase_invariance_bitwise():
         ChannelScenario.DETERMINISTIC, BASE_CHANNEL, 52, np.random.default_rng(7)
     )
     rng = np.random.default_rng(1)
-    first = sample_csi_block(trial, Phase.TRAIN, rng, 1)[0]
-    second = sample_csi_block(trial, Phase.TEST, rng, 1)[0]
+    first = csi_block(trial, Phase.TRAIN, rng, 1)[0]
+    second = csi_block(trial, Phase.TEST, rng, 1)[0]
     assert first.tobytes() == second.tobytes()
-    block = sample_csi_block(trial, Phase.TRAIN, rng, 5)
+    block = csi_block(trial, Phase.TRAIN, rng, 5)
     assert all(row.tobytes() == first.tobytes() for row in block)
 
 
@@ -71,9 +85,12 @@ def test_deterministic_block_does_not_consume_rng():
     trial = init_trial_channel(
         ChannelScenario.DETERMINISTIC, BASE_CHANNEL, 4, np.random.default_rng(7)
     )
+    params = replace(default_config().params, r_l=4, r_s=2)
+    fp = draw_fingerprint(params, [np.random.default_rng(0)])
     rng_a = np.random.default_rng(3)
-    sample_csi_block(trial, Phase.TRAIN, rng_a, 10)
+    extract_batch(Method.RAW, params, fp, trial, Phase.TRAIN, 10, [rng_a])
     rng_b = np.random.default_rng(3)
+    rng_b.standard_normal((10, 4))  # RAW's noise block, the only draw
     assert rng_a.normal() == rng_b.normal()
 
 
@@ -82,8 +99,8 @@ def test_stochastic_draws_are_fresh_per_call():
         ChannelScenario.IID_STOCHASTIC, BASE_CHANNEL, 16, np.random.default_rng(0)
     )
     rng = np.random.default_rng(5)
-    a = sample_csi_block(trial, Phase.TRAIN, rng, 1)[0]
-    b = sample_csi_block(trial, Phase.TRAIN, rng, 1)[0]
+    a = csi_block(trial, Phase.TRAIN, rng, 1)[0]
+    b = csi_block(trial, Phase.TRAIN, rng, 1)[0]
     assert not np.array_equal(a, b)
 
 
@@ -91,7 +108,7 @@ def test_non_iid_test_phase_std_matches_target():
     trial = init_trial_channel(
         ChannelScenario.NON_IID_STOCHASTIC, BASE_CHANNEL, 1, np.random.default_rng(0)
     )
-    draws = sample_csi_block(trial, Phase.TEST, np.random.default_rng(11), 10**4)
+    draws = csi_block(trial, Phase.TEST, np.random.default_rng(11), 10**4)
     assert draws.std() == pytest.approx(0.2, rel=0.05)
 
 
@@ -100,8 +117,8 @@ def test_iid_train_test_independence():
         ChannelScenario.IID_STOCHASTIC, BASE_CHANNEL, 1, np.random.default_rng(0)
     )
     rng = np.random.default_rng(13)
-    train = sample_csi_block(trial, Phase.TRAIN, rng, 10**4)[:, 0]
-    test = sample_csi_block(trial, Phase.TEST, rng, 10**4)[:, 0]
+    train = csi_block(trial, Phase.TRAIN, rng, 10**4)[:, 0]
+    test = csi_block(trial, Phase.TEST, rng, 10**4)[:, 0]
     r = np.corrcoef(train, test)[0, 1]
     assert abs(r) <= 0.05
 
@@ -119,7 +136,7 @@ def test_stochastic_draws_match_target_distribution(
     scenario, phase, target_mu, target_sigma
 ):
     trial = init_trial_channel(scenario, BASE_CHANNEL, 1, np.random.default_rng(0))
-    draws = sample_csi_block(trial, phase, np.random.default_rng(17), 10**4)[:, 0]
+    draws = csi_block(trial, phase, np.random.default_rng(17), 10**4)[:, 0]
     result = stats.kstest(draws, "norm", args=(target_mu, target_sigma))
     assert result.pvalue > 0.01
 
@@ -141,8 +158,8 @@ def test_iid_train_and_test_identically_distributed():
         ChannelScenario.IID_STOCHASTIC, BASE_CHANNEL, 1, np.random.default_rng(0)
     )
     rng = np.random.default_rng(23)
-    train = sample_csi_block(trial, Phase.TRAIN, rng, 10**4)[:, 0]
-    test = sample_csi_block(trial, Phase.TEST, rng, 10**4)[:, 0]
+    train = csi_block(trial, Phase.TRAIN, rng, 10**4)[:, 0]
+    test = csi_block(trial, Phase.TEST, rng, 10**4)[:, 0]
     result = stats.ks_2samp(train, test)
     assert result.pvalue > 0.01
 

@@ -1,9 +1,15 @@
 """Tests for the configuration format, the CSV/JSON codecs, and the CLI."""
 
+import contextlib
+import io
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rff_lab.channel import ChannelScenario
 from rff_lab.cli import (
@@ -32,6 +38,28 @@ experiment.n_trials = 2
 experiment.scenarios = deterministic
 experiment.methods = raw,cr
 experiment.snr_db_grid = 20
+"""
+
+
+#: every float constant of the model and the channel
+FLOAT_CONSTANTS = [
+    key
+    for key, (section, _, parse, _) in CONFIG_KEYS.items()
+    if section in ("model", "channel") and parse is float
+]
+
+#: finite values at the edges of the floats; None leaves the default
+EXTREMES = (None, 1e300, -1e300, 1e-300, -1e-300, 1e200, -1e200, 1e-200, -1e-200, 5e-324, 0.0)
+
+#: a subnormal channel: CR's features are non-finite in nearly every row
+SUBNORMAL_CHANNEL = """
+experiment.n_devices = 2
+experiment.n_trials = 1
+experiment.scenarios = iid
+experiment.methods = cr
+experiment.snr_db_grid = 30
+channel.mu_h = 5e-324
+channel.sigma_h = 5e-324
 """
 
 
@@ -300,6 +328,48 @@ class TestCliSweep:
         assert code in (0, 2)
         if code == 2:
             assert "error: " in capsys.readouterr().err
+
+    def test_too_few_finite_samples_exits_2(self, tmp_path, capsys):
+        config_path = tmp_path / "subnormal.cfg"
+        config_path.write_text(SUBNORMAL_CHANNEL, encoding="utf-8")
+        code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "error: device 0 train set has fewer than 2 finite samples" in (
+            capsys.readouterr().err
+        )
+
+    @given(
+        overrides=st.fixed_dictionaries(
+            {key: st.sampled_from(EXTREMES) for key in FLOAT_CONSTANTS}
+        ),
+        scenario=st.sampled_from([s.value for s in ChannelScenario]),
+        method=st.sampled_from([m.value for m in Method]),
+    )
+    @example(
+        overrides={key: None for key in FLOAT_CONSTANTS}
+        | {"channel.mu_h": 5e-324, "channel.sigma_h": 5e-324},
+        scenario="iid",
+        method="cr",
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_extreme_constants_all_at_once_never_exit_3(self, overrides, scenario, method):
+        """A 2-device, 1-trial, 1-cell sweep exits 0, or 2 with an error line."""
+        set_keys = {key: value for key, value in overrides.items() if value is not None}
+        text = "".join(f"{key} = {value!r}\n" for key, value in set_keys.items())
+        text += (
+            "experiment.n_devices = 2\nexperiment.n_trials = 1\n"
+            f"experiment.scenarios = {scenario}\nexperiment.methods = {method}\n"
+            "experiment.snr_db_grid = 30\n"
+        )
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as scratch, contextlib.redirect_stderr(stderr):
+            config_path = Path(scratch) / "extreme.cfg"
+            config_path.write_text(text, encoding="utf-8")
+            code = main(["sweep", "--config", str(config_path),
+                         "--out", str(Path(scratch) / "out.csv")])
+        assert code in (0, 2), stderr.getvalue()
+        if code == 2:
+            assert "error: " in stderr.getvalue()
 
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
         config_path = tmp_path / "small.cfg"

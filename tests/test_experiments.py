@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rff_lab import experiments
 from rff_lab.analytic import expected_silhouette
-from rff_lab.channel import ChannelScenario
+from rff_lab.channel import ChannelScenario, Phase
 from rff_lab.cli import format_records_csv
 from rff_lab.experiments import (
     MIN_PERMUTATIONS,
@@ -313,24 +313,28 @@ class TestNonfiniteHandling:
 
     @staticmethod
     def _poison(monkeypatch, drops):
-        """Make extraction blank ``drops(call)`` rows of its ``call``-th batch.
+        """Make extraction blank ``drops(call)`` rows of each device's batch.
 
-        Returns the list the poisoned batches are recorded in, in call order:
-        device 0 train, device 0 test, device 1 train, ...
+        A device's batch of a phase is numbered ``call = 2 * device + phase``
+        (train 0, test 1).  Returns the list the poisoned batches are recorded
+        in, in that order: device 0 train, device 0 test, device 1 train, ...
         """
         real = experiments.extract_batch
-        batches = []
+        recorded = {}
         values = (np.nan, np.inf, -np.inf)
 
-        def extract(*args):
-            batch = real(*args)
-            call = len(batches)
-            rows = np.random.default_rng(call).choice(len(batch), drops(call), replace=False)
-            for i, row in enumerate(rows):
-                batch[row, (7 * i) % batch.shape[1]] = values[(call + i) % 3]
-            batches.append(batch.copy())
-            return batch
+        def extract(method, params, fp, trial, phase, n_samples, rngs):
+            block = real(method, params, fp, trial, phase, n_samples, rngs)
+            for device, batch in enumerate(block):
+                call = 2 * device + (phase is Phase.TEST)
+                rows = np.random.default_rng(call).choice(n_samples, drops(call), replace=False)
+                for i, row in enumerate(rows):
+                    batch[row, (7 * i) % batch.shape[1]] = values[(call + i) % 3]
+                recorded[call] = batch.copy()
+            batches[:] = [recorded[call] for call in sorted(recorded)]
+            return block
 
+        batches = []
         monkeypatch.setattr(experiments, "extract_batch", extract)
         return batches
 
@@ -364,5 +368,5 @@ class TestNonfiniteHandling:
         cfg = small_config(n_devices=3, n_train=6, n_test=6)
         # device 1's test batch, the fourth call, keeps one row
         self._poison(monkeypatch, lambda call: 5 if call == 3 else call % 2)
-        with pytest.raises(RuntimeError, match="device 1 test set has fewer than 2"):
+        with pytest.raises(ValueError, match="device 1 test set has fewer than 2"):
             run_trial(cfg, ChannelScenario.DETERMINISTIC, Method.CR, 20.0, 0)

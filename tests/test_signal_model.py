@@ -5,13 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import extraction_reference as reference
 from rff_lab.analytic import feature_law
 from rff_lab.channel import ChannelParams, ChannelScenario, Phase, init_trial_channel
 from rff_lab.experiments import default_config
 from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
 from rff_lab.signal_model import (
-    DeviceFingerprint,
     Method,
     ModelParams,
     amplification_factor,
@@ -85,18 +87,18 @@ def test_method_subcarrier_counts():
 
 
 def test_fingerprint_degenerate_spreads():
-    fp = draw_fingerprint(unit_params(mu_u=2.0, mu_s=3.0), np.random.default_rng(0))
-    np.testing.assert_array_equal(fp.tu, np.full(8, 2.0))
-    np.testing.assert_array_equal(fp.tu_s, np.full(4, 3.0))
+    fp = draw_fingerprint(unit_params(mu_u=2.0, mu_s=3.0), [np.random.default_rng(0)])
+    np.testing.assert_array_equal(fp.tu, np.full((1, 8), 2.0))
+    np.testing.assert_array_equal(fp.tu_s, np.full((1, 4), 3.0))
 
 
 def test_fingerprint_spreads_match_table():
     rng = np.random.default_rng(42)
     tu = np.concatenate(
-        [draw_fingerprint(BASE_PARAMS, rng).tu for _ in range(2000)]
+        [draw_fingerprint(BASE_PARAMS, [rng]).tu[0] for _ in range(2000)]
     )
     tu_s = np.concatenate(
-        [draw_fingerprint(BASE_PARAMS, rng).tu_s for _ in range(2000)]
+        [draw_fingerprint(BASE_PARAMS, [rng]).tu_s[0] for _ in range(2000)]
     )
     assert tu.std() == pytest.approx(0.1, rel=0.05)
     assert tu_s.std() == pytest.approx(0.08, rel=0.05)
@@ -104,9 +106,9 @@ def test_fingerprint_spreads_match_table():
 
 
 def test_fingerprint_is_immutable():
-    fp = draw_fingerprint(BASE_PARAMS, np.random.default_rng(0))
+    fp = draw_fingerprint(BASE_PARAMS, [np.random.default_rng(0)])
     with pytest.raises(ValueError):
-        fp.tu[0] = 99.0
+        fp.tu[0, 0] = 99.0
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +119,19 @@ def test_fingerprint_is_immutable():
 def test_raw_noiseless_identity():
     p = unit_params()
     sample = extract_batch(
-        Method.RAW, p, draw_fingerprint(p, np.random.default_rng(0)),
-        det_trial(p), Phase.TRAIN, 1, np.random.default_rng(1),
-    )[0]
+        Method.RAW, p, draw_fingerprint(p, [np.random.default_rng(0)]),
+        det_trial(p), Phase.TRAIN, 1, [np.random.default_rng(1)],
+    )[0, 0]
     np.testing.assert_allclose(sample, np.ones(8), rtol=0, atol=0)
 
 
 def test_cr_noiseless_channel_cancellation_returns_fingerprint():
     p = unit_params(sigma_u=0.1, channel=ChannelParams(1.0, 0.3, 1.0, 0.3))
-    fp = draw_fingerprint(p, np.random.default_rng(3))
+    fp = draw_fingerprint(p, [np.random.default_rng(3)])
     trial = det_trial(p, seed=4)
-    sample = extract_batch(Method.CR, p, fp, trial, Phase.TRAIN, 1, np.random.default_rng(5))[0]
-    np.testing.assert_allclose(sample, fp.tu, rtol=1e-12)
+    rngs = [np.random.default_rng(5)]
+    sample = extract_batch(Method.CR, p, fp, trial, Phase.TRAIN, 1, rngs)[0, 0]
+    np.testing.assert_allclose(sample, fp.tu[0], rtol=1e-12)
 
 
 @pytest.mark.parametrize("method", [Method.SL, Method.CR, Method.PC, Method.RC])
@@ -138,32 +141,32 @@ def test_noiseless_features_are_csi_independent(method):
         sigma_u=0.1, sigma_s=0.08,
         channel=ChannelParams(1.0, 0.25, 1.2, 0.4),
     )
-    fp = draw_fingerprint(p, np.random.default_rng(7))
+    fp = draw_fingerprint(p, [np.random.default_rng(7)])
     trial = init_trial_channel(
         ChannelScenario.IID_STOCHASTIC, p.channel, method.subcarriers(p),
         np.random.default_rng(8),
     )
-    batch = extract_batch(method, p, fp, trial, Phase.TRAIN, 6, np.random.default_rng(9))
+    batch = extract_batch(method, p, fp, trial, Phase.TRAIN, 6, [np.random.default_rng(9)])[0]
     # every sample saw a fresh CSI draw, yet all rows coincide
     np.testing.assert_allclose(batch, np.broadcast_to(batch[0], batch.shape), rtol=1e-12)
 
 
 def test_raw_features_do_depend_on_csi():
     p = unit_params(channel=ChannelParams(1.0, 0.25, 1.0, 0.25))
-    fp = draw_fingerprint(p, np.random.default_rng(7))
+    fp = draw_fingerprint(p, [np.random.default_rng(7)])
     trial = init_trial_channel(
         ChannelScenario.IID_STOCHASTIC, p.channel, p.r_l, np.random.default_rng(8)
     )
-    batch = extract_batch(Method.RAW, p, fp, trial, Phase.TRAIN, 2, np.random.default_rng(9))
+    batch = extract_batch(Method.RAW, p, fp, trial, Phase.TRAIN, 2, [np.random.default_rng(9)])[0]
     assert not np.allclose(batch[0], batch[1])
 
 
 def test_sl_uses_short_subcarrier_count():
     p = BASE_PARAMS.with_snr(30.0)
-    fp = draw_fingerprint(p, np.random.default_rng(0))
+    fp = draw_fingerprint(p, [np.random.default_rng(0)])
     trial = det_trial(p, k=p.r_s)
-    batch = extract_batch(Method.SL, p, fp, trial, Phase.TRAIN, 3, np.random.default_rng(1))
-    assert batch.shape == (3, p.r_s)
+    batch = extract_batch(Method.SL, p, fp, trial, Phase.TRAIN, 3, [np.random.default_rng(1)])
+    assert batch.shape == (1, 3, p.r_s)
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +252,10 @@ def _pooled_extraction_moments(method, scenario, params, n_trials=1500, n=50, se
             scenario, params.channel, method.subcarriers(params),
             np.random.default_rng(child[0]),
         )
-        fp = draw_fingerprint(params, np.random.default_rng(child[1]))
+        fp = draw_fingerprint(params, [np.random.default_rng(child[1])])
         batch = extract_batch(
-            method, params, fp, trial, Phase.TRAIN, n, np.random.default_rng(child[2])
-        )
+            method, params, fp, trial, Phase.TRAIN, n, [np.random.default_rng(child[2])]
+        )[0]
         values.append(batch[np.isfinite(batch).all(axis=1)])
     pooled = np.concatenate(values).ravel()
     return pooled.mean(), pooled.var()
@@ -282,8 +285,91 @@ def test_rc_extraction_mean_matches_closed_form_tightly():
 
 def test_extraction_deterministic_given_rng():
     p = BASE_PARAMS.with_snr(20.0)
-    fp = draw_fingerprint(p, np.random.default_rng(1))
+    fp = draw_fingerprint(p, [np.random.default_rng(1)])
     trial = det_trial(p)
-    a = extract_batch(Method.PC, p, fp, trial, Phase.TRAIN, 4, np.random.default_rng(9))
-    b = extract_batch(Method.PC, p, fp, trial, Phase.TRAIN, 4, np.random.default_rng(9))
+    a = extract_batch(Method.PC, p, fp, trial, Phase.TRAIN, 4, [np.random.default_rng(9)])
+    b = extract_batch(Method.PC, p, fp, trial, Phase.TRAIN, 4, [np.random.default_rng(9)])
     np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# whole-phase extraction against the per-device reference
+# ---------------------------------------------------------------------------
+
+#: ordinary, negative-mean and subnormal channels; at mu_h = 5e-324 the SNR
+#: mapping underflows sigma_n to 0, so the noise is all signed zeros
+CHANNELS = (
+    BASE_PARAMS.channel,
+    ChannelParams(-0.4, 0.9, 0.3, 1.5),
+    ChannelParams(5e-324, 5e-324, 5e-324, 5e-324),
+    ChannelParams(5e-324, 5e-324, 1.0, 0.2),
+    ChannelParams(1.0, 0.15, 5e-324, 0.0),
+)
+
+
+def _outcome(extract):
+    try:
+        return extract()
+    except ValueError as exc:  # a law past the floats must fail alike
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("ignore:non-i.i.d. scenario")
+@given(
+    method=st.sampled_from(list(Method)),
+    scenario=st.sampled_from(list(ChannelScenario)),
+    n_devices=st.integers(2, 12),
+    n_samples=st.integers(1, 30),
+    snr_db=st.floats(-20.0, 300.0),
+    channel=st.sampled_from(CHANNELS),
+    gains=st.lists(st.floats(0.5, 2.0), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(Method.RAW, ChannelScenario.IID_STOCHASTIC, 12, 30, 30.0, CHANNELS[2], [1.0] * 5, 0)
+# signed-zero noise: 0/0 in SL's ratio takes its NaN's sign from the zeros
+@example(
+    Method.SL, ChannelScenario.IID_STOCHASTIC, 12, 30, 30.0, CHANNELS[2], [1.0] * 4 + [0.5], 0
+)
+@settings(max_examples=300, deadline=None)
+def test_whole_phase_extraction_matches_the_per_device_reference(
+    method, scenario, n_devices, n_samples, snr_db, channel, gains, seed
+):
+    """Every byte of both phases and both fingerprints equals a stack of per-device calls."""
+    x, f_ra, f_ta, f_ru, f_tu_l = gains  # after the SNR mapping, which they would move
+    params = replace(
+        replace(BASE_PARAMS, channel=channel).with_snr(snr_db),
+        x=x, f_ra=f_ra, f_ta=f_ta, f_ru=f_ru, f_tu_l=f_tu_l,
+    )
+    k = method.subcarriers(params)
+
+    def streams():  # stream 0 the channel; 3d + 1, 3d + 2, 3d + 3 device d's
+        children = np.random.SeedSequence(seed).spawn(3 * n_devices + 1)
+        return [np.random.default_rng(child) for child in children]
+
+    rngs = streams()
+    trial = init_trial_channel(scenario, params.channel, k, rngs[0])
+    fp = draw_fingerprint(params, rngs[1::3])
+    whole = [
+        _outcome(lambda: extract_batch(method, params, fp, trial, phase, n_samples, phase_rngs))
+        for phase, phase_rngs in ((Phase.TRAIN, rngs[2::3]), (Phase.TEST, rngs[3::3]))
+    ]
+
+    rngs = streams()
+    trial = init_trial_channel(scenario, params.channel, k, rngs[0])
+    fps = [reference.draw_fingerprint(params, rng) for rng in rngs[1::3]]
+    per_device = [
+        _outcome(lambda: np.stack([
+            reference.extract_batch(method, params, device_fp, trial, phase, n_samples, rng)
+            for device_fp, rng in zip(fps, phase_rngs)
+        ]))
+        for phase, phase_rngs in ((Phase.TRAIN, rngs[2::3]), (Phase.TEST, rngs[3::3]))
+    ]
+
+    assert fp.tu.tobytes() == np.stack([f.tu for f in fps]).tobytes()
+    assert fp.tu_s.tobytes() == np.stack([f.tu_s for f in fps]).tobytes()
+    for got, expected in zip(whole, per_device):
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.shape == expected.shape == (n_devices, n_samples, k)
+            assert got.tobytes() == expected.tobytes()

@@ -328,14 +328,14 @@ def test_score_validates_inputs():
 
 def test_identical_fingerprint_devices_score_near_zero():
     params = default_config().params.with_snr(25.0)
-    fp = draw_fingerprint(params, np.random.default_rng(21))
+    fp = draw_fingerprint(params, [np.random.default_rng(21)])
     trial = init_trial_channel(
         ChannelScenario.IID_STOCHASTIC, params.channel, params.r_l,
         np.random.default_rng(22),
     )
     rng = np.random.default_rng(23)
     sets = [
-        extract_batch(Method.RAW, params, fp, trial, Phase.TRAIN, 600, rng)
+        extract_batch(Method.RAW, params, fp, trial, Phase.TRAIN, 600, [rng])[0]
         for _ in range(4)
     ]
     score = silhouette_from_normalized(
@@ -359,13 +359,13 @@ def test_intra_distance_tracks_closed_form_prediction():
             ChannelScenario.DETERMINISTIC, params.channel, params.r_l,
             np.random.default_rng(child[0]),
         )
-        fp = draw_fingerprint(params, np.random.default_rng(child[1]))
+        fp = draw_fingerprint(params, [np.random.default_rng(child[1])])
         train = extract_batch(
-            Method.RAW, params, fp, trial, Phase.TRAIN, 4, np.random.default_rng(child[2])
-        )
+            Method.RAW, params, fp, trial, Phase.TRAIN, 4, [np.random.default_rng(child[2])]
+        )[0]
         test = extract_batch(
-            Method.RAW, params, fp, trial, Phase.TEST, 4, np.random.default_rng(child[3])
-        )
+            Method.RAW, params, fp, trial, Phase.TEST, 4, [np.random.default_rng(child[3])]
+        )[0]
         train_n = normalize_block(train)[0]
         test_n = [NormalizedSample(v.copy()) for v in normalize_block(test)[0]]
         for row in train_n:
