@@ -22,12 +22,13 @@ with per-phase feature moments ``(mu, sigma^2)``.  Only the cross moment
 
 `feature_law` states all of a (method, phase) in one `FeatureLaw`: the
 amplitude ``a``, the fingerprint moments, ``E[phi]``, ``E[g(H)^2]`` and the
-feature's mean and variance.  RAW's ``phi`` is the CSI itself, so its law is
-exact.  Every ratio method's ``phi`` is the `gaussian_moments` direct ratio
-``H/(rho*H + N)`` of its `signal_model.RatioLaw`, so ``E[phi]`` is
-`direct_ratio_moments` and ``E[g(H)^2]`` is `paired_product_mean` — the same
-functions `validate-claims` checks against Monte Carlo — and the feature's
-mean and variance are second-order ratio moments.
+feature's variance; its mean is ``a mu_t E[phi]``.  RAW's ``phi`` is the CSI,
+and its exact law is typed out.  A ratio method's ``phi`` is the direct ratio
+``H/(rho*H + N)`` of its `RatioLaw`, and its moments are the
+`gaussian_moments` forms that `validate-claims` checks.  The variance is
+``a^2 (mu_t^2 Var[phi] + sigma_t^2 E[phi^2]) + sigma_n^2 G``, where the gain
+``G`` of noise in the numerator is ``E[1/(rho*H + N)^2]`` and otherwise 1.
+Only ``Var[phi]`` is typed, since ``E[phi^2] - E[phi]^2`` cancels.
 
 The expected silhouette score is the matching closed ratio
 
@@ -46,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .channel import ChannelScenario, Phase
-from .gaussian_moments import GaussianSpec, RatioParams, direct_ratio_moments, paired_product_mean
+from .gaussian_moments import GaussianSpec, RatioParams
+from .gaussian_moments import direct_ratio_moments, paired_product_mean, reciprocal_moments
 from .signal_model import Method, ModelParams, phase_law, ratio_law
 
 __all__ = [
@@ -66,46 +68,40 @@ class FeatureLaw:
     fingerprint: tuple[float, float]  # (mu_t, sigma_t^2) of the fingerprint
     phi_mean: float  # E[phi]: mean of the channel/noise factor
     phi_shared: float  # E[g(H)^2] if this phase's channel served both phases
-    mean: float  # per-subcarrier mean of the feature
     variance: float  # per-subcarrier variance of the feature
+
+    @property
+    def mean(self) -> float:  # per-subcarrier mean of the feature
+        return self.amplitude * self.fingerprint[0] * self.phi_mean
+
+
+def _phi_variance(rho: float, mu_h: float, sn2: float) -> float:
+    """Var[phi] of ``phi = H/(rho*H + N)``, typed: E[phi^2] - E[phi]^2 cancels."""
+    return sn2 * (rho**2 * mu_h**2 - sn2) / (rho**6 * mu_h**4)
 
 
 def feature_law(
     method: Method, params: ModelParams, channel_moments: tuple[float, float]
 ) -> FeatureLaw:
-    """The law of one method's feature under CSI moments ``(mu_hc, sigma_hc_sq)``.
-
-    RAW's moments are exact; the four ratio laws use the second-order
-    approximations from `gaussian_moments`.
-    """
+    """The law of one method's feature under CSI moments ``(mu_hc, sigma_hc_sq)``."""
     mu_h, sig_h2 = channel_moments
     sn2 = params.sigma_n**2
     if method is Method.RAW:
         f, x = params.f_ra, params.x
         mu_u, su2 = params.mu_u, params.sigma_u**2
+        # exact, and typed: a^2 (mu_u^2 Var H + sigma_u^2 E[H^2]) moves the last ulp
         variance = f**2 * x**2 * (mu_u**2 * sig_h2 + su2 * mu_h**2 + su2 * sig_h2) + sn2
-        return FeatureLaw(
-            f * x, (mu_u, su2), mu_h, mu_h**2 + sig_h2, f * x * mu_u * mu_h, variance
-        )
-    if mu_h == 0.0:
-        raise ValueError("feature moments undefined: mu_hc == 0")
+        return FeatureLaw(f * x, (mu_u, su2), mu_h, mu_h**2 + sig_h2, variance)
     law = ratio_law(method, params, channel_moments)
     a, r = law.amplitude, law.rho
     mu_t, st2 = law.fingerprint
-    mean = a * mu_t * (r**2 * mu_h**2 + sn2) / (r**3 * mu_h**2)
-    signal = a**2 * (
-        mu_t**2 * sn2 * (r**2 * mu_h**2 - sn2)
-        + r**2 * mu_h**2 * st2 * (r**2 * mu_h**2 + 3.0 * sn2)
-    )
-    if law.noise_in_numerator:
-        noise = r**2 * sn2 * (r**2 * mu_h**2 + 3.0 * r**2 * sig_h2 + 3.0 * sn2)
-        variance = (signal + noise) / (r**6 * mu_h**4)
-    else:
-        variance = signal / (r**6 * mu_h**4) + sn2
     g = GaussianSpec(mean=mu_h, variance=sig_h2)
     p = RatioParams(rho=r, noise_variance=sn2)
-    phi_mean = direct_ratio_moments(g, p).mean
-    return FeatureLaw(a, law.fingerprint, phi_mean, paired_product_mean(g, p), mean, variance)
+    phi = direct_ratio_moments(g, p)
+    noise_gain = reciprocal_moments(g, p).second_moment if law.noise_in_numerator else 1.0
+    var_phi = _phi_variance(r, mu_h, sn2)
+    variance = a**2 * (mu_t**2 * var_phi + st2 * phi.second_moment) + sn2 * noise_gain
+    return FeatureLaw(a, law.fingerprint, phi.mean, paired_product_mean(g, p), variance)
 
 
 def _setup(

@@ -149,21 +149,24 @@ def parse_records_csv(text: str) -> list[SweepRecord]:
 def format_bundle_json(
     records: Sequence[SweepRecord], config_echo: str, wall_time_seconds: float
 ) -> str:
-    """The JSON bundle: tool version, wall time, config echo and the records."""
+    """The JSON bundle: tool version, wall time, config echo and the records.
+
+    JSON has no NaN: an undefined value (a one-trial cell's stderr) is null.
+    """
     payload = {
         "tool_version": TOOL_VERSION,
         "wall_time_seconds": wall_time_seconds,
         "config_echo": config_echo,
         "records": [
             {
-                **asdict(r),
-                "scenario": r.scenario.value,
-                "method": r.method.value,
+                k: None if isinstance(v, float) and not np.isfinite(v) else v
+                for k, v in asdict(r).items()
             }
+            | {"scenario": r.scenario.value, "method": r.method.value}
             for r in records
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _write_out(path: str | None, text: str) -> None:

@@ -29,10 +29,12 @@ with ``G1, G2`` i.i.d. copies of ``G``::
 Only the reciprocal form retains ``sigma_g^2`` terms; the other three drop
 them by construction (their expansions treat the signal at its mean), which
 limits accuracy when ``sigma_g/mu_g`` is not small.  All four are implemented
-verbatim — no extra correction terms.  The expansions are accurate in the
-high-SNR regime ``sigma_w / (|rho| mu_g) <= 0.1``; `mc_ratio_detail` provides
-a brute-force Monte-Carlo estimate to quantify the approximation error, and
-`in_regime` exposes the regime gate.
+as stated, the reciprocal second moment verbatim (the sweep reads it); the
+direct and paired forms are factored as ``(1/rho^k)(1 + c q)``, ``q =
+sigma_w^2/(rho^2 mu_g^2)``, so their zero-noise limits are exact.  The
+expansions are accurate in the high-SNR regime ``sigma_w / (|rho| mu_g) <=
+0.1``; `mc_ratio_detail` provides a brute-force Monte-Carlo estimate to
+quantify the approximation error, and `in_regime` exposes the regime gate.
 """
 
 from __future__ import annotations
@@ -178,9 +180,10 @@ def reciprocal_moments(g: GaussianSpec, p: RatioParams) -> GaussianMoments:
     _check_domain(g, p)
     q = (p.rho**2 * g.variance + p.noise_variance) / (p.rho**2 * g.mean**2)
     scale = 1.0 / (p.rho * g.mean)
+    second = p.rho**2 * g.mean**2 + 3.0 * p.rho**2 * g.variance + 3.0 * p.noise_variance
     return GaussianMoments(
         mean=scale * (1.0 + q),
-        second_moment=scale**2 * (1.0 + 3.0 * q),
+        second_moment=second / (p.rho**4 * g.mean**4),
     )
 
 

@@ -57,6 +57,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import ChannelParams, Phase, TrialChannel, require_finite, sample_csi_block
+from .gaussian_moments import GaussianSpec, RatioParams, reciprocal_moments
 
 __all__ = [
     "ModelParams",
@@ -172,20 +173,15 @@ def amplification_factor(
 
     ``scenario_moments`` is ``(mu_hc, sigma_hc_sq)``, the mean and variance of
     the governing CSI distribution.  ``P`` is the second moment of
-    ``1/(beta*H + N)``::
+    ``1/(beta*H + N)``, the `gaussian_moments.reciprocal_moments` that
+    `validate-claims` checks::
 
         P = (beta^2 mu^2 + 3 beta^2 sigma^2 + 3 sigma_n^2) / (beta^4 mu^4)
-
-    so ``alpha = sqrt(eta * beta^4 mu^4 / (beta^2 mu^2 + 3 beta^2 sigma^2 + 3 sigma_n^2))``.
     """
     mu_hc, sigma_hc_sq = scenario_moments
-    beta = params.beta()
-    if mu_hc == 0.0:
-        raise ValueError("amplification factor undefined: mu_hc == 0")
-    p_num = beta**2 * mu_hc**2 + 3.0 * beta**2 * sigma_hc_sq + 3.0 * params.sigma_n**2
-    if p_num <= 0.0:
-        raise ValueError("amplification factor undefined: payload power is 0")
-    return math.sqrt(params.eta * beta**4 * mu_hc**4 / p_num)
+    g = GaussianSpec(mean=mu_hc, variance=sigma_hc_sq)
+    p = RatioParams(rho=params.beta(), noise_variance=params.sigma_n**2)
+    return math.sqrt(params.eta / reciprocal_moments(g, p).second_moment)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ algebra the implementation uses.  Agreement between the two derivations at
 1e-9 relative guards both against transcription slips.
 """
 
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -14,9 +15,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rff_lab.analytic import expected_inter, expected_intra, expected_silhouette
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rff_lab.analytic import (
+    _phi_variance,
+    expected_inter,
+    expected_intra,
+    expected_silhouette,
+    feature_law,
+)
 from rff_lab.channel import ChannelParams, ChannelScenario, Phase, init_trial_channel
 from rff_lab.experiments import default_config
+from rff_lab.gaussian_moments import GaussianSpec, RatioParams, direct_ratio_moments, in_regime
 from rff_lab.signal_model import Method, ModelParams, draw_fingerprint, extract_batch
 from rff_lab.silhouette import normalize_block
 from silhouette_reference import NormalizedSample, inter_distance, intra_distance
@@ -311,6 +322,38 @@ class TestComposition:
                 assert 0.0 <= sil < 1.0, (method, scenario)
 
 
+class TestTypedPhiVariance:
+    """Var[phi] is the one ratio moment `feature_law` types out instead of
+    reading it from `gaussian_moments`: check it against E[phi^2] - E[phi]^2,
+    within the rounding that difference carries, wherever the regime holds."""
+
+    @staticmethod
+    def check(rho: float, mu_h: float, share: float) -> None:
+        sigma_n = share * 0.1 * abs(rho) * abs(mu_h)  # share of the regime bound
+        g, p = GaussianSpec(mu_h, 0.0), RatioParams(rho, sigma_n**2)
+        assert in_regime(g, p)
+        phi = direct_ratio_moments(g, p)
+        var_phi = _phi_variance(rho, mu_h, sigma_n**2)
+        assert var_phi >= 0.0
+        tolerance = 8 * np.finfo(float).eps * phi.second_moment
+        assert abs(var_phi - (phi.second_moment - phi.mean**2)) <= tolerance
+
+    @pytest.mark.parametrize("rho", (0.5, 1.0, 2.0, -1.3))
+    @pytest.mark.parametrize("mu_h", (0.3, 1.0, 2.5, -0.8))
+    def test_matches_the_direct_ratio_moments_on_a_grid(self, rho, mu_h):
+        for share in (0.0, 1e-4, 0.01, 0.3, 1.0):
+            self.check(rho, mu_h, share)
+
+    @given(
+        st.floats(1e-3, 1e3).flatmap(lambda v: st.sampled_from((v, -v))),
+        st.floats(1e-3, 1e3).flatmap(lambda v: st.sampled_from((v, -v))),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_direct_ratio_moments_in_regime(self, rho, mu_h, share):
+        self.check(rho, mu_h, share)
+
+
 class TestScenarioReduction:
     def test_matched_test_distribution_reduces_to_iid(self):
         channel = ChannelParams(
@@ -445,6 +488,34 @@ class TestFrozenValues:
         )
         assert expected_inter(Method.RAW, ChannelScenario.DETERMINISTIC, p) == pytest.approx(
             2 * 52 * (0.01 * 1.0225 + 0.01) / var, rel=1e-12
+        )
+
+    def test_default_grid_closed_forms_are_pinned(self):
+        """Every closed form of the default grid reproduces these exact floats.
+
+        Hashes ``float.hex`` of both phases' `FeatureLaw` fields (RC's gain
+        alpha included) and of the expected intra, inter and silhouette of
+        each of the 105 cells.  The sweep CSV pins only the silhouette, to 17
+        digits; this pins every step before it.  A deliberate change to the
+        closed-form arithmetic re-records this digest.
+        """
+        cfg = default_config()
+        values = []
+        for scenario in cfg.scenarios:
+            for method in cfg.methods:
+                for snr_db in cfg.snr_db_grid:
+                    p = cfg.params.with_snr(snr_db)
+                    for phase in (Phase.TRAIN, Phase.TEST):
+                        mu, sigma = p.channel.for_phase(scenario, phase)
+                        law = feature_law(method, p, (mu, sigma**2))
+                        values += (law.amplitude, *law.fingerprint, law.phi_mean)
+                        values += (law.phi_shared, law.mean, law.variance)
+                    for expected in (expected_intra, expected_inter, expected_silhouette):
+                        values.append(expected(method, scenario, p))
+        assert len(values) == 105 * (2 * 7 + 3)
+        text = " ".join(map(float.hex, values))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "97440158740e7145cd2be6bd88b8d3fb16b832e985e5904d651e27e967a5f530"
         )
 
     def test_zero_noise_collapses_shared_channel_intra(self):

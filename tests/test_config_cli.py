@@ -2,7 +2,10 @@
 
 import contextlib
 import io
+import itertools
 import json
+import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from rff_lab.channel import ChannelScenario
 from rff_lab.cli import (
     CSV_HEADER,
+    format_bundle_json,
     format_records_csv,
     main,
     parse_records_csv,
@@ -237,6 +241,27 @@ class TestCliSweep:
         assert len(payload["records"]) == 2
         assert payload["records"][0]["scenario"] == "deterministic"
 
+    def test_one_trial_json_bundle_is_strict_json(self, tmp_path):
+        # one trial leaves every standard error undefined; RFC 8259 has no NaN
+        config_path = tmp_path / "small.cfg"
+        config_path.write_text(SMALL_CONFIG_TEXT, encoding="utf-8")
+        out = tmp_path / "bundle.json"
+        argv = ["sweep", "--config", str(config_path), "--trials", "1", "--out", str(out)]
+        assert main([*argv, "--format", "json"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=reject)
+        for record in payload["records"]:
+            assert record["silhouette_empirical_stderr"] is None
+            assert record["accuracy_stderr"] is None
+            assert isinstance(record["silhouette_empirical"], float)
+        assert main([*argv, "--format", "csv"]) == 0
+        for record in parse_records_csv(out.read_text(encoding="utf-8")):
+            assert math.isnan(record.silhouette_empirical_stderr)
+            assert math.isnan(record.accuracy_stderr)
+
     def test_seed_override_changes_the_numbers(self, tmp_path):
         config_path = tmp_path / "small.cfg"
         config_path.write_text(SMALL_CONFIG_TEXT, encoding="utf-8")
@@ -443,3 +468,43 @@ class TestCliEmitConfigAndValidate:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "rff-lab 0.1.0" in capsys.readouterr().out
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(title: str) -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end != -1 else len(text)]
+
+
+class TestReadmeMatchesTheCode:
+    """README's format and key lists are the ones the code writes and reads."""
+
+    def test_csv_header_block(self):
+        block = re.search(r"```\n(.*?)\n```", readme_section("Output formats"), re.S)
+        assert block.group(1) == CSV_HEADER
+
+    def test_config_key_table_names_exactly_the_config_keys(self):
+        rows = [
+            line.split("|")[1]
+            for line in readme_section("Configuration files").splitlines()
+            if line.startswith("| `")
+        ]
+        keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row)]
+        assert sorted(keys) == sorted(CONFIG_KEYS)
+
+    def test_json_bundle_keys(self):
+        lines = readme_section("Output formats").splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("- `"))
+        block = "\n".join(itertools.takewhile(bool, lines[first:]))
+        items = {
+            re.match(r"`(\w+)`", item).group(1): item
+            for item in re.split(r"^- ", block, flags=re.M)[1:]
+        }
+        payload = json.loads(format_bundle_json(small_records(), "", 0.0))
+        assert list(items) == list(payload)
+        record_keys = re.findall(r"`(\w+)`", items["records"])[1:]
+        assert record_keys == list(payload["records"][0])
