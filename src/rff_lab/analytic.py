@@ -44,6 +44,8 @@ not small against the ratio denominators.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 from .channel import ChannelScenario, Phase
@@ -129,7 +131,13 @@ def _std_product(train: FeatureLaw, test: FeatureLaw) -> float:
                 f"{phase} feature variance {law.variance:.6g} is not "
                 "positive; normalized distances undefined at these parameters"
             )
-    return (train.variance * test.variance) ** 0.5
+    product = train.variance * test.variance
+    if not sys.float_info.min <= product < math.inf:
+        # The product of two positive floats underflowed or overflowed; the
+        # factored form stays in range, but would move the pinned bytes if
+        # it were used everywhere.
+        return math.sqrt(train.variance) * math.sqrt(test.variance)
+    return product**0.5
 
 
 def _expected_distance(

@@ -26,13 +26,16 @@ how many worker processes run the sweep, and independent of trial execution
 order.  Two grid points with the same rounded SNR key would share every
 stream, so `ExperimentConfig` rejects such grids.  Stream ids: 0 drives the
 trial channel; device ``d`` uses ``3d + 1`` (fingerprint), ``3d + 2`` (train
-extraction), ``3d + 3`` (test extraction).  A trial builds its ``3D + 1``
-generators from one precomputed word prefix of that key (`_trial_streams`);
-the key, and so every stream, is the same as a `SeedSequence` of the tuple.
+extraction), ``3d + 3`` (test extraction).  A trial seeds its ``3D + 1``
+generators in one vectorised pass (`_trial_streams`): numpy hashes the key's
+words up to the trial index once, and the last hash step, which mixes in the
+stream id, runs over all stream ids at once.  Every generator is
+bit-identical to one seeded from a `SeedSequence` of the tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -189,6 +192,47 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
+# numpy's `SeedSequence` hash (numpy/random/bit_generator.pyx): the constants
+# of `mix_entropy`'s hashmix and mix steps and of `generate_state`.
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+#: MULT_A**j, j = 0..4: hashmix step j of a tail word (one per pool word) reads
+#: the hash constant at powers j and j + 1 past its start
+_MULT_A_STEPS = np.array([pow(_MULT_A, j, 1 << 32) for j in range(5)], dtype=np.uint64)
+#: INIT_B * MULT_B**i, i = 0..8: the hash constants of generate_state's 8 words
+_OUTPUT_CONST = np.array(
+    [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _MASK32 for i in range(9)], dtype=np.uint64
+)
+
+
+def _xorshift(words: np.ndarray) -> np.ndarray:
+    """``w ^= w >> 16`` in place: the last step of each hash."""
+    words ^= words >> 16
+    return words
+
+
+@functools.cache
+def _precomputed_seed_type() -> type:
+    """A seed sequence that hands a bit generator its finished state.
+
+    Defined on first use: importing `numpy.random` at module level would add
+    its import time to every process that only parses a config.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrecomputedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.state
+
+    return PrecomputedSeed
+
+
 def _trial_streams(
     cfg: ExperimentConfig,
     scenario: ChannelScenario,
@@ -198,11 +242,16 @@ def _trial_streams(
 ) -> list[np.random.Generator]:
     """The trial's ``3D + 1`` generators, indexed by stream id.
 
-    `SeedSequence` reads a tuple of ints as the concatenation of each int's
-    words, so the key's words up to the trial index are computed once and
-    every stream appends its id: the state equals that of the tuple
-    ``(master_seed, scenario, method, snr key, trial_index, stream)``, at
-    about half the set-up cost.
+    `SeedSequence` reads the tuple ``(master_seed, scenario, method, snr key,
+    trial_index, stream)`` as the concatenation of each int's 32-bit words.
+    The words before the stream id form a prefix of at least 5 words, longer
+    than the 4-word pool, so numpy mixes the stream id in last, as one tail
+    word.  The pool after the prefix is therefore shared: numpy computes it
+    once, and only the stream word's mixing and `generate_state(4, uint64)`
+    are repeated here, vectorised over all stream ids at once, with
+    numpy's own constants and 32-bit wrap-around.  Each `PCG64` is seeded
+    from its row through its own seeding path, so every generator is
+    bit-identical to ``default_rng(SeedSequence(key + (stream,)))``.
     """
     key = (
         cfg.master_seed,
@@ -212,11 +261,19 @@ def _trial_streams(
         trial_index,
     )
     prefix = [word for part in key for word in _uint32_words(part)]
-    n_streams = 3 * cfg.n_devices + 1
-    entropy = np.empty((n_streams, len(prefix) + 1), dtype=np.uint32)
-    entropy[:, :-1] = prefix
-    entropy[:, -1] = np.arange(n_streams)
-    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(w))) for w in entropy]
+    pool = np.random.SeedSequence(prefix).pool.astype(np.uint64)
+    # The hash constant after the prefix: 4 + 12 steps for the pool's fill
+    # and all-to-all mix, then 4 per word past the pool.
+    start = _INIT_A * pow(_MULT_A, 4 * len(prefix), 1 << 32) & _MASK32
+    const = start * _MULT_A_STEPS & _MASK32
+    stream = np.arange(3 * cfg.n_devices + 1, dtype=np.uint64)[:, None]
+    hashed = _xorshift((stream ^ const[:-1]) * const[1:] & _MASK32)
+    pool = _xorshift(_MIX_MULT_L * pool - _MIX_MULT_R * hashed & _MASK32)
+    words = _xorshift((np.tile(pool, 2) ^ _OUTPUT_CONST[:-1]) * _OUTPUT_CONST[1:] & _MASK32)
+    # little-endian word pairs, C-contiguous: PCG64 reads each row's buffer
+    state = np.ascontiguousarray(words[:, 0::2] | words[:, 1::2] << 32)
+    seeded = _precomputed_seed_type()
+    return [np.random.Generator(np.random.PCG64(seeded(row))) for row in state]
 
 
 def _screen_nonfinite(block: np.ndarray) -> np.ndarray:

@@ -581,6 +581,23 @@ class TestFrozenValues:
             with pytest.raises(ValueError, match="train feature variance .* not positive"):
                 expected(Method.PC, scenario, p)
 
+    @pytest.mark.parametrize("scale", [1e-100, 1e-160, 1e100])
+    def test_variance_product_past_the_floats_keeps_the_score(self, scale):
+        # Each phase's variance is 2 * scale^2: positive, but the product of
+        # the two under- or overflows a float.  Scaling sigma_n and sigma_u
+        # together scales every variance alike, so the score and the inter
+        # distance equal those at the reference scale.
+        def at(s):
+            channel = replace(BASE_PARAMS.channel, sigma_h=0.0, sigma_h_non=0.0)
+            return replace(BASE_PARAMS, sigma_n=s, sigma_u=s, channel=channel)
+
+        scenario = ChannelScenario.DETERMINISTIC
+        for expected in (expected_inter, expected_silhouette):
+            assert expected(Method.RAW, scenario, at(scale)) == pytest.approx(
+                expected(Method.RAW, scenario, at(0.1)), rel=1e-12
+            )
+        assert 0.0 <= expected_intra(Method.RAW, scenario, at(scale)) <= 4 * 52
+
     @pytest.mark.parametrize("method", ALL_METHODS)
     @pytest.mark.parametrize(
         "channel, phase",

@@ -5,7 +5,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -118,6 +121,24 @@ class TestConfigRoundTrip:
         text = render_config(default_config())
         for key in CONFIG_KEYS:
             assert f"{key} = " in text
+
+    def test_parsing_a_config_does_not_import_numpy_random(self):
+        # Every process start pays for what `import rff_lab` pulls in, so the
+        # random streams import numpy.random only when a trial first runs.
+        script = (
+            "import sys, rff_lab\n"
+            "rff_lab.parse_config(rff_lab.render_config(rff_lab.default_config()))\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestConfigErrors:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rff_lab import experiments
@@ -251,7 +251,7 @@ class TestCorrelate:
 
 class TestTrialStreams:
     @given(
-        st.integers(0, 2**63 - 1),  # master seed
+        st.integers(0, 2**130),  # master seed: 1-5 words, so prefixes of 5-11 words
         st.sampled_from(list(ChannelScenario)),
         st.sampled_from(list(Method)),
         st.one_of(  # SNR: negative and fractional keys take two words
@@ -262,6 +262,9 @@ class TestTrialStreams:
         st.integers(2, 40),  # devices
     )
     @settings(max_examples=30, deadline=None)
+    # the shortest word prefix (5 words) and the longest (11 words)
+    @example(0, ChannelScenario.DETERMINISTIC, Method.RAW, 0.0, 0, 2)
+    @example(2**128 + 1, ChannelScenario.NON_IID_STOCHASTIC, Method.RC, -10.0, 2**40, 40)
     def test_each_stream_equals_the_tuple_key(
         self, master_seed, scenario, method, snr_db, trial_index, n_devices
     ):
@@ -278,6 +281,7 @@ class TestTrialStreams:
         for stream, rng in enumerate(streams):
             expected = np.random.default_rng(np.random.SeedSequence(key + (stream,)))
             assert rng.bit_generator.state == expected.bit_generator.state
+            assert np.array_equal(rng.standard_normal(4), expected.standard_normal(4))
 
     def test_negative_trial_index_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
