@@ -4,90 +4,33 @@ The package models per-subcarrier device fingerprints observed through a
 real-Gaussian channel, implements five feature-extraction methods, and
 compares Monte-Carlo silhouette scores and classification accuracies against
 closed-form (Taylor/delta-method) predictions.
+
+Each library module's ``__all__`` is republished here; the command-line
+module `rff_lab.cli` is not imported.
 """
 
 #: the one place the version is written; the CLI and the build read it here
 __version__ = "0.1.0"
 
-from .analytic import FeatureLaw, expected_inter, expected_intra, expected_silhouette, feature_law
-from .channel import ChannelParams, ChannelScenario, Phase, init_trial_channel, sample_csi_block
-from .classifier import LdaModel, accuracy, fit, predict_batch
-from .config import ConfigError, parse_config, render_config
-from .experiments import (
-    CorrelationReport,
-    ExperimentConfig,
-    SweepRecord,
-    TrialResult,
-    correlate,
-    default_config,
-    run_sweep,
-    run_trial,
-)
-from .gaussian_moments import (
-    GaussianMoments,
-    GaussianSpec,
-    McRatioResult,
-    RatioForm,
-    RatioParams,
-    cross_difference_moments,
-    direct_ratio_moments,
-    in_regime,
-    mc_ratio_detail,
-    paired_product_mean,
-    reciprocal_moments,
-)
-from .signal_model import (
-    Fingerprints,
-    Method,
-    ModelParams,
-    draw_fingerprint,
-    extract_batch,
-)
-from .silhouette import normalize_block, silhouette_from_normalized
+from . import analytic, channel, classifier, config, experiments, gaussian_moments
+from . import signal_model, silhouette
+from .analytic import *
+from .channel import *
+from .classifier import *
+from .config import *
+from .experiments import *
+from .gaussian_moments import *
+from .signal_model import *
+from .silhouette import *
 
 __all__ = [
     "__version__",
-    "ChannelParams",
-    "ChannelScenario",
-    "ConfigError",
-    "CorrelationReport",
-    "ExperimentConfig",
-    "FeatureLaw",
-    "Fingerprints",
-    "GaussianMoments",
-    "GaussianSpec",
-    "LdaModel",
-    "McRatioResult",
-    "Method",
-    "ModelParams",
-    "Phase",
-    "RatioForm",
-    "RatioParams",
-    "SweepRecord",
-    "TrialResult",
-    "accuracy",
-    "correlate",
-    "cross_difference_moments",
-    "default_config",
-    "direct_ratio_moments",
-    "draw_fingerprint",
-    "expected_inter",
-    "expected_intra",
-    "expected_silhouette",
-    "extract_batch",
-    "feature_law",
-    "fit",
-    "in_regime",
-    "init_trial_channel",
-    "mc_ratio_detail",
-    "normalize_block",
-    "paired_product_mean",
-    "parse_config",
-    "predict_batch",
-    "reciprocal_moments",
-    "render_config",
-    "run_sweep",
-    "run_trial",
-    "sample_csi_block",
-    "silhouette_from_normalized",
+    *analytic.__all__,
+    *channel.__all__,
+    *classifier.__all__,
+    *config.__all__,
+    *experiments.__all__,
+    *gaussian_moments.__all__,
+    *signal_model.__all__,
+    *silhouette.__all__,
 ]

@@ -28,19 +28,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import io
 import json
+import math
 import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, replace
-from typing import Sequence
+from dataclasses import asdict, fields, replace
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .channel import ChannelScenario
 from .config import ConfigError, parse_config, render_config
 from .experiments import (
     SweepRecord,
@@ -59,17 +60,26 @@ from .gaussian_moments import (
     paired_product_mean,
     reciprocal_moments,
 )
-from .signal_model import Method
 
 __all__ = ["main", "CSV_HEADER", "format_records_csv", "parse_records_csv"]
 
-TOOL_VERSION = __version__
 ENV_THREADS = "RFF_LAB_THREADS"
 
-CSV_HEADER = (
-    "scenario,method,snr_db,silhouette_emp,silhouette_emp_se,"
-    "silhouette_ana,accuracy,accuracy_se,nonfinite_rate"
-)
+#: each CSV column, in order, and the `SweepRecord` field it holds
+CSV_COLUMNS = {
+    "scenario": "scenario",
+    "method": "method",
+    "snr_db": "snr_db",
+    "silhouette_emp": "silhouette_empirical",
+    "silhouette_emp_se": "silhouette_empirical_stderr",
+    "silhouette_ana": "silhouette_analytic",
+    "accuracy": "accuracy",
+    "accuracy_se": "accuracy_stderr",
+    "nonfinite_rate": "nonfinite_rate",
+}
+CSV_HEADER = ",".join(CSV_COLUMNS)
+#: what each `SweepRecord` field is read as: an enum or float
+_FIELD_TYPES = get_type_hints(SweepRecord)
 
 MEAN_TOLERANCE = 0.02
 SECOND_MOMENT_TOLERANCE = 0.05
@@ -96,54 +106,40 @@ def _g17(value: float) -> str:
     return "%.17g" % value
 
 
+def _csv_cell(value: enum.Enum | float) -> str:
+    return value.value if isinstance(value, enum.Enum) else _g17(value)
+
+
 def format_records_csv(records: Sequence[SweepRecord]) -> str:
     """Render sweep records with the fixed header and 17-digit floats."""
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(
-            ",".join(
-                (
-                    r.scenario.value,
-                    r.method.value,
-                    _g17(r.snr_db),
-                    _g17(r.silhouette_empirical),
-                    _g17(r.silhouette_empirical_stderr),
-                    _g17(r.silhouette_analytic),
-                    _g17(r.accuracy),
-                    _g17(r.accuracy_stderr),
-                    _g17(r.nonfinite_rate),
-                )
-            )
-        )
+        lines.append(",".join(_csv_cell(getattr(r, field)) for field in CSV_COLUMNS.values()))
     return "\n".join(lines) + "\n"
 
 
 def parse_records_csv(text: str) -> list[SweepRecord]:
     """Read records written by `format_records_csv` (column order free)."""
     reader = csv.DictReader(io.StringIO(text))
-    expected = CSV_HEADER.split(",")
-    if reader.fieldnames is None or set(expected) - set(reader.fieldnames):
-        missing = sorted(set(expected) - set(reader.fieldnames or ()))
+    missing = sorted(set(CSV_COLUMNS) - set(reader.fieldnames or ()))
+    if missing:
         raise ValueError(f"records CSV is missing columns: {', '.join(missing)}")
     records = []
     for row_no, row in enumerate(reader, start=2):
         try:
-            records.append(
-                SweepRecord(
-                    scenario=ChannelScenario(row["scenario"]),
-                    method=Method(row["method"]),
-                    snr_db=float(row["snr_db"]),
-                    silhouette_empirical=float(row["silhouette_emp"]),
-                    silhouette_empirical_stderr=float(row["silhouette_emp_se"]),
-                    silhouette_analytic=float(row["silhouette_ana"]),
-                    accuracy=float(row["accuracy"]),
-                    accuracy_stderr=float(row["accuracy_se"]),
-                    nonfinite_rate=float(row["nonfinite_rate"]),
-                )
-            )
+            values = {
+                field: _FIELD_TYPES[field](row[column]) for column, field in CSV_COLUMNS.items()
+            }
         except (TypeError, ValueError) as exc:
             raise ValueError(f"records CSV line {row_no}: {exc}") from None
+        records.append(SweepRecord(**values))
     return records
+
+
+def _json_value(value: enum.Enum | float) -> str | float | None:
+    if isinstance(value, enum.Enum):
+        return value.value
+    return value if math.isfinite(value) else None
 
 
 def format_bundle_json(
@@ -154,16 +150,11 @@ def format_bundle_json(
     JSON has no NaN: an undefined value (a one-trial cell's stderr) is null.
     """
     payload = {
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "wall_time_seconds": wall_time_seconds,
         "config_echo": config_echo,
         "records": [
-            {
-                k: None if isinstance(v, float) and not np.isfinite(v) else v
-                for k, v in asdict(r).items()
-            }
-            | {"scenario": r.scenario.value, "method": r.method.value}
-            for r in records
+            {f.name: _json_value(getattr(r, f.name)) for f in fields(r)} for r in records
         ],
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -320,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation laboratory for radio-frequency-fingerprint "
         "feature extraction.",
     )
-    parser.add_argument("--version", action="version", version=f"rff-lab {TOOL_VERSION}")
+    parser.add_argument("--version", action="version", version=f"rff-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run the Monte-Carlo sweep")
@@ -365,10 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - defensive

@@ -87,11 +87,10 @@ class ExperimentConfig:
     classify_normalized: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_devices < 2:
-            raise ValueError(f"n_devices must be >= 2, got {self.n_devices}")
-        for name in ("n_train", "n_test", "n_trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        # the silhouette and the LDA need 2 devices and 2 samples per device and phase
+        for name, least in (("n_devices", 2), ("n_train", 2), ("n_test", 2), ("n_trials", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         for name in ("scenarios", "methods", "snr_db_grid"):
@@ -179,7 +178,10 @@ def default_config() -> ExperimentConfig:
 
 def _snr_stream_key(snr_db: float) -> int:
     """The SNR's part of a stream seed: millidecibels, rounded."""
-    return int(round(snr_db * 1000.0)) & 0xFFFFFFFFFFFFFFFF
+    try:
+        return int(round(snr_db * 1000.0)) & 0xFFFFFFFFFFFFFFFF
+    except OverflowError:
+        raise ValueError(f"snr_db={snr_db} is out of range: its millidecibels overflow") from None
 
 
 def _uint32_words(value: int) -> list[int]:

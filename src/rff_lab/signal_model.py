@@ -124,7 +124,10 @@ class ModelParams:
         s = abs(self.snr_reference_amplitude())
         if s == 0.0:
             raise ValueError("SNR mapping undefined: reference amplitude is 0")
-        return s * 10.0 ** (-snr_db / 20.0)
+        try:
+            return s * 10.0 ** (-snr_db / 20.0)
+        except OverflowError:
+            raise ValueError(f"snr_db={snr_db} is out of range: its noise std overflows") from None
 
     def with_snr(self, snr_db: float) -> "ModelParams":
         """Copy of the parameters with ``sigma_n`` set from the SNR mapping."""

@@ -1,6 +1,7 @@
 """Tests for the configuration format, the CSV/JSON codecs, and the CLI."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -139,6 +140,22 @@ class TestConfigRoundTrip:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout.strip() == "False"
+
+
+class TestPinnedBytes:
+    """The config and JSON writers reproduce these exact bytes across commits."""
+
+    def test_default_config_text_is_pinned(self):
+        text = render_config(default_config())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "23f325c4c7731a995758768f932f67cd995479f7dd213013dae6579fc21f9792"
+        )
+
+    def test_json_bundle_is_pinned(self):
+        text = format_bundle_json(small_records(), "echo", 1.5)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9a628ff8976dbea16c9f320f97e16b67edca37a58c0fccefde911425c0afbe4e"
+        )
 
 
 class TestConfigErrors:
@@ -416,6 +433,17 @@ class TestCliSweep:
         assert code in (0, 2), stderr.getvalue()
         if code == 2:
             assert "error: " in stderr.getvalue()
+
+    @pytest.mark.parametrize("snr_db", ["-7000", "1e306", "-1e306"])
+    def test_snr_beyond_float_range_exits_2_naming_it(self, snr_db, tmp_path, capsys):
+        # -7000 dB overflows the noise std; ±1e306 dB overflows the stream key
+        config_path = tmp_path / "snr.cfg"
+        config_path.write_text(
+            SMALL_CONFIG_TEXT.replace("snr_db_grid = 20", f"snr_db_grid = {snr_db}"),
+            encoding="utf-8",
+        )
+        assert main(["sweep", "--config", str(config_path), "--trials", "1"]) == 2
+        assert f"snr_db={float(snr_db)} is out of range" in capsys.readouterr().err
 
     def test_bad_thread_env_exits_2(self, tmp_path, monkeypatch, capsys):
         config_path = tmp_path / "small.cfg"

@@ -72,6 +72,8 @@ class TestConfig:
             {"snr_db_grid": (20.0, 20.0)},
             {"snr_db_grid": (20.0, float("nan"))},
             {"snr_db_grid": (20.0001, 20.0004)},  # same random streams
+            {"n_train": 1},  # a device needs 2 samples per phase
+            {"n_test": 1},
         ],
     )
     def test_validation_rejects(self, overrides):
