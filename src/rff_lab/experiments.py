@@ -107,6 +107,8 @@ class ExperimentConfig:
                 "snr_db_grid contains duplicates or points under 0.0005 dB apart, "
                 "which would share every random stream"
             )
+        for snr_db in self.snr_db_grid:
+            self.params.sigma_n_for_snr(snr_db)  # raises where the noise std cannot be set
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,11 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Agreement between analytic and empirical silhouette scores."""
+    """Correlation of the empirical silhouette score with accuracy across cells.
+
+    Pearson's r with its permutation-test p-value, and the least-squares line
+    of accuracy on silhouette.
+    """
 
     pearson_r: float
     p_value: float

@@ -58,11 +58,16 @@ __all__ = [
     "mc_ratio_detail",
     "in_regime",
     "MAX_NONFINITE_FRACTION",
+    "MC_WORK_ROWS",
 ]
 
 #: Largest tolerated fraction of non-finite Monte-Carlo draws before the
 #: oracle refuses the parameter point as outside the approximation regime.
 MAX_NONFINITE_FRACTION = 1e-3
+
+#: Rows of the ``work`` scratch `mc_ratio_detail` takes: the cross-difference
+#: form's four draws plus the ratio it builds.
+MC_WORK_ROWS = 5
 
 
 @dataclass(frozen=True)
@@ -187,35 +192,87 @@ def reciprocal_moments(g: GaussianSpec, p: RatioParams) -> GaussianMoments:
     )
 
 
-def _draw_ratio(
-    form: RatioForm, g: GaussianSpec, p: RatioParams, n_draws: int, rng: np.random.Generator
+def _normal_into(
+    row: np.ndarray, loc: float, scale: float, rng: np.random.Generator
+) -> None:
+    """Fill ``row`` with the bits of ``rng.normal(loc, scale, row.size)``.
+
+    numpy draws ``loc + scale * standard_normal``; scaling in place is the
+    same two roundings, and ``+= 0.0`` turns a zero scale's ``-0.0`` into the
+    ``+0.0`` that ``normal(0.0, 0.0)`` gives.
+    """
+    rng.standard_normal(out=row)
+    row *= scale
+    row += loc
+
+
+def _ratio_into(
+    form: RatioForm, g: GaussianSpec, p: RatioParams, rows: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
-    """One vector of i.i.d. realizations of the selected ratio form.
+    """Fill ``rows[-1]`` with i.i.d. realizations of the selected ratio form.
 
     Draw order is fixed (signal variables first, then noises, numerator
-    before denominator) so results are reproducible for a given seed.
+    before denominator) so results are reproducible for a given seed.  Each
+    formula is evaluated in its written operation order, one rounding per
+    operation, so the values are those of the plain array expression.
     """
     mu, sg, sw, rho = g.mean, g.std, p.noise_std, p.rho
-    if form is RatioForm.DIRECT_RATIO:
-        gg = rng.normal(mu, sg, n_draws)
-        w = rng.normal(0.0, sw, n_draws)
-        return gg / (rho * gg + w)
-    if form is RatioForm.PAIRED_PRODUCT:
-        gg = rng.normal(mu, sg, n_draws)
-        w1 = rng.normal(0.0, sw, n_draws)
-        w2 = rng.normal(0.0, sw, n_draws)
-        return gg**2 / ((rho * gg + w1) * (rho * gg + w2))
-    if form is RatioForm.CROSS_DIFFERENCE:
-        g1 = rng.normal(mu, sg, n_draws)
-        g2 = rng.normal(mu, sg, n_draws)
-        w1 = rng.normal(0.0, sw, n_draws)
-        w2 = rng.normal(0.0, sw, n_draws)
-        return (g1 * w2 - g2 * w1) / ((rho * g1 + w1) * (rho * g2 + w2))
-    if form is RatioForm.RECIPROCAL:
-        gg = rng.normal(mu, sg, n_draws)
-        w = rng.normal(0.0, sw, n_draws)
-        return 1.0 / (rho * gg + w)
+    z = rows[-1]
+    if form is RatioForm.DIRECT_RATIO:  # G / (rho*G + W)
+        gg, w = rows[0], rows[1]
+        _normal_into(gg, mu, sg, rng)
+        _normal_into(w, 0.0, sw, rng)
+        np.multiply(gg, rho, out=z)
+        z += w
+        return np.divide(gg, z, out=z)
+    if form is RatioForm.PAIRED_PRODUCT:  # G^2 / ((rho*G + W1)(rho*G + W2))
+        gg, w1, w2 = rows[0], rows[1], rows[2]
+        _normal_into(gg, mu, sg, rng)
+        _normal_into(w1, 0.0, sw, rng)
+        _normal_into(w2, 0.0, sw, rng)
+        np.multiply(gg, rho, out=z)
+        w1 += z
+        w2 += z
+        w1 *= w2
+        np.square(gg, out=z)
+        return np.divide(z, w1, out=z)
+    if form is RatioForm.CROSS_DIFFERENCE:  # (G1*W2 - G2*W1) / ((rho*G1 + W1)(rho*G2 + W2))
+        g1, g2, w1, w2 = rows[0], rows[1], rows[2], rows[3]
+        _normal_into(g1, mu, sg, rng)
+        _normal_into(g2, mu, sg, rng)
+        _normal_into(w1, 0.0, sw, rng)
+        _normal_into(w2, 0.0, sw, rng)
+        np.multiply(g1, w2, out=z)
+        g1 *= rho
+        g1 += w1  # rho*G1 + W1
+        w1 *= g2  # G2*W1
+        z -= w1
+        np.multiply(g2, rho, out=w1)
+        w1 += w2  # rho*G2 + W2
+        g1 *= w1
+        return np.divide(z, g1, out=z)
+    if form is RatioForm.RECIPROCAL:  # 1 / (rho*G + W)
+        gg, w = rows[0], rows[1]
+        _normal_into(gg, mu, sg, rng)
+        _normal_into(w, 0.0, sw, rng)
+        np.multiply(gg, rho, out=z)
+        z += w
+        return np.divide(1.0, z, out=z)
     raise ValueError(f"unknown ratio form: {form!r}")
+
+
+def _mean_and_se(x: np.ndarray, deviation: np.ndarray) -> tuple[float, float]:
+    """``x.mean()`` and ``x.std(ddof=1) / sqrt(n)`` by numpy's own steps.
+
+    ``deviation`` is scratch of ``x``'s size for the squared deviations.
+    """
+    n = x.size
+    mean = np.add.reduce(x) / n
+    np.subtract(x, mean, out=deviation)
+    np.square(deviation, out=deviation)
+    std = np.sqrt(np.add.reduce(deviation) / (n - 1))
+    return float(mean), float(std / math.sqrt(n))
 
 
 def mc_ratio_detail(
@@ -224,20 +281,43 @@ def mc_ratio_detail(
     p: RatioParams,
     n_draws: int,
     seed: int,
+    *,
+    work: np.ndarray | None = None,
 ) -> McRatioResult:
     """Monte-Carlo moments of a ratio form, with standard errors.
 
     Non-finite draws (denominator zero-crossings) are excluded from the
     moments and reported via ``nonfinite_fraction``; more than 0.1% of them
     raises, signaling parameters outside the approximation regime.
+
+    ``work`` is the caller's scratch: a float64 array of ``MC_WORK_ROWS``
+    contiguous rows of at least ``n_draws`` each, which holds every draw,
+    intermediate and deviation of the call.  A caller making many calls
+    allocates it once and passes it to each, so no call allocates or
+    page-faults a draw-sized array; its contents on entry are ignored.
+    ``None`` allocates one for this call.  The result does not depend on it.
     """
     if n_draws < 10**4:
         raise ValueError(f"n_draws must be >= 1e4, got {n_draws}")
+    if work is None:
+        work = np.empty((MC_WORK_ROWS, n_draws))
+    elif not (
+        work.dtype == np.float64
+        and work.ndim == 2
+        and work.shape[0] == MC_WORK_ROWS
+        and work.shape[1] >= n_draws
+        and work.strides[1] == work.itemsize
+    ):
+        raise ValueError(
+            f"work must be float64 with {MC_WORK_ROWS} contiguous rows of at "
+            f"least {n_draws} draws, got {work.dtype} {work.shape}"
+        )
+    rows = work[:, :n_draws]
     rng = np.random.default_rng(seed)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = _draw_ratio(form, g, p, n_draws, rng)
+        z = _ratio_into(form, g, p, rows, rng)
     finite = np.isfinite(z)
-    n_eff = int(finite.sum())
+    n_eff = int(np.count_nonzero(finite))
     nonfinite_fraction = 1.0 - n_eff / n_draws
     if nonfinite_fraction > MAX_NONFINITE_FRACTION:
         raise ValueError(
@@ -245,15 +325,17 @@ def mc_ratio_detail(
             f"(> {MAX_NONFINITE_FRACTION:.2%}); parameters are outside the "
             "approximation regime"
         )
-    z = z[finite]
-    z2 = z**2
-    mean = float(z.mean())
-    second = float(z2.mean())
+    # z sits in the last row; the first three are free for the statistics
+    if n_eff < n_draws:
+        z = np.compress(finite, z, out=rows[0, :n_eff])
+    z2 = np.square(z, out=rows[1, :n_eff])
+    deviation = rows[2, :n_eff]
+    mean, se_mean = _mean_and_se(z, deviation)
+    second, se_second = _mean_and_se(z2, deviation)
     return McRatioResult(
         moments=GaussianMoments(mean=mean, second_moment=second),
-        se_mean=float(z.std(ddof=1) / math.sqrt(n_eff)),
-        se_second_moment=float(z2.std(ddof=1) / math.sqrt(n_eff)),
+        se_mean=se_mean,
+        se_second_moment=se_second,
         n_effective=n_eff,
         nonfinite_fraction=nonfinite_fraction,
     )
-

@@ -195,6 +195,17 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match=f"{attribute} must be >= 2, got 1"):
             parse_config(f"{key} = 1\n")
 
+    def test_snr_whose_noise_std_overflows_is_rejected_at_parse(self):
+        # checked per grid point when the config is built, before any trial runs
+        with pytest.raises(
+            ConfigError, match=r"configuration invalid: snr_db=-7000\.0 is out of range"
+        ):
+            parse_config("experiment.snr_db_grid = -7000\n")
+
+    def test_zero_reference_amplitude_is_rejected_at_parse(self):
+        with pytest.raises(ConfigError, match="reference amplitude is 0"):
+            parse_config("model.mu_u = 0\n")
+
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
 

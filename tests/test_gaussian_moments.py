@@ -1,13 +1,17 @@
 """Closed-form ratio moments against hand values and Monte-Carlo oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import oracle_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rff_lab.gaussian_moments import (
+    MAX_NONFINITE_FRACTION,
+    MC_WORK_ROWS,
     GaussianSpec,
     RatioForm,
     RatioParams,
@@ -203,6 +207,88 @@ def test_oracle_reports_effective_draws():
     assert 0.0 <= detail.nonfinite_fraction <= 1e-3
     assert detail.se_mean > 0.0
     assert detail.se_second_moment > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the oracle against its plain-expression reference
+# ---------------------------------------------------------------------------
+
+MAX_TEST_DRAWS = 60_000
+
+oracle_points = st.tuples(
+    st.sampled_from(list(RatioForm)),
+    st.floats(0.5, 4.0) | st.floats(-4.0, -0.5),   # mu_g
+    st.just(0.0) | st.floats(0.0, 0.3),             # sigma_g
+    st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),  # rho
+    st.just(0.0) | st.floats(0.0, 0.3),             # sigma_w
+    st.integers(10**4, MAX_TEST_DRAWS),             # n_draws
+    st.integers(0, 2**32 - 1),                      # seed
+)
+
+
+@given(st.lists(oracle_points, min_size=2, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_oracle_equals_the_reference_with_and_without_a_reused_work(points):
+    """Every field equals the reference, with ``work=None`` and with one
+    NaN-filled buffer reused across the calls, so no stale row leaks."""
+    work = np.full((MC_WORK_ROWS, MAX_TEST_DRAWS), np.nan)
+    for form, mu_g, sigma_g, rho, sigma_w, n_draws, seed in points:
+        g, p = GaussianSpec(mu_g, sigma_g**2), RatioParams(rho, sigma_w**2)
+        expected = reference.mc_ratio_detail(form, g, p, n_draws, seed)
+        assert mc_ratio_detail(form, g, p, n_draws, seed) == expected
+        assert mc_ratio_detail(form, g, p, n_draws, seed, work=work) == expected
+
+
+def test_oracle_partial_nonfinite_share_equals_the_reference():
+    """A few draws overflow and are dropped; the rest still give the reference.
+
+    G ~ N(1e154, (1e153)^2) squares past the largest float (about 1.34e154
+    squared) in about 3e-4 of the draws, so those ratios are inf/inf = NaN.
+    With rho = 0.5 the denominator stays below G^2, and every other draw is a
+    finite ratio near 1/rho^2 = 4.
+    """
+    g, p = GaussianSpec(1e154, 1e306), RatioParams(0.5, 1e304)
+    n_draws = 10**5
+    work = np.full((MC_WORK_ROWS, n_draws), np.nan)
+    detail = mc_ratio_detail(RatioForm.PAIRED_PRODUCT, g, p, n_draws, SEED, work=work)
+    assert 0.0 < detail.nonfinite_fraction <= MAX_NONFINITE_FRACTION
+    assert detail.n_effective < n_draws
+    assert detail == reference.mc_ratio_detail(RatioForm.PAIRED_PRODUCT, g, p, n_draws, SEED)
+    assert detail.moments.mean == pytest.approx(4.0, rel=1e-2)
+
+
+def test_oracle_with_a_reused_work_allocates_no_draw_sized_array():
+    """Each call peaks below one float64 array of n_draws (the finite mask is 1/8)."""
+    n_draws = 10**5
+    work = np.empty((MC_WORK_ROWS, n_draws))
+    g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
+    mc_ratio_detail(RatioForm.DIRECT_RATIO, g, p, n_draws, SEED, work=work)  # warm up
+    for form in RatioForm:
+        tracemalloc.start()
+        try:
+            mc_ratio_detail(form, g, p, n_draws, SEED, work=work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_draws, (form, peak / (8 * n_draws))
+
+
+@pytest.mark.parametrize(
+    "work",
+    [
+        np.empty((MC_WORK_ROWS - 1, 10**4)),
+        np.empty((MC_WORK_ROWS, 10**4 - 1)),
+        np.empty((MC_WORK_ROWS, 10**4), dtype=np.float32),
+        np.empty((10**4, MC_WORK_ROWS)).T,
+    ],
+    ids=["few-rows", "short-rows", "float32", "strided-rows"],
+)
+def test_oracle_rejects_a_work_that_cannot_hold_the_draws(work):
+    with pytest.raises(ValueError, match="work must be float64"):
+        mc_ratio_detail(
+            RatioForm.DIRECT_RATIO, GaussianSpec(1.0, 0.0), RatioParams(1.0, 0.0),
+            10**4, SEED, work=work,
+        )
 
 
 # ---------------------------------------------------------------------------
