@@ -8,16 +8,29 @@ dropped for containing non-finite values.
 
 A *sweep* runs ``n_trials`` independent trials for every (scenario, method,
 SNR) cell of the grid and aggregates means and standard errors, pairing each
-cell with its closed-form expected silhouette score.
+cell with its closed-form expected silhouette score.  Every cell's closed
+form is evaluated before any trial runs, so a sweep with a form that is not
+finite fails before it starts.
 
-Layout: a trial holds one ``(D, N, K)`` train tensor and one ``(D, N, K)``
-test tensor (device, sample, subcarrier).  Extraction fills each in one
-call, every device drawing from its own streams, and every later stage runs
-once per phase over the whole tensor.  One non-finite screen gives a
-``(D, N)`` kept mask per phase: a row with any non-finite entry is zeroed,
-counted as dropped, and left out of the silhouette and the classifier, which
-take the tensor and its kept mask as they are.  A device with fewer than 2
-kept rows in either phase aborts the trial with a ValueError.
+Layout: a trial works in two draw blocks, one per phase, each a
+``(D, 3, N, K)`` tensor (device, slab, sample, subcarrier).  Extraction fills
+a phase's blocks in one call, every device drawing from its own streams,
+and leaves the ``(D, N, K)`` features in slab 0 (`extract_batch`); every
+later stage runs once per phase over the whole tensor.  One non-finite
+screen gives a ``(D, N)`` kept mask per phase: a row with any non-finite
+entry is zeroed, counted as dropped, and left out of the silhouette and the
+classifier, which take the tensor and its kept mask as they are.  A device
+with fewer than 2 kept rows in either phase aborts the trial with a
+ValueError.  The draws are dead after extraction, so normalization writes
+its output into slab 1 and its squared deviations into slab 2.
+
+The two blocks live in a *workspace*: a float64 array of two contiguous
+rows, train then test, each the flat buffer of one phase's blocks.  Each
+thread that runs trials, serially or in a pool worker process, keeps one,
+sized for the largest K of the sweep's methods, and every trial of every
+cell views its rows' ``(D, 3, N, K)`` prefixes, so no trial allocates or
+page-faults its own blocks.  The workspace outlives the sweep and is
+reallocated only for a sweep whose trials it cannot hold.
 
 Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
@@ -36,7 +49,9 @@ bit-identical to one seeded from a `SeedSequence` of the tuple.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -291,25 +306,80 @@ def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
     return kept
 
 
+def _work_size(cfg: ExperimentConfig, k: int) -> int:
+    """Entries of a workspace row: the draw block of the larger phase at K subcarriers."""
+    return cfg.n_devices * 3 * max(cfg.n_train, cfg.n_test) * k
+
+
+#: each thread's workspace, kept between sweeps (see `_workspace`)
+_local = threading.local()
+
+
+def _workspace(cfg: ExperimentConfig) -> np.ndarray:
+    """This thread's workspace, reallocated only when a trial of ``cfg`` would not fit.
+
+    It outlives the sweep that allocated it, so the thread's next sweep (or,
+    in a pool worker, its next cell) writes into pages already mapped instead
+    of faulting in fresh ones.  It holds a trial of every method of ``cfg``.
+    """
+    k = max(method.subcarriers(cfg.params) for method in cfg.methods)
+    size = _work_size(cfg, k)
+    work = getattr(_local, "work", None)
+    if work is None or work.shape[1] < size:
+        work = _local.work = np.empty((len(Phase), size))
+    return work
+
+
 def run_trial(
     cfg: ExperimentConfig,
     scenario: ChannelScenario,
     method: Method,
     snr_db: float,
     trial_index: int,
+    *,
+    work: np.ndarray | None = None,
 ) -> TrialResult:
     """One independent population simulation; deterministic in its indices.
 
     Samples with non-finite features are counted and left out of the silhouette
     and the classifier; a device left with fewer than 2 in a phase is a ValueError.
+
+    ``work`` is the caller's scratch, the trial's draw blocks: a float64 array
+    of 2 contiguous rows (train, test) of at least ``3 D N K`` entries, N the
+    larger phase.  A caller running many trials allocates it once and passes
+    it to each; its contents on entry are ignored.  ``None`` allocates one
+    for this call.  The result does not depend on it.
     """
     params = cfg.params.with_snr(snr_db)
+    k = method.subcarriers(params)
+    size = _work_size(cfg, k)
+    if work is None:
+        work = np.empty((len(Phase), size))
+    elif not (
+        work.dtype == np.float64
+        and work.ndim == 2
+        and work.shape[0] == len(Phase)
+        and work.shape[1] >= size
+        and work.strides[1] == work.itemsize
+    ):
+        raise ValueError(
+            f"work must be float64 with {len(Phase)} contiguous rows of at least "
+            f"{size} entries, got {work.dtype} {work.shape}"
+        )
+    train_blocks, test_blocks = (
+        row[: cfg.n_devices * 3 * n * k].reshape(cfg.n_devices, 3, n, k)
+        for row, n in zip(work, (cfg.n_train, cfg.n_test))
+    )
     streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
-    trial = init_trial_channel(scenario, params.channel, method.subcarriers(params), streams[0])
+    trial = init_trial_channel(scenario, params.channel, k, streams[0])
 
     fp = draw_fingerprint(params, streams[1::3])
-    train = extract_batch(method, params, fp, trial, Phase.TRAIN, cfg.n_train, streams[2::3])
-    test = extract_batch(method, params, fp, trial, Phase.TEST, cfg.n_test, streams[3::3])
+    train = extract_batch(
+        method, params, fp, trial, Phase.TRAIN, cfg.n_train, streams[2::3], blocks=train_blocks
+    )
+    test = extract_batch(
+        method, params, fp, trial, Phase.TEST, cfg.n_test, streams[3::3], blocks=test_blocks
+    )
 
     train_kept = _screen_nonfinite(train)
     test_kept = _screen_nonfinite(test)
@@ -324,8 +394,10 @@ def run_trial(
     n_total = cfg.n_devices * (cfg.n_train + cfg.n_test)
     n_dropped = n_total - int(counts.sum())
 
-    train_norm = normalize_block(train)[0]
-    test_norm = normalize_block(test)[0]
+    # The draws in slabs 1 and 2 are dead: they take the normalized features
+    # and the squared deviations.
+    train_norm = normalize_block(train, out=train_blocks[:, 1], square=train_blocks[:, 2])[0]
+    test_norm = normalize_block(test, out=test_blocks[:, 1], square=test_blocks[:, 2])[0]
     score = silhouette_from_normalized(train_norm, test_norm, train_kept, test_kept)
 
     if cfg.classify_normalized:
@@ -345,19 +417,22 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _run_cell(
-    args: tuple[ExperimentConfig, ChannelScenario, Method, float]
-) -> SweepRecord:
-    cfg, scenario, method, snr_db = args
+#: (config, scenario, method, snr_db, closed-form expected silhouette)
+_Cell = tuple[ExperimentConfig, ChannelScenario, Method, float, float]
+
+
+def _run_cell(cell: _Cell) -> SweepRecord:
+    cfg, scenario, method, snr_db, analytic = cell
+    work = _workspace(cfg)
     results = [
-        run_trial(cfg, scenario, method, snr_db, trial) for trial in range(cfg.n_trials)
+        run_trial(cfg, scenario, method, snr_db, trial, work=work)
+        for trial in range(cfg.n_trials)
     ]
     sil = np.array([r.silhouette for r in results])
     acc = np.array([r.accuracy for r in results])
     nonfinite = np.array([r.nonfinite_rate for r in results])
     sil_mean, sil_se = _mean_and_stderr(sil)
     acc_mean, acc_se = _mean_and_stderr(acc)
-    analytic = expected_silhouette(method, scenario, cfg.params.with_snr(snr_db))
     return SweepRecord(
         scenario=scenario,
         method=method,
@@ -371,24 +446,27 @@ def _run_cell(
     )
 
 
-def _sorted_cells(
-    cfg: ExperimentConfig,
-) -> list[tuple[ExperimentConfig, ChannelScenario, Method, float]]:
-    cells = [
-        (cfg, scenario, method, snr_db)
-        for scenario in cfg.scenarios
-        for method in cfg.methods
-        for snr_db in cfg.snr_db_grid
+def _sorted_cells(cfg: ExperimentConfig) -> list[_Cell]:
+    """Every grid cell in record order, carrying its closed form, evaluated here."""
+    keys = sorted(
+        itertools.product(cfg.scenarios, cfg.methods, cfg.snr_db_grid),
+        key=lambda c: (c[0].value, c[1].value, c[2]),
+    )
+    return [
+        (cfg, scenario, method, snr_db,
+         expected_silhouette(method, scenario, cfg.params.with_snr(snr_db)))
+        for scenario, method, snr_db in keys
     ]
-    cells.sort(key=lambda c: (c[1].value, c[2].value, c[3]))
-    return cells
 
 
 def run_sweep(cfg: ExperimentConfig, n_threads: int = 1) -> list[SweepRecord]:
     """All grid cells, sorted by (scenario, method, snr_db).
 
     ``n_threads > 1`` distributes cells over worker processes; results do not
-    depend on the worker count.
+    depend on the worker count.  Every cell's closed form is evaluated here,
+    before any trial runs or worker starts: one that is not finite raises
+    its ValueError first.  Each thread or worker process that runs trials
+    reuses one workspace (see `run_trial`) for all of them.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")

@@ -68,23 +68,31 @@ def device_tensor(
     return samples, kept
 
 
-def normalize_block(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def normalize_block(
+    matrix: np.ndarray, *, out: np.ndarray | None = None, square: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Z-normalize every row of an ``(..., K)`` array across its K entries.
 
     Returns the normalized array and a boolean array over the rows (the input
     shape without its last axis) marking degenerate rows: a constant row
     cannot be normalized and maps to all zeros instead.
+
+    ``out`` receives the normalized array and ``square`` the squared
+    deviations, float64 arrays of the input's shape that overlap neither it
+    nor each other; ``None`` allocates them.  The result does not depend on
+    them.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim < 2 or matrix.shape[-1] < 2:
         raise ValueError(f"expected an (..., n, K>=2) array, got shape {matrix.shape}")
     # The steps of np.std, keeping the centered rows for the output.
-    centered = matrix - matrix.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True))
+    centered = np.subtract(matrix, matrix.mean(axis=-1, keepdims=True), out=out)
+    squared = np.multiply(centered, centered, out=square)
+    std = np.sqrt(squared.mean(axis=-1, keepdims=True))
     degenerate = std[..., 0] == 0.0
-    out = centered / np.where(std == 0.0, 1.0, std)
-    out[degenerate] = 0.0
-    return out, degenerate
+    normalized = np.divide(centered, np.where(std == 0.0, 1.0, std), out=centered)
+    normalized[degenerate] = 0.0
+    return normalized, degenerate
 
 
 def _score(

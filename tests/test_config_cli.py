@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rff_lab import experiments
 from rff_lab.channel import ChannelScenario
 from rff_lab.cli import (
     CSV_HEADER,
@@ -403,7 +405,10 @@ class TestCliSweep:
         if code == 2:
             assert "error: " in capsys.readouterr().err
 
-    def test_too_few_finite_samples_exits_2(self, tmp_path, capsys):
+    def test_too_few_finite_samples_exits_2(self, tmp_path, capsys, monkeypatch):
+        # This channel's closed form is not finite either, and the sweep
+        # checks every closed form first; a finite stand-in lets the trials run.
+        monkeypatch.setattr(experiments, "expected_silhouette", lambda *args: 0.0)
         config_path = tmp_path / "subnormal.cfg"
         config_path.write_text(SUBNORMAL_CHANNEL, encoding="utf-8")
         code = main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "out.csv")])
@@ -411,6 +416,39 @@ class TestCliSweep:
         assert "error: device 0 train set has fewer than 2 finite samples" in (
             capsys.readouterr().err
         )
+
+    def test_closed_forms_are_checked_before_any_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the closed forms were checked")
+
+        monkeypatch.setattr(experiments, "run_trial", no_trials)
+        config_path = tmp_path / "subnormal.cfg"
+        config_path.write_text(
+            SUBNORMAL_CHANNEL.replace("methods = cr", "methods = raw,cr"), encoding="utf-8"
+        )
+        code = main(["sweep", "--config", str(config_path), "--threads", "2",
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "error: cr closed form is not finite in the train phase" in (
+            capsys.readouterr().err
+        )
+
+    def test_overflowing_channel_exits_2_before_any_warning(self, tmp_path, capsys):
+        """The closed form fails first, so no trial overflows a feature and warns."""
+        config_path = tmp_path / "overflow.cfg"
+        config_path.write_text(
+            "experiment.n_devices = 2\nexperiment.scenarios = iid\n"
+            "experiment.methods = raw\nexperiment.snr_db_grid = 30\n"
+            "channel.sigma_h = 1e200\n",
+            encoding="utf-8",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["sweep", "--config", str(config_path), "--trials", "2",
+                         "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err == "error: raw closed form is not finite in the train phase\n"
 
     @given(
         overrides=st.fixed_dictionaries(

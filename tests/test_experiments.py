@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +26,7 @@ from rff_lab.experiments import (
     run_sweep,
     run_trial,
 )
-from rff_lab.experiments import _screen_nonfinite, _snr_stream_key, _trial_streams
+from rff_lab.experiments import _screen_nonfinite, _snr_stream_key, _trial_streams, _workspace
 from rff_lab.signal_model import Method
 from rff_lab.silhouette import normalize_block
 from silhouette_reference import definition_lda, definition_silhouette
@@ -141,8 +144,18 @@ class TestRunSweep:
             assert r.silhouette_analytic == pytest.approx(expected, rel=1e-12)
 
     def test_worker_count_does_not_change_results(self):
-        cfg = small_config()
-        assert run_sweep(cfg, n_threads=1) == run_sweep(cfg, n_threads=2)
+        # the second config makes each worker reuse its workspace across
+        # subcarrier counts (SL's 12, PC's 52) and scenarios
+        for cfg in (
+            small_config(),
+            small_config(
+                scenarios=(ChannelScenario.DETERMINISTIC, ChannelScenario.IID_STOCHASTIC),
+                methods=(Method.SL, Method.PC),
+                n_train=9,
+                n_test=7,
+            ),
+        ):
+            assert run_sweep(cfg, n_threads=1) == run_sweep(cfg, n_threads=2)
 
     def test_default_grid_bytes_are_pinned(self):
         """One trial per default cell at seed 42 reproduces these exact bytes.
@@ -157,6 +170,23 @@ class TestRunSweep:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "f4412c16e9e216c0ffc36fcc4099c88b79e8924bf266a774766357bdb657fec7"
         )
+
+    def test_concurrent_sweeps_in_threads_keep_their_own_workspaces(self):
+        """Sweeps on 4 threads at once, of two sizes, give the serial records."""
+        configs = (
+            small_config(methods=(Method.SL, Method.PC), n_trials=2),
+            small_config(n_devices=5, n_train=11, n_test=6, n_trials=2),
+        )
+        expected = [run_sweep(cfg) for cfg in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run_sweep, configs[i % 2]) for i in range(8)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected[i % 2] for i in range(8)]
 
     def test_rejects_nonpositive_thread_count(self):
         with pytest.raises(ValueError, match="n_threads"):
@@ -177,6 +207,95 @@ class TestRunSweep:
         assert low.snr_db == 0.0 and high.snr_db == 40.0
         assert high.accuracy > low.accuracy
         assert high.silhouette_empirical > low.silhouette_empirical
+
+
+#: (scenario, method, classify_normalized, poisoned, trial_index) of one cell
+WORKSPACE_CELL = st.tuples(
+    st.sampled_from(list(ChannelScenario)),
+    st.sampled_from(list(Method)),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 3),
+)
+
+
+class TestWorkspace:
+    @given(
+        cells=st.lists(WORKSPACE_CELL, min_size=2, max_size=6),
+        n_devices=st.integers(2, 5),
+        n_train=st.integers(3, 9),
+        n_test=st.integers(3, 9),
+    )
+    # K = 52 after SL's 12 and back; deterministic after stochastic, so slab
+    # 0 holds stale CSI draws; RAW after a ratio method; poisoned rows
+    @example(
+        cells=[
+            (ChannelScenario.IID_STOCHASTIC, Method.CR, True, False, 0),
+            (ChannelScenario.DETERMINISTIC, Method.SL, False, True, 1),
+            (ChannelScenario.DETERMINISTIC, Method.RC, True, False, 2),
+            (ChannelScenario.NON_IID_STOCHASTIC, Method.RAW, False, True, 3),
+            (ChannelScenario.DETERMINISTIC, Method.PC, True, True, 0),
+        ],
+        n_devices=4,
+        n_train=7,
+        n_test=4,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_a_shared_workspace_gives_the_results_of_fresh_ones(
+        self, cells, n_devices, n_train, n_test
+    ):
+        cfg = small_config(
+            methods=tuple(Method), n_devices=n_devices, n_train=n_train, n_test=n_test
+        )
+        work = _workspace(cfg)
+        work.fill(np.nan)
+        for scenario, method, classify_normalized, poisoned, trial_index in cells:
+            cell_cfg = replace(cfg, classify_normalized=classify_normalized)
+            with pytest.MonkeyPatch.context() as patch:
+                if poisoned:  # one non-finite row per device and phase
+                    TestNonfiniteHandling._poison(patch, lambda call: 1)
+                fresh = run_trial(cell_cfg, scenario, method, 25.0, trial_index)
+                shared = run_trial(cell_cfg, scenario, method, 25.0, trial_index, work=work)
+            assert shared == fresh
+            assert (shared.nonfinite_rate > 0.0) == poisoned
+
+    def test_a_supplied_workspace_keeps_the_draw_blocks_out_of_the_trial(self):
+        """With a workspace, a trial peaks below one draw block (D x 3 x N x K floats)."""
+        cfg = small_config(n_devices=10, n_train=100, n_test=100, methods=tuple(Method))
+        block_bytes = 10 * 3 * 100 * 52 * 8
+        work = _workspace(cfg)
+        scenario = ChannelScenario.IID_STOCHASTIC
+
+        def peak(method, work) -> int:
+            tracemalloc.start()
+            try:
+                run_trial(cfg, scenario, method, 25.0, 1, work=work)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_trial(cfg, scenario, Method.CR, 25.0, 0, work=work)  # warm up
+        for method in (Method.RAW, Method.CR, Method.PC, Method.RC):
+            assert peak(method, work) < block_bytes, method
+        assert peak(Method.CR, None) > 2 * block_bytes  # the guard sees the blocks
+
+    @pytest.mark.parametrize(
+        "work",
+        [
+            np.empty((1, 3 * 3 * 8 * 52)),
+            np.empty((3, 3 * 3 * 8 * 52)),
+            np.empty((2, 3 * 3 * 8 * 52 - 1)),
+            np.empty((2, 3 * 3 * 8 * 52), dtype=np.float32),
+            np.empty((3 * 3 * 8 * 52, 2)).T,
+        ],
+        ids=["few-rows", "extra-rows", "short-rows", "float32", "strided-rows"],
+    )
+    def test_run_trial_rejects_a_workspace_that_cannot_hold_the_trial(self, work):
+        # small_config: 3 devices x 8 samples per phase, CR on 52 subcarriers
+        with pytest.raises(ValueError, match="work must be float64"):
+            run_trial(
+                small_config(), ChannelScenario.IID_STOCHASTIC, Method.CR, 20.0, 0, work=work
+            )
 
 
 def records_of(pairs) -> list[SweepRecord]:
@@ -329,8 +448,8 @@ class TestNonfiniteHandling:
         recorded = {}
         values = (np.nan, np.inf, -np.inf)
 
-        def extract(method, params, fp, trial, phase, n_samples, rngs):
-            block = real(method, params, fp, trial, phase, n_samples, rngs)
+        def extract(method, params, fp, trial, phase, n_samples, rngs, **kwargs):
+            block = real(method, params, fp, trial, phase, n_samples, rngs, **kwargs)
             for device, batch in enumerate(block):
                 call = 2 * device + (phase is Phase.TEST)
                 rows = np.random.default_rng(call).choice(n_samples, drops(call), replace=False)

@@ -292,6 +292,26 @@ def test_extraction_deterministic_given_rng():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        np.empty((1, 2, 4, 52)),
+        np.empty((1, 3, 5, 52)),
+        np.empty((1, 3, 4, 52), dtype=np.float32),
+        np.empty((1, 3, 4, 104))[..., ::2],
+    ],
+    ids=["two-slabs", "wrong-samples", "float32", "strided"],
+)
+def test_extraction_rejects_blocks_that_cannot_hold_the_phase(blocks):
+    p = BASE_PARAMS.with_snr(20.0)
+    fp = draw_fingerprint(p, [np.random.default_rng(1)])
+    with pytest.raises(ValueError, match="blocks must be C-contiguous float64"):
+        extract_batch(
+            Method.PC, p, fp, det_trial(p), Phase.TRAIN, 4, [np.random.default_rng(9)],
+            blocks=blocks,
+        )
+
+
 # ---------------------------------------------------------------------------
 # whole-phase extraction against the per-device reference
 # ---------------------------------------------------------------------------
@@ -334,7 +354,10 @@ def _outcome(extract):
 def test_whole_phase_extraction_matches_the_per_device_reference(
     method, scenario, n_devices, n_samples, snr_db, channel, gains, seed
 ):
-    """Every byte of both phases and both fingerprints equals a stack of per-device calls."""
+    """Every byte of both phases and both fingerprints equals a stack of per-device calls.
+
+    So do both phases extracted into one reused ``blocks`` array.
+    """
     x, f_ra, f_ta, f_ru, f_tu_l = gains  # after the SNR mapping, which they would move
     params = replace(
         replace(BASE_PARAMS, channel=channel).with_snr(snr_db),
@@ -346,13 +369,20 @@ def test_whole_phase_extraction_matches_the_per_device_reference(
         children = np.random.SeedSequence(seed).spawn(3 * n_devices + 1)
         return [np.random.default_rng(child) for child in children]
 
-    rngs = streams()
-    trial = init_trial_channel(scenario, params.channel, k, rngs[0])
-    fp = draw_fingerprint(params, rngs[1::3])
-    whole = [
-        _outcome(lambda: extract_batch(method, params, fp, trial, phase, n_samples, phase_rngs))
-        for phase, phase_rngs in ((Phase.TRAIN, rngs[2::3]), (Phase.TEST, rngs[3::3]))
-    ]
+    def whole_phases(blocks):
+        rngs = streams()
+        trial = init_trial_channel(scenario, params.channel, k, rngs[0])
+        fp = draw_fingerprint(params, rngs[1::3])
+        return fp, [
+            _outcome(lambda: extract_batch(
+                method, params, fp, trial, phase, n_samples, phase_rngs, blocks=blocks
+            ).copy())
+            for phase, phase_rngs in ((Phase.TRAIN, rngs[2::3]), (Phase.TEST, rngs[3::3]))
+        ]
+
+    fp, whole = whole_phases(None)
+    # both phases reuse one caller's blocks, whose stale contents are ignored
+    _, reused = whole_phases(np.full((n_devices, 3, n_samples, k), np.nan))
 
     rngs = streams()
     trial = init_trial_channel(scenario, params.channel, k, rngs[0])
@@ -367,7 +397,7 @@ def test_whole_phase_extraction_matches_the_per_device_reference(
 
     assert fp.tu.tobytes() == np.stack([f.tu for f in fps]).tobytes()
     assert fp.tu_s.tobytes() == np.stack([f.tu_s for f in fps]).tobytes()
-    for got, expected in zip(whole, per_device):
+    for got, expected in zip(whole + reused, per_device * 2):
         if isinstance(expected, str):
             assert got == expected
         else:
