@@ -50,7 +50,6 @@ from .experiments import (
     run_sweep,
 )
 from .gaussian_moments import (
-    MC_WORK_ROWS,
     GaussianSpec,
     RatioForm,
     RatioParams,
@@ -245,15 +244,13 @@ def cmd_validate_claims(args: argparse.Namespace) -> int:
     ]
     n_failures = 0
     n_rows = 0
-    # one scratch for every oracle call: each draw-sized row is faulted in once
-    work = np.empty((MC_WORK_ROWS, args.draws))
     for point_index, (mu_g, sigma_g, rho, sigma_w) in enumerate(points):
         g = GaussianSpec(mean=mu_g, variance=sigma_g**2)
         p = RatioParams(rho=rho, noise_variance=sigma_w**2)
         gated = in_regime(g, p)
         for form_index, form in enumerate(RatioForm):
             seed = _validation_seed(args.seed, point_index, form_index)
-            mc = mc_ratio_detail(form, g, p, args.draws, seed, work=work)
+            mc = mc_ratio_detail(form, g, p, args.draws, seed)
             for quantity, predicted in CLOSED_FORMS[form](g, p).items():
                 n_rows += 1
                 observed = getattr(mc.moments, quantity)

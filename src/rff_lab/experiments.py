@@ -24,13 +24,11 @@ with fewer than 2 kept rows in either phase aborts the trial with a
 ValueError.  The draws are dead after extraction, so normalization writes
 its output into slab 1 and its squared deviations into slab 2.
 
-The two blocks live in a *workspace*: a float64 array of two contiguous
-rows, train then test, each the flat buffer of one phase's blocks.  Each
-thread that runs trials, serially or in a pool worker process, keeps one,
-sized for the largest K of the sweep's methods, and every trial of every
-cell views its rows' ``(D, 3, N, K)`` prefixes, so no trial allocates or
-page-faults its own blocks.  The workspace outlives the sweep and is
-reallocated only for a sweep whose trials it cannot hold.
+The two blocks are the two rows, train then test, of the thread's scratch
+buffer (`rff_lab._scratch`), each row the flat buffer of one phase's blocks.
+Each thread that runs trials, serially or in a pool worker process, keeps
+that buffer until it exits and grows it only for a trial it cannot hold, so
+no trial allocates or page-faults its own blocks.
 
 Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
@@ -51,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,6 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classifier
+from ._scratch import scratch
 from .analytic import expected_silhouette
 from .channel import ChannelParams, ChannelScenario, Phase, init_trial_channel
 from .signal_model import Method, ModelParams, draw_fingerprint, extract_batch
@@ -306,66 +304,24 @@ def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
     return kept
 
 
-def _work_size(cfg: ExperimentConfig, k: int) -> int:
-    """Entries of a workspace row: the draw block of the larger phase at K subcarriers."""
-    return cfg.n_devices * 3 * max(cfg.n_train, cfg.n_test) * k
-
-
-#: each thread's workspace, kept between sweeps (see `_workspace`)
-_local = threading.local()
-
-
-def _workspace(cfg: ExperimentConfig) -> np.ndarray:
-    """This thread's workspace, reallocated only when a trial of ``cfg`` would not fit.
-
-    It outlives the sweep that allocated it, so the thread's next sweep (or,
-    in a pool worker, its next cell) writes into pages already mapped instead
-    of faulting in fresh ones.  It holds a trial of every method of ``cfg``.
-    """
-    k = max(method.subcarriers(cfg.params) for method in cfg.methods)
-    size = _work_size(cfg, k)
-    work = getattr(_local, "work", None)
-    if work is None or work.shape[1] < size:
-        work = _local.work = np.empty((len(Phase), size))
-    return work
-
-
 def run_trial(
     cfg: ExperimentConfig,
     scenario: ChannelScenario,
     method: Method,
     snr_db: float,
     trial_index: int,
-    *,
-    work: np.ndarray | None = None,
 ) -> TrialResult:
     """One independent population simulation; deterministic in its indices.
 
     Samples with non-finite features are counted and left out of the silhouette
     and the classifier; a device left with fewer than 2 in a phase is a ValueError.
 
-    ``work`` is the caller's scratch, the trial's draw blocks: a float64 array
-    of 2 contiguous rows (train, test) of at least ``3 D N K`` entries, N the
-    larger phase.  A caller running many trials allocates it once and passes
-    it to each; its contents on entry are ignored.  ``None`` allocates one
-    for this call.  The result does not depend on it.
+    The draw blocks live in this thread's scratch buffer (see the module
+    docstring), which the result does not depend on.
     """
     params = cfg.params.with_snr(snr_db)
     k = method.subcarriers(params)
-    size = _work_size(cfg, k)
-    if work is None:
-        work = np.empty((len(Phase), size))
-    elif not (
-        work.dtype == np.float64
-        and work.ndim == 2
-        and work.shape[0] == len(Phase)
-        and work.shape[1] >= size
-        and work.strides[1] == work.itemsize
-    ):
-        raise ValueError(
-            f"work must be float64 with {len(Phase)} contiguous rows of at least "
-            f"{size} entries, got {work.dtype} {work.shape}"
-        )
+    work = scratch(len(Phase), cfg.n_devices * 3 * max(cfg.n_train, cfg.n_test) * k)
     train_blocks, test_blocks = (
         row[: cfg.n_devices * 3 * n * k].reshape(cfg.n_devices, 3, n, k)
         for row, n in zip(work, (cfg.n_train, cfg.n_test))
@@ -423,11 +379,7 @@ _Cell = tuple[ExperimentConfig, ChannelScenario, Method, float, float]
 
 def _run_cell(cell: _Cell) -> SweepRecord:
     cfg, scenario, method, snr_db, analytic = cell
-    work = _workspace(cfg)
-    results = [
-        run_trial(cfg, scenario, method, snr_db, trial, work=work)
-        for trial in range(cfg.n_trials)
-    ]
+    results = [run_trial(cfg, scenario, method, snr_db, trial) for trial in range(cfg.n_trials)]
     sil = np.array([r.silhouette for r in results])
     acc = np.array([r.accuracy for r in results])
     nonfinite = np.array([r.nonfinite_rate for r in results])
@@ -465,8 +417,7 @@ def run_sweep(cfg: ExperimentConfig, n_threads: int = 1) -> list[SweepRecord]:
     ``n_threads > 1`` distributes cells over worker processes; results do not
     depend on the worker count.  Every cell's closed form is evaluated here,
     before any trial runs or worker starts: one that is not finite raises
-    its ValueError first.  Each thread or worker process that runs trials
-    reuses one workspace (see `run_trial`) for all of them.
+    its ValueError first.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")

@@ -45,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scratch import scratch
+
 __all__ = [
     "GaussianSpec",
     "RatioParams",
@@ -58,16 +60,15 @@ __all__ = [
     "mc_ratio_detail",
     "in_regime",
     "MAX_NONFINITE_FRACTION",
-    "MC_WORK_ROWS",
 ]
 
 #: Largest tolerated fraction of non-finite Monte-Carlo draws before the
 #: oracle refuses the parameter point as outside the approximation regime.
 MAX_NONFINITE_FRACTION = 1e-3
 
-#: Rows of the ``work`` scratch `mc_ratio_detail` takes: the cross-difference
-#: form's four draws plus the ratio it builds.
-MC_WORK_ROWS = 5
+#: Rows of `mc_ratio_detail`'s scratch: the cross-difference form's four
+#: draws plus the ratio it builds.
+_MC_ROWS = 5
 
 
 @dataclass(frozen=True)
@@ -281,8 +282,6 @@ def mc_ratio_detail(
     p: RatioParams,
     n_draws: int,
     seed: int,
-    *,
-    work: np.ndarray | None = None,
 ) -> McRatioResult:
     """Monte-Carlo moments of a ratio form, with standard errors.
 
@@ -290,29 +289,15 @@ def mc_ratio_detail(
     moments and reported via ``nonfinite_fraction``; more than 0.1% of them
     raises, signaling parameters outside the approximation regime.
 
-    ``work`` is the caller's scratch: a float64 array of ``MC_WORK_ROWS``
-    contiguous rows of at least ``n_draws`` each, which holds every draw,
-    intermediate and deviation of the call.  A caller making many calls
-    allocates it once and passes it to each, so no call allocates or
-    page-faults a draw-sized array; its contents on entry are ignored.
-    ``None`` allocates one for this call.  The result does not depend on it.
+    Every draw, intermediate and deviation of the call lives in this
+    thread's scratch buffer (`rff_lab._scratch`), so a thread making many
+    calls allocates no draw-sized array after its largest one.  The thread
+    keeps that buffer until it exits: 40 MB after a call of 10^6 draws.  The
+    result does not depend on it.
     """
     if n_draws < 10**4:
         raise ValueError(f"n_draws must be >= 1e4, got {n_draws}")
-    if work is None:
-        work = np.empty((MC_WORK_ROWS, n_draws))
-    elif not (
-        work.dtype == np.float64
-        and work.ndim == 2
-        and work.shape[0] == MC_WORK_ROWS
-        and work.shape[1] >= n_draws
-        and work.strides[1] == work.itemsize
-    ):
-        raise ValueError(
-            f"work must be float64 with {MC_WORK_ROWS} contiguous rows of at "
-            f"least {n_draws} draws, got {work.dtype} {work.shape}"
-        )
-    rows = work[:, :n_draws]
+    rows = scratch(_MC_ROWS, n_draws)
     rng = np.random.default_rng(seed)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = _ratio_into(form, g, p, rows, rng)

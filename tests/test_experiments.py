@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rff_lab import experiments
+from rff_lab import _scratch, experiments
 from rff_lab.analytic import expected_silhouette
 from rff_lab.channel import ChannelScenario, Phase
 from rff_lab.cli import format_records_csv
@@ -26,7 +27,8 @@ from rff_lab.experiments import (
     run_sweep,
     run_trial,
 )
-from rff_lab.experiments import _screen_nonfinite, _snr_stream_key, _trial_streams, _workspace
+from rff_lab.experiments import _screen_nonfinite, _snr_stream_key, _trial_streams
+from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
 from rff_lab.signal_model import Method
 from rff_lab.silhouette import normalize_block
 from silhouette_reference import definition_lda, definition_silhouette
@@ -172,21 +174,29 @@ class TestRunSweep:
         )
 
     def test_concurrent_sweeps_in_threads_keep_their_own_workspaces(self):
-        """Sweeps on 4 threads at once, of two sizes, give the serial records."""
-        configs = (
-            small_config(methods=(Method.SL, Method.PC), n_trials=2),
-            small_config(n_devices=5, n_train=11, n_test=6, n_trials=2),
-        )
-        expected = [run_sweep(cfg) for cfg in configs]
+        """Sweeps of two sizes and oracle calls, interleaved on 4 threads at
+        once, give their serial results.
+
+        Each oracle call needs more scratch than either sweep (5 x 2e4 or 3e4
+        entries against 2 x 8580), so a thread's buffer grows mid-run.
+        """
+        g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
+        jobs = [
+            (run_sweep, small_config(methods=(Method.SL, Method.PC), n_trials=2)),
+            (mc_ratio_detail, RatioForm.CROSS_DIFFERENCE, g, p, 2 * 10**4, 3),
+            (run_sweep, small_config(n_devices=5, n_train=11, n_test=6, n_trials=2)),
+            (mc_ratio_detail, RatioForm.PAIRED_PRODUCT, g, p, 3 * 10**4, 4),
+        ]
+        expected = [fn(*args) for fn, *args in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                futures = [pool.submit(run_sweep, configs[i % 2]) for i in range(8)]
+                futures = [pool.submit(*jobs[i % 4]) for i in range(16)]
                 results = [future.result(timeout=120) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert results == [expected[i % 2] for i in range(8)]
+        assert results == [expected[i % 4] for i in range(16)]
 
     def test_rejects_nonpositive_thread_count(self):
         with pytest.raises(ValueError, match="n_threads"):
@@ -209,13 +219,15 @@ class TestRunSweep:
         assert high.silhouette_empirical > low.silhouette_empirical
 
 
-#: (scenario, method, classify_normalized, poisoned, trial_index) of one cell
+#: (scenario, method, classify_normalized, poisoned, trial_index, an oracle
+#: call before this cell) of one cell
 WORKSPACE_CELL = st.tuples(
     st.sampled_from(list(ChannelScenario)),
     st.sampled_from(list(Method)),
     st.booleans(),
     st.booleans(),
     st.integers(0, 3),
+    st.booleans(),
 )
 
 
@@ -227,14 +239,15 @@ class TestWorkspace:
         n_test=st.integers(3, 9),
     )
     # K = 52 after SL's 12 and back; deterministic after stochastic, so slab
-    # 0 holds stale CSI draws; RAW after a ratio method; poisoned rows
+    # 0 holds stale CSI draws; RAW after a ratio method; poisoned rows;
+    # oracle draws left in the buffer
     @example(
         cells=[
-            (ChannelScenario.IID_STOCHASTIC, Method.CR, True, False, 0),
-            (ChannelScenario.DETERMINISTIC, Method.SL, False, True, 1),
-            (ChannelScenario.DETERMINISTIC, Method.RC, True, False, 2),
-            (ChannelScenario.NON_IID_STOCHASTIC, Method.RAW, False, True, 3),
-            (ChannelScenario.DETERMINISTIC, Method.PC, True, True, 0),
+            (ChannelScenario.IID_STOCHASTIC, Method.CR, True, False, 0, False),
+            (ChannelScenario.DETERMINISTIC, Method.SL, False, True, 1, True),
+            (ChannelScenario.DETERMINISTIC, Method.RC, True, False, 2, False),
+            (ChannelScenario.NON_IID_STOCHASTIC, Method.RAW, False, True, 3, False),
+            (ChannelScenario.DETERMINISTIC, Method.PC, True, True, 0, True),
         ],
         n_devices=4,
         n_train=7,
@@ -247,55 +260,42 @@ class TestWorkspace:
         cfg = small_config(
             methods=tuple(Method), n_devices=n_devices, n_train=n_train, n_test=n_test
         )
-        work = _workspace(cfg)
-        work.fill(np.nan)
-        for scenario, method, classify_normalized, poisoned, trial_index in cells:
+        g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
+        # the largest trial here: 2 phases x 5 devices x 3 slabs x 9 samples x 52
+        _scratch.scratch(1, 2 * 5 * 3 * 9 * 52).fill(np.nan)
+        for scenario, method, classify_normalized, poisoned, trial_index, oracle in cells:
             cell_cfg = replace(cfg, classify_normalized=classify_normalized)
+            if oracle:  # fills 5 x 1e4 entries, more than any trial here holds
+                mc_ratio_detail(RatioForm.CROSS_DIFFERENCE, g, p, 10**4, trial_index)
             with pytest.MonkeyPatch.context() as patch:
                 if poisoned:  # one non-finite row per device and phase
                     TestNonfiniteHandling._poison(patch, lambda call: 1)
+                shared = run_trial(cell_cfg, scenario, method, 25.0, trial_index)
+                patch.setattr(_scratch, "_local", threading.local())
                 fresh = run_trial(cell_cfg, scenario, method, 25.0, trial_index)
-                shared = run_trial(cell_cfg, scenario, method, 25.0, trial_index, work=work)
             assert shared == fresh
             assert (shared.nonfinite_rate > 0.0) == poisoned
 
     def test_a_supplied_workspace_keeps_the_draw_blocks_out_of_the_trial(self):
-        """With a workspace, a trial peaks below one draw block (D x 3 x N x K floats)."""
+        """On a warm thread scratch, a trial peaks below one draw block (D x 3 x N x K floats)."""
         cfg = small_config(n_devices=10, n_train=100, n_test=100, methods=tuple(Method))
         block_bytes = 10 * 3 * 100 * 52 * 8
-        work = _workspace(cfg)
         scenario = ChannelScenario.IID_STOCHASTIC
 
-        def peak(method, work) -> int:
+        def peak(method) -> int:
             tracemalloc.start()
             try:
-                run_trial(cfg, scenario, method, 25.0, 1, work=work)
+                run_trial(cfg, scenario, method, 25.0, 1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        run_trial(cfg, scenario, Method.CR, 25.0, 0, work=work)  # warm up
+        run_trial(cfg, scenario, Method.CR, 25.0, 0)  # warm up
         for method in (Method.RAW, Method.CR, Method.PC, Method.RC):
-            assert peak(method, work) < block_bytes, method
-        assert peak(Method.CR, None) > 2 * block_bytes  # the guard sees the blocks
-
-    @pytest.mark.parametrize(
-        "work",
-        [
-            np.empty((1, 3 * 3 * 8 * 52)),
-            np.empty((3, 3 * 3 * 8 * 52)),
-            np.empty((2, 3 * 3 * 8 * 52 - 1)),
-            np.empty((2, 3 * 3 * 8 * 52), dtype=np.float32),
-            np.empty((3 * 3 * 8 * 52, 2)).T,
-        ],
-        ids=["few-rows", "extra-rows", "short-rows", "float32", "strided-rows"],
-    )
-    def test_run_trial_rejects_a_workspace_that_cannot_hold_the_trial(self, work):
-        # small_config: 3 devices x 8 samples per phase, CR on 52 subcarriers
-        with pytest.raises(ValueError, match="work must be float64"):
-            run_trial(
-                small_config(), ChannelScenario.IID_STOCHASTIC, Method.CR, 20.0, 0, work=work
-            )
+            assert peak(method) < block_bytes, method
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_scratch, "_local", threading.local())
+            assert peak(Method.CR) > 2 * block_bytes  # the guard sees the blocks
 
 
 def records_of(pairs) -> list[SweepRecord]:

@@ -1,6 +1,7 @@
 """Closed-form ratio moments against hand values and Monte-Carlo oracles."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rff_lab import _scratch
 from rff_lab.gaussian_moments import (
     MAX_NONFINITE_FRACTION,
-    MC_WORK_ROWS,
     GaussianSpec,
     RatioForm,
     RatioParams,
@@ -22,6 +23,7 @@ from rff_lab.gaussian_moments import (
     paired_product_mean,
     reciprocal_moments,
 )
+from rff_lab.gaussian_moments import _MC_ROWS
 
 SEED = 42
 
@@ -229,14 +231,16 @@ oracle_points = st.tuples(
 @given(st.lists(oracle_points, min_size=2, max_size=4))
 @settings(max_examples=30, deadline=None)
 def test_oracle_equals_the_reference_with_and_without_a_reused_work(points):
-    """Every field equals the reference, with ``work=None`` and with one
-    NaN-filled buffer reused across the calls, so no stale row leaks."""
-    work = np.full((MC_WORK_ROWS, MAX_TEST_DRAWS), np.nan)
+    """Every field equals the reference, on a fresh thread scratch and on the
+    thread's reused one, NaN-filled before each call, so no stale row leaks."""
     for form, mu_g, sigma_g, rho, sigma_w, n_draws, seed in points:
         g, p = GaussianSpec(mu_g, sigma_g**2), RatioParams(rho, sigma_w**2)
         expected = reference.mc_ratio_detail(form, g, p, n_draws, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_scratch, "_local", threading.local())
+            assert mc_ratio_detail(form, g, p, n_draws, seed) == expected
+        _scratch.scratch(_MC_ROWS, n_draws).fill(np.nan)
         assert mc_ratio_detail(form, g, p, n_draws, seed) == expected
-        assert mc_ratio_detail(form, g, p, n_draws, seed, work=work) == expected
 
 
 def test_oracle_partial_nonfinite_share_equals_the_reference():
@@ -249,8 +253,8 @@ def test_oracle_partial_nonfinite_share_equals_the_reference():
     """
     g, p = GaussianSpec(1e154, 1e306), RatioParams(0.5, 1e304)
     n_draws = 10**5
-    work = np.full((MC_WORK_ROWS, n_draws), np.nan)
-    detail = mc_ratio_detail(RatioForm.PAIRED_PRODUCT, g, p, n_draws, SEED, work=work)
+    _scratch.scratch(_MC_ROWS, n_draws).fill(np.nan)
+    detail = mc_ratio_detail(RatioForm.PAIRED_PRODUCT, g, p, n_draws, SEED)
     assert 0.0 < detail.nonfinite_fraction <= MAX_NONFINITE_FRACTION
     assert detail.n_effective < n_draws
     assert detail == reference.mc_ratio_detail(RatioForm.PAIRED_PRODUCT, g, p, n_draws, SEED)
@@ -258,37 +262,19 @@ def test_oracle_partial_nonfinite_share_equals_the_reference():
 
 
 def test_oracle_with_a_reused_work_allocates_no_draw_sized_array():
-    """Each call peaks below one float64 array of n_draws (the finite mask is 1/8)."""
+    """On a warm thread scratch, each call peaks below one float64 array of
+    n_draws (the finite mask is 1/8)."""
     n_draws = 10**5
-    work = np.empty((MC_WORK_ROWS, n_draws))
     g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
-    mc_ratio_detail(RatioForm.DIRECT_RATIO, g, p, n_draws, SEED, work=work)  # warm up
+    mc_ratio_detail(RatioForm.DIRECT_RATIO, g, p, n_draws, SEED)  # warm up
     for form in RatioForm:
         tracemalloc.start()
         try:
-            mc_ratio_detail(form, g, p, n_draws, SEED, work=work)
+            mc_ratio_detail(form, g, p, n_draws, SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_draws, (form, peak / (8 * n_draws))
-
-
-@pytest.mark.parametrize(
-    "work",
-    [
-        np.empty((MC_WORK_ROWS - 1, 10**4)),
-        np.empty((MC_WORK_ROWS, 10**4 - 1)),
-        np.empty((MC_WORK_ROWS, 10**4), dtype=np.float32),
-        np.empty((10**4, MC_WORK_ROWS)).T,
-    ],
-    ids=["few-rows", "short-rows", "float32", "strided-rows"],
-)
-def test_oracle_rejects_a_work_that_cannot_hold_the_draws(work):
-    with pytest.raises(ValueError, match="work must be float64"):
-        mc_ratio_detail(
-            RatioForm.DIRECT_RATIO, GaussianSpec(1.0, 0.0), RatioParams(1.0, 0.0),
-            10**4, SEED, work=work,
-        )
 
 
 # ---------------------------------------------------------------------------
