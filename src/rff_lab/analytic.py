@@ -140,20 +140,34 @@ def _std_product(train: FeatureLaw, test: FeatureLaw) -> float:
     return product**0.5
 
 
+def _cross_terms(
+    method: Method, scenario: ChannelScenario, params: ModelParams
+) -> tuple[float, float, float]:
+    """``(shared, spread, sigma_tr sigma_te)`` of the centered cross moment.
+
+    Same device, ``E[r_tr r_te] - mu_tr mu_te`` is ``shared + spread``;
+    across devices it is ``spread`` alone.  Factored, neither cancels when
+    the fingerprint variance is far below ``mu_t^2``.
+    """
+    train, test, phi_cross = _setup(method, scenario, params)
+    mu_t, sig_t2 = train.fingerprint
+    gain = train.amplitude * test.amplitude
+    shared = gain * sig_t2 * phi_cross
+    std_product = _std_product(train, test)
+    spread = gain * mu_t**2 * (phi_cross - train.phi_mean * test.phi_mean)
+    return shared, spread, std_product
+
+
 def _expected_distance(
     method: Method,
     scenario: ChannelScenario,
     params: ModelParams,
     same_device: bool,
 ) -> float:
-    train, test, phi_cross = _setup(method, scenario, params)
-    mu_t, sig_t2 = train.fingerprint
-    # E[t t']: mu_t^2 + sigma_t^2 for one device, mu_t^2 across two devices
-    fingerprint_sq = mu_t**2 + sig_t2 if same_device else mu_t**2
-    cross = train.amplitude * test.amplitude * fingerprint_sq * phi_cross
-    centered = cross - train.mean * test.mean
+    shared, spread, std_product = _cross_terms(method, scenario, params)
+    centered = spread + shared if same_device else spread
     k = method.subcarriers(params)
-    return k * (2.0 - 2.0 * centered / _std_product(train, test))
+    return k * (2.0 - 2.0 * centered / std_product)
 
 
 def expected_intra(
@@ -174,13 +188,8 @@ def expected_silhouette(
     method: Method, scenario: ChannelScenario, params: ModelParams
 ) -> float:
     """Closed-form expected silhouette score, ``(inter - intra) / inter``."""
-    train, test, phi_cross = _setup(method, scenario, params)
-    mu_t, sig_t2 = train.fingerprint
-    gain = train.amplitude * test.amplitude
-    numerator = gain * sig_t2 * phi_cross
-    denominator = _std_product(train, test) - gain * mu_t**2 * (
-        phi_cross - train.phi_mean * test.phi_mean
-    )
+    numerator, spread, std_product = _cross_terms(method, scenario, params)
+    denominator = std_product - spread
     if denominator <= 0.0:
         raise ValueError(
             "expected inter distance is not positive; score undefined at these "

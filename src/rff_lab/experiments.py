@@ -38,10 +38,11 @@ order.  Two grid points with the same rounded SNR key would share every
 stream, so `ExperimentConfig` rejects such grids.  Stream ids: 0 drives the
 trial channel; device ``d`` uses ``3d + 1`` (fingerprint), ``3d + 2`` (train
 extraction), ``3d + 3`` (test extraction).  A trial seeds its ``3D + 1``
-generators in one vectorised pass (`_trial_streams`): numpy hashes the key's
-words up to the trial index once, and the last hash step, which mixes in the
-stream id, runs over all stream ids at once.  Every generator is
-bit-identical to one seeded from a `SeedSequence` of the tuple.
+generators in one pass (`_trial_streams`): numpy encodes the key up to the
+trial index, mixes it into its pool and seeds each `PCG64`; the library
+replays only the stream id's tail mix and the output hash, over all stream
+ids at once.  Every generator is bit-identical to one seeded from a
+`SeedSequence` of the tuple.
 """
 
 from __future__ import annotations
@@ -203,30 +204,17 @@ def _snr_stream_key(snr_db: float) -> int:
         raise ValueError(f"snr_db={snr_db} is out of range: its millidecibels overflow") from None
 
 
-def _uint32_words(value: int) -> list[int]:
-    """``value`` as `SeedSequence` reads an int: 32-bit words, least significant first."""
-    if value < 0:
-        raise ValueError(f"stream keys must be non-negative, got {value}")
-    words = [value & 0xFFFFFFFF]
-    while value := value >> 32:
-        words.append(value & 0xFFFFFFFF)
-    return words
-
-
 # numpy's `SeedSequence` hash (numpy/random/bit_generator.pyx): the constants
-# of `mix_entropy`'s hashmix and mix steps and of `generate_state`.
-_MASK32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
+# of `mix_entropy`'s hashmix and mix steps and of `generate_state`, in uint32
+# arrays, whose products wrap around as numpy's uint32 hash does.
 _MULT_A = 0x931E8875
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-#: MULT_A**j, j = 0..4: hashmix step j of a tail word (one per pool word) reads
-#: the hash constant at powers j and j + 1 past its start
-_MULT_A_STEPS = np.array([pow(_MULT_A, j, 1 << 32) for j in range(5)], dtype=np.uint64)
+#: INIT_A * MULT_A**j, j = 0..4: past a prefix of n words, hashmix step j of a
+#: tail word (one per pool word) reads these times MULT_A**(4n) at j and j + 1
+_TAIL_CONST = 0x43B0D7E5 * np.array([pow(_MULT_A, j, 1 << 32) for j in range(5)], np.uint32)
 #: INIT_B * MULT_B**i, i = 0..8: the hash constants of generate_state's 8 words
-_OUTPUT_CONST = np.array(
-    [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _MASK32 for i in range(9)], dtype=np.uint64
-)
+_OUTPUT_CONST = 0x8B51F9DD * np.array([pow(0x58F38DED, i, 1 << 32) for i in range(9)], np.uint32)
 
 
 def _xorshift(words: np.ndarray) -> np.ndarray:
@@ -263,16 +251,15 @@ def _trial_streams(
 ) -> list[np.random.Generator]:
     """The trial's ``3D + 1`` generators, indexed by stream id.
 
-    `SeedSequence` reads the tuple ``(master_seed, scenario, method, snr key,
-    trial_index, stream)`` as the concatenation of each int's 32-bit words.
-    The words before the stream id form a prefix of at least 5 words, longer
-    than the 4-word pool, so numpy mixes the stream id in last, as one tail
-    word.  The pool after the prefix is therefore shared: numpy computes it
-    once, and only the stream word's mixing and `generate_state(4, uint64)`
-    are repeated here, vectorised over all stream ids at once, with
-    numpy's own constants and 32-bit wrap-around.  Each `PCG64` is seeded
-    from its row through its own seeding path, so every generator is
-    bit-identical to ``default_rng(SeedSequence(key + (stream,)))``.
+    numpy encodes the key ``(master_seed, scenario, method, snr key,
+    trial_index)`` as its ints' 32-bit words (a negative part is a
+    ValueError) and mixes them into its 4-word pool.  The key takes at least
+    5 words, so the stream id comes after the pool is filled and numpy would
+    mix it in last, as one tail word.  Only that tail mix and
+    `generate_state(4, uint64)`'s output hash are replayed here, over all
+    stream ids at once and in uint32 as numpy computes them.  Each `PCG64`
+    takes its row through its own seeding path (`PrecomputedSeed`), so every
+    generator is bit-identical to ``default_rng(SeedSequence(key + (stream,)))``.
     """
     key = (
         cfg.master_seed,
@@ -281,18 +268,17 @@ def _trial_streams(
         _snr_stream_key(snr_db),
         trial_index,
     )
-    prefix = [word for part in key for word in _uint32_words(part)]
-    pool = np.random.SeedSequence(prefix).pool.astype(np.uint64)
-    # The hash constant after the prefix: 4 + 12 steps for the pool's fill
-    # and all-to-all mix, then 4 per word past the pool.
-    start = _INIT_A * pow(_MULT_A, 4 * len(prefix), 1 << 32) & _MASK32
-    const = start * _MULT_A_STEPS & _MASK32
-    stream = np.arange(3 * cfg.n_devices + 1, dtype=np.uint64)[:, None]
-    hashed = _xorshift((stream ^ const[:-1]) * const[1:] & _MASK32)
-    pool = _xorshift(_MIX_MULT_L * pool - _MIX_MULT_R * hashed & _MASK32)
-    words = _xorshift((np.tile(pool, 2) ^ _OUTPUT_CONST[:-1]) * _OUTPUT_CONST[1:] & _MASK32)
-    # little-endian word pairs, C-contiguous: PCG64 reads each row's buffer
-    state = np.ascontiguousarray(words[:, 0::2] | words[:, 1::2] << 32)
+    pool = np.random.SeedSequence(key).pool
+    # The hash constant after the prefix of n words: 4 + 12 steps for the
+    # pool's fill and all-to-all mix, then 4 per word past the pool.
+    n_words = sum(max(1, (int(part).bit_length() + 31) // 32) for part in key)
+    const = _TAIL_CONST * pow(_MULT_A, 4 * n_words, 1 << 32)
+    stream = np.arange(3 * cfg.n_devices + 1, dtype=np.uint32)[:, None]
+    hashed = _xorshift((stream ^ const[:-1]) * const[1:])
+    pool = _xorshift(_MIX_MULT_L * pool - _MIX_MULT_R * hashed)
+    words = _xorshift((np.tile(pool, 2) ^ _OUTPUT_CONST[:-1]) * _OUTPUT_CONST[1:])
+    # generate_state's packing: little-endian word pairs, one row per stream
+    state = words.astype("<u4").view("<u8").astype(np.uint64)
     seeded = _precomputed_seed_type()
     return [np.random.Generator(np.random.PCG64(seeded(row))) for row in state]
 

@@ -515,7 +515,7 @@ class TestFrozenValues:
         assert len(values) == 105 * (2 * 7 + 3)
         text = " ".join(map(float.hex, values))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "97440158740e7145cd2be6bd88b8d3fb16b832e985e5904d651e27e967a5f530"
+            "b2aa954bd84b91f0a78a39ad32ef0fe04454e7aed555731cae715c8963549551"
         )
 
     def test_zero_noise_collapses_shared_channel_intra(self):
@@ -597,6 +597,18 @@ class TestFrozenValues:
                 expected(Method.RAW, scenario, at(0.1)), rel=1e-12
             )
         assert 0.0 <= expected_intra(Method.RAW, scenario, at(scale)) <= 4 * 52
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-3, 0.1])
+    def test_fingerprint_spread_far_below_its_mean_keeps_the_distances(self, scale):
+        # RAW, one fixed channel shared by both phases, sigma_n = sigma_u =
+        # scale: half of each feature's variance is the fingerprint's, so
+        # intra is K and inter 2K at every scale.  Unfactored, the centered
+        # cross moment cancels against mu_t^2 and intra drifts to 2K.
+        channel = replace(BASE_PARAMS.channel, sigma_h=0.0, sigma_h_non=0.0)
+        p = replace(BASE_PARAMS, sigma_n=scale, sigma_u=scale, channel=channel)
+        scenario = ChannelScenario.DETERMINISTIC
+        assert expected_intra(Method.RAW, scenario, p) == 52.0
+        assert expected_inter(Method.RAW, scenario, p) == 104.0
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     @pytest.mark.parametrize(

@@ -386,6 +386,11 @@ class TestTrialStreams:
     # the shortest word prefix (5 words) and the longest (11 words)
     @example(0, ChannelScenario.DETERMINISTIC, Method.RAW, 0.0, 0, 2)
     @example(2**128 + 1, ChannelScenario.NON_IID_STOCHASTIC, Method.RC, -10.0, 2**40, 40)
+    # where a part's word count steps up: the hash constant reads the count
+    @example(7, ChannelScenario.IID_STOCHASTIC, Method.SL, 30.0, 2**32 - 1, 3)
+    @example(7, ChannelScenario.IID_STOCHASTIC, Method.SL, 30.0, 2**32, 3)
+    @example(2**64 - 1, ChannelScenario.DETERMINISTIC, Method.CR, 20.0, 5, 3)
+    @example(2**64, ChannelScenario.DETERMINISTIC, Method.CR, 20.0, 5, 3)
     def test_each_stream_equals_the_tuple_key(
         self, master_seed, scenario, method, snr_db, trial_index, n_devices
     ):
