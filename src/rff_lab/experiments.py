@@ -12,17 +12,19 @@ cell with its closed-form expected silhouette score.  Every cell's closed
 form is evaluated before any trial runs, so a sweep with a form that is not
 finite fails before it starts.
 
-Layout: a trial works in two draw blocks, one per phase, each a
-``(D, 3, N, K)`` tensor (device, slab, sample, subcarrier).  Extraction fills
-a phase's blocks in one call, every device drawing from its own streams,
-and leaves the ``(D, N, K)`` features in slab 0 (`extract_batch`); every
-later stage runs once per phase over the whole tensor.  One non-finite
-screen gives a ``(D, N)`` kept mask per phase: a row with any non-finite
-entry is zeroed, counted as dropped, and left out of the silhouette and the
-classifier, which take the tensor and its kept mask as they are.  A device
-with fewer than 2 kept rows in either phase aborts the trial with a
-ValueError.  The draws are dead after extraction, so normalization writes
-its output into slab 1 and its squared deviations into slab 2.
+Layout: a trial works in two draw blocks, one per phase, each a slab-major
+``(3, D, N, K)`` tensor (slab, device, sample, subcarrier), so each slab is
+one contiguous ``(D, N, K)`` tensor.  Extraction fills a phase's blocks in
+one call, every device drawing from its own stream with one call per drawn
+slab, and leaves the ``(D, N, K)`` features in slab 0, ``blocks[0]``
+(`extract_batch`); every later stage runs once per phase over whole
+contiguous slabs.  One non-finite screen gives a ``(D, N)`` kept mask per
+phase: a row with any non-finite entry is zeroed, counted as dropped, and
+left out of the silhouette and the classifier, which take the tensor and its
+kept mask as they are.  A device with fewer than 2 kept rows in either phase
+aborts the trial with a ValueError.  The draws are dead after extraction, so
+normalization writes its output into slab 1 and its squared deviations into
+slab 2, both contiguous and disjoint from the features.
 
 The two blocks are the two rows, train then test, of the thread's scratch
 buffer (`rff_lab._scratch`), each row the flat buffer of one phase's blocks.
@@ -307,9 +309,9 @@ def run_trial(
     """
     params = cfg.params.with_snr(snr_db)
     k = method.subcarriers(params)
-    work = scratch(len(Phase), cfg.n_devices * 3 * max(cfg.n_train, cfg.n_test) * k)
+    work = scratch(len(Phase), 3 * cfg.n_devices * max(cfg.n_train, cfg.n_test) * k)
     train_blocks, test_blocks = (
-        row[: cfg.n_devices * 3 * n * k].reshape(cfg.n_devices, 3, n, k)
+        row[: 3 * cfg.n_devices * n * k].reshape(3, cfg.n_devices, n, k)
         for row, n in zip(work, (cfg.n_train, cfg.n_test))
     )
     streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
@@ -336,10 +338,12 @@ def run_trial(
     n_total = cfg.n_devices * (cfg.n_train + cfg.n_test)
     n_dropped = n_total - int(counts.sum())
 
-    # The draws in slabs 1 and 2 are dead: they take the normalized features
-    # and the squared deviations.
-    train_norm = normalize_block(train, out=train_blocks[:, 1], square=train_blocks[:, 2])[0]
-    test_norm = normalize_block(test, out=test_blocks[:, 1], square=test_blocks[:, 2])[0]
+    # The features are slab 0 of the slab-major (3, D, N, K) blocks.  The
+    # draws in slabs 1 and 2 are dead: those two contiguous (D, N, K) slabs,
+    # disjoint from the features, take the normalized features and the
+    # squared deviations.
+    train_norm = normalize_block(train, out=train_blocks[1], square=train_blocks[2])[0]
+    test_norm = normalize_block(test, out=test_blocks[1], square=test_blocks[2])[0]
     score = silhouette_from_normalized(train_norm, test_norm, train_kept, test_kept)
 
     if cfg.classify_normalized:

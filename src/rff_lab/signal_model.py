@@ -256,17 +256,19 @@ def extract_batch(
 ) -> np.ndarray:
     """(D, n_samples, K) raw features of one phase; may contain non-finite entries.
 
-    Device ``d`` draws one block of standard normals from ``rngs[d]``: the CSI
-    block first (none in the deterministic scenario), then the noise blocks in
-    formula reading order (numerator then denominator noise for SL/CR;
-    denominator then additive noise for PC/RC).  The draws fill ``blocks``, a
-    C-contiguous float64 ``(D, 3, n_samples, K)`` array: slab 0 the CSI,
-    slabs 1 and 2 the noises (RAW draws one noise and leaves slab 2 alone).
-    The arithmetic then runs once over the phase, in place, and the features
-    overwrite slab 0: the result is the view ``blocks[:, 0]``.  A caller
-    running many phases passes the same ``blocks`` to each, so no call
-    allocates (and page-faults) its own; their contents on entry are
-    ignored.  ``None`` allocates them for this call.
+    The draws fill ``blocks``, a C-contiguous float64 ``(3, D, n_samples, K)``
+    array laid out slab-major: slab 0 the CSI, slabs 1 and 2 the noises (RAW
+    draws one noise and leaves slab 2 alone), each slab one contiguous
+    ``(D, n_samples, K)`` tensor.  Device ``d`` draws its standard normals
+    from ``rngs[d]``, one call per drawn slab into ``blocks[s, d]``: the CSI
+    first (none in the deterministic scenario), then the noises in formula
+    reading order (numerator then denominator noise for SL/CR; denominator
+    then additive noise for PC/RC).  The arithmetic then runs once over the
+    phase, in place, on whole slabs, and the features overwrite slab 0: the
+    result is ``blocks[0]``, C-contiguous.  A caller running many phases
+    passes the same ``blocks`` to each, so no call allocates (and
+    page-faults) its own; their contents on entry are ignored.  ``None``
+    allocates them for this call.
     """
     k = method.subcarriers(params)
     if trial.n_subcarriers != k:
@@ -274,7 +276,7 @@ def extract_batch(
     if method is not Method.RAW:
         csi_law = trial.params.for_phase(trial.scenario, phase)
         law = phase_law(ratio_law, method, params, csi_law, phase)
-    shape = (len(rngs), 3, n_samples, k)
+    shape = (3, len(rngs), n_samples, k)
     if blocks is None:
         blocks = np.empty(shape)
     elif not (blocks.dtype == np.float64 and blocks.shape == shape and blocks.flags.c_contiguous):
@@ -282,25 +284,26 @@ def extract_batch(
             f"blocks must be C-contiguous float64 of shape {shape}, "
             f"got {blocks.dtype} {blocks.shape}"
         )
-    drawn = slice(0 if trial.fixed_csi is None else 1, 2 if method is Method.RAW else 3)
-    for rng, block in zip(rngs, blocks):  # the deterministic scenario draws no CSI
-        rng.standard_normal(out=block[drawn])
+    drawn = range(0 if trial.fixed_csi is None else 1, 2 if method is Method.RAW else 3)
+    for d, rng in enumerate(rngs):  # the deterministic scenario draws no CSI
+        for s in drawn:
+            rng.standard_normal(out=blocks[s, d])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        csi = sample_csi_block(trial, phase, blocks[:, 0])
-        noise = blocks[:, 1 : drawn.stop]
+        csi = sample_csi_block(trial, phase, blocks[0])
+        noise = blocks[1 : drawn.stop]
         noise *= params.sigma_n
         noise += 0.0  # as numpy's normal(0.0, sigma_n) does: -0.0 becomes 0.0
         if method is Method.RAW:  # f_ra*H*tu*x, in place of H
             csi *= params.f_ra
             csi *= fp.tu[:, None]
             csi *= params.x
-            return np.add(csi, noise[:, 0], out=csi)
-        denominator = noise[:, int(law.noise_in_numerator)]
+            return np.add(csi, noise[0], out=csi)
+        denominator = noise[int(law.noise_in_numerator)]
         denominator += law.rho * csi
         csi *= law.amplitude  # the signal a*H*t, in place of H
         csi *= (fp.tu_s if law.short_preamble else fp.tu)[:, None]
         if law.noise_in_numerator:
-            np.add(csi, noise[:, 0], out=csi)
+            np.add(csi, noise[0], out=csi)
             return np.divide(csi, denominator, out=csi)
         np.divide(csi, denominator, out=csi)
-        return np.add(csi, noise[:, 1], out=csi)
+        return np.add(csi, noise[1], out=csi)

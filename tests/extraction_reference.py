@@ -1,8 +1,9 @@
 """Per-device reference extraction: one device, one phase, one call at a time.
 
 `rff_lab.signal_model.extract_batch` draws a whole phase at once, one
-standard-normal block per device, and runs the feature arithmetic once over
-the ``(D, N, K)`` tensor.  The functions here are the definitional form it is
+standard-normal call per device and drawn slab of its slab-major
+``(3, D, N, K)`` blocks, and runs the feature arithmetic once over the
+``(D, N, K)`` slabs.  The functions here are the definitional form it is
 checked against: each device's fingerprints and each (device, phase) batch
 come from ``rng.normal`` calls on that device's own stream, in the documented
 draw order, and every feature law is one expression.  Stacking the batches

@@ -277,7 +277,7 @@ class TestWorkspace:
             assert (shared.nonfinite_rate > 0.0) == poisoned
 
     def test_a_supplied_workspace_keeps_the_draw_blocks_out_of_the_trial(self):
-        """On a warm thread scratch, a trial peaks below one draw block (D x 3 x N x K floats)."""
+        """On a warm thread scratch, a trial peaks below one draw block (3 x D x N x K floats)."""
         cfg = small_config(n_devices=10, n_train=100, n_test=100, methods=tuple(Method))
         block_bytes = 10 * 3 * 100 * 52 * 8
         scenario = ChannelScenario.IID_STOCHASTIC
@@ -296,6 +296,41 @@ class TestWorkspace:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_scratch, "_local", threading.local())
             assert peak(Method.CR) > 2 * block_bytes  # the guard sees the blocks
+
+
+    @pytest.mark.parametrize("method", [Method.RAW, Method.SL, Method.PC])
+    def test_each_stage_runs_on_contiguous_disjoint_slabs(self, monkeypatch, method):
+        """Extraction returns slab 0 of its blocks; normalization writes into slabs 1 and 2.
+
+        Every slab of the slab-major (3, D, N, K) blocks is C-contiguous, and
+        the normalized features and squared deviations share no memory with
+        the features they come from.
+        """
+        real_extract, real_normalize = experiments.extract_batch, experiments.normalize_block
+        features, normalized = [], []
+
+        def extract(*args, blocks, **kwargs):
+            result = real_extract(*args, blocks=blocks, **kwargs)
+            assert result.flags.c_contiguous and result.shape == blocks.shape[1:]
+            assert result.__array_interface__ == blocks[0].__array_interface__
+            features.append(result)
+            return result
+
+        def normalize(matrix, *, out, square):
+            normalized.append((matrix, out, square))
+            return real_normalize(matrix, out=out, square=square)
+
+        monkeypatch.setattr(experiments, "extract_batch", extract)
+        monkeypatch.setattr(experiments, "normalize_block", normalize)
+        cfg = small_config(n_devices=4, n_train=6, n_test=5)
+        run_trial(cfg, ChannelScenario.IID_STOCHASTIC, method, 25.0, 0)
+        assert len(features) == len(normalized) == 2
+        for feature, (matrix, out, square) in zip(features, normalized):
+            assert matrix is feature
+            assert out.flags.c_contiguous and square.flags.c_contiguous
+            assert out.shape == square.shape == feature.shape
+            for a, b in ((out, feature), (square, feature), (out, square)):
+                assert not np.shares_memory(a, b)
 
 
 def records_of(pairs) -> list[SweepRecord]:

@@ -293,23 +293,22 @@ def test_extraction_deterministic_given_rng():
 
 
 @pytest.mark.parametrize(
-    "blocks",
+    ("n_devices", "blocks"),
     [
-        np.empty((1, 2, 4, 52)),
-        np.empty((1, 3, 5, 52)),
-        np.empty((1, 3, 4, 52), dtype=np.float32),
-        np.empty((1, 3, 4, 104))[..., ::2],
+        (1, np.empty((2, 1, 4, 52))),
+        (1, np.empty((3, 1, 5, 52))),
+        (1, np.empty((3, 1, 4, 52), dtype=np.float32)),
+        (1, np.empty((3, 1, 4, 104))[..., ::2]),
+        (2, np.empty((2, 3, 4, 52))),  # the (D, 3, N, K) device-major layout
     ],
-    ids=["two-slabs", "wrong-samples", "float32", "strided"],
+    ids=["two-slabs", "wrong-samples", "float32", "strided", "device-major"],
 )
-def test_extraction_rejects_blocks_that_cannot_hold_the_phase(blocks):
+def test_extraction_rejects_blocks_that_cannot_hold_the_phase(n_devices, blocks):
     p = BASE_PARAMS.with_snr(20.0)
-    fp = draw_fingerprint(p, [np.random.default_rng(1)])
+    rngs = [np.random.default_rng(seed) for seed in range(n_devices)]
+    fp = draw_fingerprint(p, rngs)
     with pytest.raises(ValueError, match="blocks must be C-contiguous float64"):
-        extract_batch(
-            Method.PC, p, fp, det_trial(p), Phase.TRAIN, 4, [np.random.default_rng(9)],
-            blocks=blocks,
-        )
+        extract_batch(Method.PC, p, fp, det_trial(p), Phase.TRAIN, 4, rngs, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +349,10 @@ def _outcome(extract):
 @example(
     Method.SL, ChannelScenario.IID_STOCHASTIC, 12, 30, 30.0, CHANNELS[2], [1.0] * 4 + [0.5], 0
 )
+# the per-slab draw calls of a deterministic trial: PC's start at slab 1 and
+# span slabs 1 and 2, RAW's fill slab 1 alone
+@example(Method.PC, ChannelScenario.DETERMINISTIC, 5, 7, 30.0, CHANNELS[0], [1.0] * 5, 11)
+@example(Method.RAW, ChannelScenario.DETERMINISTIC, 3, 4, 30.0, CHANNELS[0], [1.0] * 5, 12)
 @settings(max_examples=300, deadline=None)
 def test_whole_phase_extraction_matches_the_per_device_reference(
     method, scenario, n_devices, n_samples, snr_db, channel, gains, seed
@@ -382,7 +385,7 @@ def test_whole_phase_extraction_matches_the_per_device_reference(
 
     fp, whole = whole_phases(None)
     # both phases reuse one caller's blocks, whose stale contents are ignored
-    _, reused = whole_phases(np.full((n_devices, 3, n_samples, k), np.nan))
+    _, reused = whole_phases(np.full((3, n_devices, n_samples, k), np.nan))
 
     rngs = streams()
     trial = init_trial_channel(scenario, params.channel, k, rngs[0])

@@ -84,11 +84,17 @@ def test_normalize_block_of_a_tensor_matches_each_matrix():
         np.testing.assert_array_equal(block[device], rows)
         np.testing.assert_array_equal(degenerate[device], flags)
     assert degenerate.sum() == 1 and degenerate[2, 1]
-    # into slabs of a stale (D, 3, N, K) block, as a trial does: the same bytes
-    slabs = np.full((4, 3, 6, 5), np.nan)
-    into, flags = normalize_block(tensor, out=slabs[:, 1], square=slabs[:, 2])
-    assert np.shares_memory(into, slabs[:, 1])
-    assert into.tobytes() == block.tobytes() and np.array_equal(flags, degenerate)
+    # into the slabs of a stale block, interleaved (D, 3, N, K) or slab-major
+    # (3, D, N, K) as a trial's: the same bytes
+    interleaved = np.full((4, 3, 6, 5), np.nan)
+    slab_major = np.full((3, 4, 6, 5), np.nan)
+    for out, square in (
+        (interleaved[:, 1], interleaved[:, 2]),
+        (slab_major[1], slab_major[2]),
+    ):
+        into, flags = normalize_block(tensor, out=out, square=square)
+        assert np.shares_memory(into, out)
+        assert into.tobytes() == block.tobytes() and np.array_equal(flags, degenerate)
 
 
 def test_device_tensor_checks_the_mask_and_zeroes_dropped_rows():
