@@ -212,7 +212,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _write_out(args.out, text)
     print(
         f"sweep: {len(records)} records, {cfg.n_trials} trials/cell, "
-        f"{wall:.1f} s with {n_threads} thread(s)",
+        f"{wall:.1f} s with {n_threads} worker process(es)",
         file=sys.stderr,
     )
     return 0

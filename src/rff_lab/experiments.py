@@ -32,10 +32,27 @@ Each thread that runs trials, serially or in a pool worker process, keeps
 that buffer until it exits and grows it only for a trial it cannot hold, so
 no trial allocates or page-faults its own blocks.
 
+A trial runs in two stages.  *Fill* is the per-device standard-normal calls
+into both phases' blocks; *score* is everything after the draws: the
+feature arithmetic, the screen, normalization, the silhouette and the
+classifier.  `run_trial` runs them back to back (fill and arithmetic
+together in `extract_batch`).  A sweep with one worker process instead
+draws ahead when the process may run on at least 2 CPUs and the grid's
+smallest fill call, ``min(n_train, n_test)`` times its smallest K, holds at
+least `_MIN_DRAW_AHEAD_FILL` normals: it walks the (cell, trial) jobs in
+record order, and while it scores one job on the calling thread, a helper
+thread fills the next one into the other half of a 4-row scratch.  numpy
+releases the GIL while it fills, so the draws run on the second core.  The
+helper calls nothing a benchmark tracer replaces; stream seeding, the
+trial channel and the fingerprints stay on the calling thread.  A process
+pool keeps the back-to-back trials, since its workers leave no core spare.
+
 Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
 stream_id)``; results are bit-identical for a given configuration no matter
 how many worker processes run the sweep, and independent of trial execution
+order and of which thread fills a stream's blocks: each stream is drawn
+whole by one thread, in its own order, and each cell is reduced in trial
 order.  Two grid points with the same rounded SNR key would share every
 stream, so `ExperimentConfig` rejects such grids.  Stream ids: 0 drives the
 trial channel; device ``d`` uses ``3d + 1`` (fingerprint), ``3d + 2`` (train
@@ -49,10 +66,12 @@ ids at once.  Every generator is bit-identical to one seeded from a
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,8 +80,9 @@ import numpy as np
 from . import classifier
 from ._scratch import scratch
 from .analytic import expected_silhouette
-from .channel import ChannelParams, ChannelScenario, Phase, init_trial_channel
-from .signal_model import Method, ModelParams, draw_fingerprint, extract_batch
+from .channel import ChannelParams, ChannelScenario, Phase, TrialChannel, init_trial_channel
+from .signal_model import Fingerprints, Method, ModelParams, draw_fingerprint, extract_batch
+from .signal_model import _block_features, _fill, _phase_draws
 from .silhouette import normalize_block, silhouette_from_normalized
 
 __all__ = [
@@ -292,6 +312,67 @@ def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
     return kept
 
 
+@dataclass(frozen=True)
+class _Job:
+    """A trial set up on the calling thread and ready to fill: its seeded
+    streams, trial channel, fingerprints and both phases' draw blocks."""
+
+    cfg: ExperimentConfig
+    snr_db: float
+    params: ModelParams
+    method: Method
+    trial: TrialChannel
+    fp: Fingerprints
+    streams: list[np.random.Generator]
+    blocks: tuple[np.ndarray, np.ndarray]  # train, test: (3, D, N, K) each
+
+    def phases(self):
+        """(phase, samples, extraction streams, draw blocks) of train, then test."""
+        return zip(
+            (Phase.TRAIN, Phase.TEST),
+            (self.cfg.n_train, self.cfg.n_test),
+            (self.streams[2::3], self.streams[3::3]),
+            self.blocks,
+        )
+
+
+def _row_size(cfg: ExperimentConfig, methods: Sequence[Method]) -> int:
+    """Entries of one phase's draw blocks, ``(3, D, N, K)``, in ``methods``' largest trial."""
+    k = max(method.subcarriers(cfg.params) for method in methods)
+    return 3 * cfg.n_devices * max(cfg.n_train, cfg.n_test) * k
+
+
+def _set_up(
+    cfg: ExperimentConfig,
+    scenario: ChannelScenario,
+    method: Method,
+    snr_db: float,
+    trial_index: int,
+    rows: np.ndarray,
+) -> _Job:
+    """Seed the trial's streams, draw its channel and fingerprints, and view
+    ``rows`` (train, test) as its draw blocks."""
+    params = cfg.params.with_snr(snr_db)
+    k = method.subcarriers(params)
+    blocks = tuple(
+        row[: 3 * cfg.n_devices * n * k].reshape(3, cfg.n_devices, n, k)
+        for row, n in zip(rows, (cfg.n_train, cfg.n_test))
+    )
+    streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
+    trial = init_trial_channel(scenario, params.channel, k, streams[0])
+    fp = draw_fingerprint(params, streams[1::3])
+    return _Job(cfg, snr_db, params, method, trial, fp, streams, blocks)
+
+
+def _score(job: _Job) -> TrialResult:
+    """The score stage of a filled trial: the features, then every later stage."""
+    features = (
+        _block_features(job.method, job.params, job.fp, job.trial, phase, blocks)
+        for phase, _, _, blocks in job.phases()
+    )
+    return _score_features(job, *features)
+
+
 def run_trial(
     cfg: ExperimentConfig,
     scenario: ChannelScenario,
@@ -307,24 +388,20 @@ def run_trial(
     The draw blocks live in this thread's scratch buffer (see the module
     docstring), which the result does not depend on.
     """
-    params = cfg.params.with_snr(snr_db)
-    k = method.subcarriers(params)
-    work = scratch(len(Phase), 3 * cfg.n_devices * max(cfg.n_train, cfg.n_test) * k)
-    train_blocks, test_blocks = (
-        row[: 3 * cfg.n_devices * n * k].reshape(3, cfg.n_devices, n, k)
-        for row, n in zip(work, (cfg.n_train, cfg.n_test))
+    rows = scratch(len(Phase), _row_size(cfg, [method]))
+    job = _set_up(cfg, scenario, method, snr_db, trial_index, rows)
+    features = (
+        extract_batch(
+            method, job.params, job.fp, job.trial, phase, n, rngs, blocks=blocks
+        )
+        for phase, n, rngs, blocks in job.phases()
     )
-    streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
-    trial = init_trial_channel(scenario, params.channel, k, streams[0])
+    return _score_features(job, *features)
 
-    fp = draw_fingerprint(params, streams[1::3])
-    train = extract_batch(
-        method, params, fp, trial, Phase.TRAIN, cfg.n_train, streams[2::3], blocks=train_blocks
-    )
-    test = extract_batch(
-        method, params, fp, trial, Phase.TEST, cfg.n_test, streams[3::3], blocks=test_blocks
-    )
 
+def _score_features(job: _Job, train: np.ndarray, test: np.ndarray) -> TrialResult:
+    """Every stage after extraction, on the features in slab 0 of each phase's blocks."""
+    cfg = job.cfg
     train_kept = _screen_nonfinite(train)
     test_kept = _screen_nonfinite(test)
     counts = np.stack([train_kept.sum(axis=1), test_kept.sum(axis=1)], axis=1)
@@ -333,10 +410,11 @@ def run_trial(
         device, phase = short[0]
         raise ValueError(
             f"device {device} {(Phase.TRAIN, Phase.TEST)[phase].value} set has "
-            f"fewer than 2 finite samples at snr_db={snr_db}"
+            f"fewer than 2 finite samples at snr_db={job.snr_db}"
         )
     n_total = cfg.n_devices * (cfg.n_train + cfg.n_test)
     n_dropped = n_total - int(counts.sum())
+    train_blocks, test_blocks = job.blocks
 
     # The features are slab 0 of the slab-major (3, D, N, K) blocks.  The
     # draws in slabs 1 and 2 are dead: those two contiguous (D, N, K) slabs,
@@ -368,8 +446,13 @@ _Cell = tuple[ExperimentConfig, ChannelScenario, Method, float, float]
 
 
 def _run_cell(cell: _Cell) -> SweepRecord:
-    cfg, scenario, method, snr_db, analytic = cell
-    results = [run_trial(cfg, scenario, method, snr_db, trial) for trial in range(cfg.n_trials)]
+    cfg, scenario, method, snr_db, _ = cell
+    return _record(cell, [run_trial(cfg, scenario, method, snr_db, t) for t in range(cfg.n_trials)])
+
+
+def _record(cell: _Cell, results: Sequence[TrialResult]) -> SweepRecord:
+    """A cell's record, reduced from its trials' results in trial order."""
+    _, scenario, method, snr_db, analytic = cell
     sil = np.array([r.silhouette for r in results])
     acc = np.array([r.accuracy for r in results])
     nonfinite = np.array([r.nonfinite_rate for r in results])
@@ -401,18 +484,91 @@ def _sorted_cells(cfg: ExperimentConfig) -> list[_Cell]:
     ]
 
 
+#: Least standard normals in one fill call, ``min(n_train, n_test)`` times
+#: the grid's smallest K, for a one-worker sweep to draw ahead.  Below it the
+#: helper thread's GIL hand-offs cost more CPU than its draws hide: at 120-240
+#: normals a sweep gained at most 7% in wall time for 26-31% more CPU, at
+#: 600-960 it gained 1.38-1.60x for 1-17% more (2-core VM, numpy 2.4).
+_MIN_DRAW_AHEAD_FILL = 500
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _draws_ahead(cfg: ExperimentConfig) -> bool:
+    """Whether a one-worker sweep of ``cfg`` fills each next trial on a second core."""
+    k = min(method.subcarriers(cfg.params) for method in cfg.methods)
+    return min(cfg.n_train, cfg.n_test) * k >= _MIN_DRAW_AHEAD_FILL and _usable_cpus() >= 2
+
+
+def _run_drawn_ahead(cells: Sequence[_Cell]) -> list[SweepRecord]:
+    """Every trial of ``cells`` in record order, each filled on a helper thread
+    while the trial before it is scored on this one.
+
+    Two jobs are in flight, in the two halves of this thread's scratch (rows
+    0-1 and 2-3), so no fill writes the blocks being scored.  Once job j is
+    scored, this thread sets up job j + 2 in j's half, then fills whatever
+    of job j + 1 the helper has not reached, so neither thread waits long
+    for the other.  The first job to fail, in record order, raises: an error
+    in setting up a later job waits its turn.  The helper is joined on
+    return and on raise.
+    """
+    cfg = cells[0][0]
+    work = scratch(2 * len(Phase), _row_size(cfg, cfg.methods))
+    halves = work[:2], work[2:]
+    jobs = [(cell, trial) for cell in cells for trial in range(cfg.n_trials)]
+    results: list[TrialResult] = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+
+        def queue(j: int):
+            """Job j set up here, its fill queued on the helper; or its set-up's error."""
+            (_, scenario, method, snr_db, _), trial = jobs[j]
+            try:
+                job = _set_up(cfg, scenario, method, snr_db, trial, halves[j % 2])
+            except Exception as error:
+                return error, None, None
+            # one (stream, slabs) pair per phase and device, drained by both
+            # threads; the helper calls nothing a benchmark tracer replaces
+            pending = iter([
+                pair
+                for _, _, rngs, blocks in job.phases()
+                for pair in _phase_draws(job.method, job.trial, rngs, blocks)
+            ])
+            return job, pending, helper.submit(_fill, pending)
+
+        queued = collections.deque(map(queue, range(min(2, len(jobs)))))
+        for j in range(len(jobs)):
+            job, pending, filled = queued.popleft()
+            if filled is None:
+                raise job
+            _fill(pending)
+            filled.result()
+            results.append(_score(job))
+            if j + 2 < len(jobs):
+                queued.append(queue(j + 2))
+    n = cfg.n_trials
+    return [_record(cell, results[i * n : (i + 1) * n]) for i, cell in enumerate(cells)]
+
+
 def run_sweep(cfg: ExperimentConfig, n_threads: int = 1) -> list[SweepRecord]:
     """All grid cells, sorted by (scenario, method, snr_db).
 
     ``n_threads > 1`` distributes cells over worker processes; results do not
-    depend on the worker count.  Every cell's closed form is evaluated here,
-    before any trial runs or worker starts: one that is not finite raises
-    its ValueError first.
+    depend on the worker count.  One worker process draws each next trial
+    on a helper thread when `_draws_ahead` holds, with the same results.
+    Every cell's closed form is evaluated here, before any trial runs or
+    worker starts: one that is not finite raises its ValueError first.
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     cells = _sorted_cells(cfg)
     if n_threads == 1 or len(cells) == 1:
+        if _draws_ahead(cfg):
+            return _run_drawn_ahead(cells)
         return [_run_cell(cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=min(n_threads, len(cells))) as pool:
         return list(pool.map(_run_cell, cells))

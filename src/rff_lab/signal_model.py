@@ -181,9 +181,21 @@ def amplification_factor(
 
         P = (beta^2 mu^2 + 3 beta^2 sigma^2 + 3 sigma_n^2) / (beta^4 mu^4)
     """
-    mu_hc, sigma_hc_sq = scenario_moments
-    g = GaussianSpec(mean=mu_hc, variance=sigma_hc_sq)
-    p = RatioParams(rho=params.beta(), noise_variance=params.sigma_n**2)
+    return _gain(params, *_direct_ratio(params, params.beta(), scenario_moments))
+
+
+def _direct_ratio(
+    params: ModelParams, rho: float, channel_moments: tuple[float, float]
+) -> tuple[GaussianSpec, RatioParams]:
+    """The CSI ``H`` and the ratio ``(rho, sigma_n^2)`` of ``H/(rho*H + N)``."""
+    mu_hc, sigma_hc_sq = channel_moments
+    return (
+        GaussianSpec(mean=mu_hc, variance=sigma_hc_sq),
+        RatioParams(rho=rho, noise_variance=params.sigma_n**2),
+    )
+
+
+def _gain(params: ModelParams, g: GaussianSpec, p: RatioParams) -> float:
     return math.sqrt(params.eta / reciprocal_moments(g, p).second_moment)
 
 
@@ -206,20 +218,31 @@ def ratio_law(
     ``channel_moments`` only matters for RC, whose gain ``alpha`` depends on
     them (see `amplification_factor`).
     """
+    return _ratio_law(method, params, channel_moments)[0]
+
+
+def _ratio_law(
+    method: Method, params: ModelParams, channel_moments: tuple[float, float]
+) -> tuple[RatioLaw, tuple[GaussianSpec, RatioParams] | None]:
+    """`ratio_law`, with the `_direct_ratio` pair that RC's gain was built from.
+
+    Other methods build none and return None in its place.
+    """
     x, f_ra, beta = params.x, params.f_ra, params.beta()
     long = (params.mu_u, params.sigma_u**2)
     if method is Method.SL:
         short = (params.mu_s, params.sigma_s**2)
         return RatioLaw(
             params.gamma(), short, f_ra * x, noise_in_numerator=True, short_preamble=True
-        )
+        ), None
     if method is Method.CR:
-        return RatioLaw(beta, long, f_ra * x, noise_in_numerator=True)
+        return RatioLaw(beta, long, f_ra * x, noise_in_numerator=True), None
     if method is Method.PC:
-        return RatioLaw(beta, long, f_ra * x**2, noise_in_numerator=False)
+        return RatioLaw(beta, long, f_ra * x**2, noise_in_numerator=False), None
     if method is Method.RC:
-        alpha = amplification_factor(params, channel_moments)
-        return RatioLaw(beta, long, alpha * f_ra, noise_in_numerator=False)
+        ratio = _direct_ratio(params, beta, channel_moments)
+        alpha = _gain(params, *ratio)
+        return RatioLaw(beta, long, alpha * f_ra, noise_in_numerator=False), ratio
     raise ValueError(f"{method.value!r} is not a ratio method")
 
 
@@ -269,13 +292,13 @@ def extract_batch(
     passes the same ``blocks`` to each, so no call allocates (and
     page-faults) its own; their contents on entry are ignored.  ``None``
     allocates them for this call.
+
+    The draws (`_phase_draws`, `_fill`) and the arithmetic (`_block_features`)
+    are two halves that a caller may also run apart, on different threads.
     """
     k = method.subcarriers(params)
     if trial.n_subcarriers != k:
         raise ValueError(f"{method.value} needs {k} subcarriers, trial has {trial.n_subcarriers}")
-    if method is not Method.RAW:
-        csi_law = trial.params.for_phase(trial.scenario, phase)
-        law = phase_law(ratio_law, method, params, csi_law, phase)
     shape = (3, len(rngs), n_samples, k)
     if blocks is None:
         blocks = np.empty(shape)
@@ -284,13 +307,52 @@ def extract_batch(
             f"blocks must be C-contiguous float64 of shape {shape}, "
             f"got {blocks.dtype} {blocks.shape}"
         )
+    _fill(_phase_draws(method, trial, rngs, blocks))
+    return _block_features(method, params, fp, trial, phase, blocks)
+
+
+def _phase_draws(
+    method: Method, trial: TrialChannel, rngs: list[np.random.Generator], blocks: np.ndarray
+) -> list[tuple[np.random.Generator, list[np.ndarray]]]:
+    """The draw half of `extract_batch` as work: one ``(stream, slabs)`` pair per device.
+
+    A pair lists the device's drawn slabs in stream order, the CSI first (none
+    in the deterministic scenario), then the noises.  The streams are
+    independent, so `_fill` may take the pairs in any order, on any thread.
+    """
     drawn = range(0 if trial.fixed_csi is None else 1, 2 if method is Method.RAW else 3)
-    for d, rng in enumerate(rngs):  # the deterministic scenario draws no CSI
-        for s in drawn:
-            rng.standard_normal(out=blocks[s, d])
+    return [(rng, [blocks[s, d] for s in drawn]) for d, rng in enumerate(rngs)]
+
+
+def _fill(draws) -> None:
+    """Fill each ``(stream, slabs)`` pair that ``draws`` yields with its standard normals.
+
+    Two threads may drain one iterator over a list of pairs: each pair is
+    taken whole, so each stream still fills its slabs in order.
+    """
+    for rng, slabs in draws:
+        for slab in slabs:
+            rng.standard_normal(out=slab)
+
+
+def _block_features(
+    method: Method,
+    params: ModelParams,
+    fp: Fingerprints,
+    trial: TrialChannel,
+    phase: Phase,
+    blocks: np.ndarray,
+) -> np.ndarray:
+    """The arithmetic half of `extract_batch`: the features of filled blocks, in slab 0.
+
+    A ratio law past the floats is a ValueError (`phase_law`) before any slab is touched.
+    """
+    if method is not Method.RAW:
+        csi_law = trial.params.for_phase(trial.scenario, phase)
+        law = phase_law(ratio_law, method, params, csi_law, phase)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         csi = sample_csi_block(trial, phase, blocks[0])
-        noise = blocks[1 : drawn.stop]
+        noise = blocks[1:2] if method is Method.RAW else blocks[1:]
         noise *= params.sigma_n
         noise += 0.0  # as numpy's normal(0.0, sigma_n) does: -0.0 becomes 0.0
         if method is Method.RAW:  # f_ra*H*tu*x, in place of H

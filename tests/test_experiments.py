@@ -219,6 +219,165 @@ class TestRunSweep:
         assert high.silhouette_empirical > low.silhouette_empirical
 
 
+def inline(cells) -> list[SweepRecord]:
+    """The back-to-back loop of a one-worker sweep."""
+    return [experiments._run_cell(cell) for cell in cells]
+
+
+def subnormal_config(**overrides) -> ExperimentConfig:
+    """Nearly every CR feature is 0/0 on this channel, so trials drop too many rows."""
+    base = default_config()
+    channel = replace(base.params.channel, mu_h=5e-324, sigma_h=5e-324)
+    return replace(
+        base,
+        params=replace(base.params, channel=channel),
+        scenarios=(ChannelScenario.IID_STOCHASTIC,),
+        methods=(Method.CR,),
+        snr_db_grid=(30.0,),
+        n_devices=2,
+        **overrides,
+    )
+
+
+class TestDrawAhead:
+    """The one-worker sweep that fills each next trial on a helper thread."""
+
+    @pytest.mark.parametrize("classify_normalized", [True, False])
+    def test_every_scenario_and_method_gives_the_inline_records(self, classify_normalized):
+        cfg = small_config(
+            scenarios=tuple(ChannelScenario),
+            methods=tuple(Method),
+            snr_db_grid=(10.0, 30.0),
+            n_devices=3,
+            n_train=7,
+            n_test=5,
+            n_trials=3,
+            classify_normalized=classify_normalized,
+        )
+        cells = experiments._sorted_cells(cfg)
+        assert experiments._run_drawn_ahead(cells) == inline(cells)
+
+    def test_one_trial_per_cell_and_one_cell(self):
+        # one trial leaves a NaN standard error, so compare the CSV bytes
+        for cfg in (small_config(n_trials=1), small_config(methods=(Method.PC,), n_trials=4)):
+            cells = experiments._sorted_cells(cfg)
+            ahead = format_records_csv(experiments._run_drawn_ahead(cells))
+            assert ahead == format_records_csv(inline(cells))
+
+    def test_run_sweep_draws_ahead_by_the_size_rule(self, monkeypatch):
+        """On 2 CPUs a grid whose smallest fill holds 504 normals draws ahead,
+        with the records of 1 CPU, where it does not."""
+        cfg = small_config(
+            scenarios=(ChannelScenario.NON_IID_STOCHASTIC,),
+            methods=(Method.SL, Method.RC),
+            n_devices=2,
+            n_train=50,
+            n_test=42,  # 42 x SL's 12 subcarriers
+            n_trials=2,
+        )
+        calls = []
+        real = experiments._run_drawn_ahead
+        monkeypatch.setattr(
+            experiments, "_run_drawn_ahead", lambda cells: calls.append(1) or real(cells)
+        )
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        serial = run_sweep(cfg)
+        assert not calls
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        assert run_sweep(cfg) == serial
+        assert calls == [1]
+        assert run_sweep(cfg, n_threads=2) == serial  # the pool never draws ahead
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "overrides, cpus, ahead",
+        [
+            ({}, 2, True),  # the default grid: 100 samples x SL's 12
+            ({}, 1, False),
+            ({"n_test": 41}, 2, False),  # 41 x 12 = 492 < 500
+            ({"n_test": 42}, 2, True),  # 504
+            ({"n_devices": 40, "n_train": 10, "n_test": 10}, 2, False),  # population_wide
+            ({"methods": (Method.PC,), "n_train": 10, "n_test": 10}, 4, True),  # 10 x 52
+        ],
+    )
+    def test_the_size_and_cpu_rule(self, monkeypatch, overrides, cpus, ahead):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        assert experiments._draws_ahead(replace(default_config(), **overrides)) is ahead
+
+    def test_usable_cpus_reads_the_affinity_mask(self):
+        if hasattr(experiments.os, "sched_getaffinity"):
+            assert experiments._usable_cpus() == len(experiments.os.sched_getaffinity(0))
+        assert experiments._usable_cpus() >= 1
+
+    def test_too_few_finite_samples_keeps_its_message(self, monkeypatch):
+        # the closed form on this channel is not finite; a stand-in lets trials run
+        monkeypatch.setattr(experiments, "expected_silhouette", lambda *args: 0.0)
+        cells = experiments._sorted_cells(subnormal_config(n_trials=3))
+        with pytest.raises(ValueError, match="^device 0 train set has fewer than 2 finite"):
+            inline(cells)
+        with pytest.raises(ValueError, match="^device 0 train set has fewer than 2 finite"):
+            experiments._run_drawn_ahead(cells)
+
+    def test_the_helper_is_joined_after_a_return_and_after_a_raise(self, monkeypatch):
+        before = threading.active_count()
+        cells = experiments._sorted_cells(small_config(n_trials=2))
+        experiments._run_drawn_ahead(cells)
+        assert threading.active_count() == before
+        monkeypatch.setattr(experiments, "expected_silhouette", lambda *args: 0.0)
+        with pytest.raises(ValueError, match="fewer than 2 finite"):
+            experiments._run_drawn_ahead(experiments._sorted_cells(subnormal_config(n_trials=3)))
+        assert threading.active_count() == before
+
+    def test_concurrent_drawn_ahead_sweeps_under_fast_thread_switching(self):
+        """Four drawn-ahead sweeps at once, each with its helper, so 8 threads on
+        this machine's cores share the interpreter lock; each gives its inline records."""
+        configs = [
+            small_config(methods=(Method.SL, Method.RC), n_trials=3),
+            small_config(scenarios=(ChannelScenario.IID_STOCHASTIC,), n_devices=4, n_test=5),
+        ]
+        cells = [experiments._sorted_cells(cfg) for cfg in configs]
+        expected = [inline(c) for c in cells]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                sweeps = [pool.submit(experiments._run_drawn_ahead, cells[i % 2]) for i in range(8)]
+                results = [sweep.result(timeout=120) for sweep in sweeps]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected[i % 2] for i in range(8)]
+
+    def test_the_first_failing_job_in_record_order_raises(self, monkeypatch):
+        """Trial 2 is set up before trial 1 is scored; trial 1's error still comes first."""
+        real_streams, real_normalize = experiments._trial_streams, experiments.normalize_block
+        normalized = []
+
+        def streams(cfg, scenario, method, snr_db, trial_index):
+            if trial_index == 2:
+                raise RuntimeError("trial 2 set-up")
+            return real_streams(cfg, scenario, method, snr_db, trial_index)
+
+        def normalize(matrix, **kwargs):
+            normalized.append(matrix)
+            if len(normalized) == 3:  # trial 1's train phase
+                raise RuntimeError("trial 1 score")
+            return real_normalize(matrix, **kwargs)
+
+        cells = experiments._sorted_cells(small_config(methods=(Method.CR,), n_trials=3))
+        monkeypatch.setattr(experiments, "_trial_streams", streams)
+        monkeypatch.setattr(experiments, "normalize_block", normalize)
+        with pytest.raises(RuntimeError, match="trial 1 score"):
+            experiments._run_drawn_ahead(cells)
+        # with no error in scoring, the set-up error waits until trials 0 and 1 are scored
+        normalized.clear()
+        monkeypatch.setattr(experiments, "normalize_block", lambda m, **kw: (
+            normalized.append(m) or real_normalize(m, **kw)
+        ))
+        with pytest.raises(RuntimeError, match="trial 2 set-up"):
+            experiments._run_drawn_ahead(cells)
+        assert len(normalized) == 4
+
+
 #: (scenario, method, classify_normalized, poisoned, trial_index, an oracle
 #: call before this cell) of one cell
 WORKSPACE_CELL = st.tuples(

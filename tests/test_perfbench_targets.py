@@ -7,12 +7,16 @@ of its ``TARGETS``.  A renamed attribute would only show up as an
 `perfbench/workloads.py` computes ``draws_per_s`` from the array shapes
 (`normals_per_trial`), not from the draws, so a trial that drew more or
 fewer normals would go unseen there; the count is checked here against the
-normals a trial actually draws.
+normals a trial actually draws, back to back and in a sweep that draws
+ahead.  That sweep fills trials on a helper thread, which must call no
+traced attribute: the tracer keeps one span stack for all threads.
 """
 
 import importlib
 import importlib.util
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +92,59 @@ def test_normals_per_trial_counts_the_draws_of_every_pair(monkeypatch, workload)
             experiments.run_trial(cfg, scenario, method, cfg.snr_db_grid[0], 0)
             drawn = sum(stream.normals for stream in streams)
             assert drawn == workloads.normals_per_trial(cfg, scenario, method), (scenario, method)
+
+
+def _drawn_ahead_cells(workloads):
+    """The sweep workloads' grid at one SNR point, as a one-worker sweep on 2 CPUs runs it."""
+    cfg = replace(workloads.sweep_config(42), snr_db_grid=(30.0,))
+    return experiments._sorted_cells(cfg)
+
+
+def test_sweep_default_draws_ahead_and_population_wide_does_not(monkeypatch):
+    workloads = _load("workloads")
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    assert experiments._draws_ahead(workloads.sweep_config(42))
+    assert not experiments._draws_ahead(workloads.population_config(42))
+
+
+def test_every_traced_attribute_runs_on_the_calling_thread_when_drawing_ahead(monkeypatch):
+    """The tracer keeps one span stack for all threads, so the helper must call no target."""
+    spans = _load("spans")
+    threads: dict[str, set[int]] = {}
+
+    def on_thread(original, layer):
+        def called(*args, **kwargs):
+            threads.setdefault(layer, set()).add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        return called
+
+    for module, attribute, layer in spans.TARGETS:
+        monkeypatch.setattr(module, attribute, on_thread(getattr(module, attribute), layer))
+    experiments._run_drawn_ahead(_drawn_ahead_cells(_load("workloads")))
+    assert {
+        "channel.init_trial_channel", "signal_model.draw_fingerprint",
+        "channel.sample_csi_block", "silhouette.normalize_block",
+        "silhouette.silhouette_from_normalized", "classifier.fit", "classifier.accuracy",
+    } <= set(threads)
+    assert all(idents == {threading.get_ident()} for idents in threads.values()), threads
+
+
+def test_normals_per_trial_counts_the_draws_of_a_drawn_ahead_sweep(monkeypatch):
+    workloads = _load("workloads")
+    real_streams = experiments._trial_streams
+    trials = []
+
+    def counted(cfg, scenario, method, snr_db, trial_index):
+        streams = [CountingStream(rng) for rng in real_streams(cfg, scenario, method, snr_db,
+                                                               trial_index)]
+        trials.append((cfg, scenario, method, streams))
+        return streams
+
+    monkeypatch.setattr(experiments, "_trial_streams", counted)
+    cells = _drawn_ahead_cells(workloads)
+    experiments._run_drawn_ahead(cells)
+    assert len(trials) == len(cells) * cells[0][0].n_trials
+    for cfg, scenario, method, streams in trials:
+        drawn = sum(stream.normals for stream in streams)
+        assert drawn == workloads.normals_per_trial(cfg, scenario, method), (scenario, method)

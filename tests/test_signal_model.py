@@ -1,6 +1,8 @@
 """Feature extraction laws, amplification factor, and closed-form moments."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,7 @@ from rff_lab.signal_model import (
     draw_fingerprint,
     extract_batch,
 )
+from rff_lab.signal_model import _block_features, _fill, _phase_draws
 
 BASE_PARAMS = default_config().params  # shipped defaults; sigma_n is set per test
 
@@ -309,6 +312,45 @@ def test_extraction_rejects_blocks_that_cannot_hold_the_phase(n_devices, blocks)
     fp = draw_fingerprint(p, rngs)
     with pytest.raises(ValueError, match="blocks must be C-contiguous float64"):
         extract_batch(Method.PC, p, fp, det_trial(p), Phase.TRAIN, 4, rngs, blocks=blocks)
+
+
+@pytest.mark.filterwarnings("ignore:non-i.i.d. scenario")
+@pytest.mark.parametrize("scenario", list(ChannelScenario))
+@pytest.mark.parametrize("method", list(Method))
+def test_the_fill_and_arithmetic_halves_give_extraction_bytes(method, scenario):
+    """Draw pairs filled in reverse, or by two threads draining one list, then
+    the arithmetic, give `extract_batch`'s bytes."""
+    p = BASE_PARAMS.with_snr(25.0)
+    k, n_devices, n_samples = method.subcarriers(p), 5, 6
+    trial = init_trial_channel(scenario, p.channel, k, np.random.default_rng(1))
+    fp = draw_fingerprint(p, [np.random.default_rng(2 + d) for d in range(n_devices)])
+
+    def features(fill) -> bytes:
+        rngs = [np.random.default_rng(10 + d) for d in range(n_devices)]
+        blocks = np.full((3, n_devices, n_samples, k), np.nan)
+        if fill is None:
+            return extract_batch(
+                method, p, fp, trial, Phase.TEST, n_samples, rngs, blocks=blocks
+            ).tobytes()
+        fill(_phase_draws(method, trial, rngs, blocks))
+        return _block_features(method, p, fp, trial, Phase.TEST, blocks).tobytes()
+
+    def two_threads(pairs):
+        pending = iter(pairs)
+        helper = threading.Thread(target=_fill, args=(pending,))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            helper.start()
+            _fill(pending)
+            helper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not helper.is_alive()
+
+    expected = features(None)
+    assert features(lambda pairs: _fill(reversed(pairs))) == expected
+    assert features(two_threads) == expected
 
 
 # ---------------------------------------------------------------------------
