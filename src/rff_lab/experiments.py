@@ -41,7 +41,8 @@ draws ahead when the process may run on at least 2 CPUs and the grid's
 smallest fill call, ``min(n_train, n_test)`` times its smallest K, holds at
 least `_MIN_DRAW_AHEAD_FILL` normals: it walks the (cell, trial) jobs in
 record order, and while it scores one job on the calling thread, a helper
-thread fills the next one into the other half of a 4-row scratch.  numpy
+thread fills the next one into the other half of a 4-row scratch; the
+calling thread then fills whatever the helper has not reached.  numpy
 releases the GIL while it fills, so the draws run on the second core.  The
 helper calls nothing a benchmark tracer replaces; stream seeding, the
 trial channel and the fingerprints stay on the calling thread.  A process
