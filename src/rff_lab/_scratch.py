@@ -1,13 +1,14 @@
 """One float64 scratch buffer per thread, for calls that return only floats.
 
-Three callers draw into it, so a thread that makes many calls faults its
-draw-sized pages in once: `run_trial` takes 2 rows (train and test),
-`mc_ratio_detail` 5, and a one-worker sweep that draws ahead
-(`experiments._run_drawn_ahead`) 4, two trials' worth, filling one half on a
-helper thread while the calling thread scores the other.  A thread keeps its
-buffer, grown to its largest request, until the thread exits.  A caller must
-return no view of it and must not call another user while it holds one: the
-next request on the thread hands out the same memory.
+Two callers draw into it, so a thread that makes many calls faults its
+draw-sized pages in once: `mc_ratio_detail` takes 5 rows, and the trial
+loop `experiments._run_trials`, behind `run_trial` and every sweep, takes 2
+rows (train and test) per trial in flight: 2, or 4 in a one-worker sweep
+that draws ahead, which fills one half on a helper thread while the calling
+thread scores the other.  A thread keeps its buffer, grown to its largest
+request, until the thread exits.  A caller must return no view of it and
+must not call another user while it holds one: the next request on the
+thread hands out the same memory.
 """
 
 from __future__ import annotations

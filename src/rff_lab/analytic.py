@@ -50,8 +50,7 @@ from dataclasses import dataclass
 
 from .channel import ChannelScenario, Phase
 from .gaussian_moments import direct_ratio_moments, paired_product_mean, reciprocal_moments
-from .signal_model import Method, ModelParams, phase_law
-from .signal_model import _direct_ratio, _ratio_law
+from .signal_model import Method, ModelParams, _direct_ratio, phase_law, ratio_law
 
 __all__ = [
     "FeatureLaw",
@@ -94,10 +93,10 @@ def feature_law(
         # exact, and typed: a^2 (mu_u^2 Var H + sigma_u^2 E[H^2]) moves the last ulp
         variance = f**2 * x**2 * (mu_u**2 * sig_h2 + su2 * mu_h**2 + su2 * sig_h2) + sn2
         return FeatureLaw(f * x, (mu_u, su2), mu_h, mu_h**2 + sig_h2, variance)
-    law, ratio = _ratio_law(method, params, channel_moments)
+    law = ratio_law(method, params, channel_moments)
     a, r = law.amplitude, law.rho
     mu_t, st2 = law.fingerprint
-    g, p = ratio or _direct_ratio(params, r, channel_moments)  # RC's gain built it
+    g, p = _direct_ratio(params, r, channel_moments)
     phi = direct_ratio_moments(g, p)
     noise_gain = reciprocal_moments(g, p).second_moment if law.noise_in_numerator else 1.0
     var_phi = _phi_variance(r, mu_h, sn2)

@@ -14,39 +14,42 @@ finite fails before it starts.
 
 Layout: a trial works in two draw blocks, one per phase, each a slab-major
 ``(3, D, N, K)`` tensor (slab, device, sample, subcarrier), so each slab is
-one contiguous ``(D, N, K)`` tensor.  Extraction fills a phase's blocks in
-one call, every device drawing from its own stream with one call per drawn
-slab, and leaves the ``(D, N, K)`` features in slab 0, ``blocks[0]``
-(`extract_batch`); every later stage runs once per phase over whole
-contiguous slabs.  One non-finite screen gives a ``(D, N)`` kept mask per
-phase: a row with any non-finite entry is zeroed, counted as dropped, and
-left out of the silhouette and the classifier, which take the tensor and its
-kept mask as they are.  A device with fewer than 2 kept rows in either phase
-aborts the trial with a ValueError.  The draws are dead after extraction, so
-normalization writes its output into slab 1 and its squared deviations into
-slab 2, both contiguous and disjoint from the features.
+one contiguous ``(D, N, K)`` tensor.  Every device draws a phase's standard
+normals from its own stream, one call per drawn slab; the feature
+arithmetic then runs once over the phase and leaves the ``(D, N, K)``
+features in slab 0, ``blocks[0]`` (`signal_model.extract_batch` documents
+the slabs and the draw order); every later stage runs once per phase over
+whole contiguous slabs.  One non-finite screen gives a ``(D, N)`` kept mask
+per phase: a row with any non-finite entry is zeroed, counted as dropped,
+and left out of the silhouette and the classifier, which take the tensor
+and its kept mask as they are.  A device with fewer than 2 kept rows in
+either phase aborts the trial with a ValueError.  The draws are dead after
+the arithmetic, so normalization writes its output into slab 1 and its
+squared deviations into slab 2, both contiguous and disjoint from the
+features.
 
-The two blocks are the two rows, train then test, of the thread's scratch
+The two blocks are two rows, train then test, of the thread's scratch
 buffer (`rff_lab._scratch`), each row the flat buffer of one phase's blocks.
 Each thread that runs trials, serially or in a pool worker process, keeps
 that buffer until it exits and grows it only for a trial it cannot hold, so
 no trial allocates or page-faults its own blocks.
 
-A trial runs in two stages.  *Fill* is the per-device standard-normal calls
-into both phases' blocks; *score* is everything after the draws: the
-feature arithmetic, the screen, normalization, the silhouette and the
-classifier.  `run_trial` runs them back to back (fill and arithmetic
-together in `extract_batch`).  A sweep with one worker process instead
-draws ahead when the process may run on at least 2 CPUs and the grid's
-smallest fill call, ``min(n_train, n_test)`` times its smallest K, holds at
-least `_MIN_DRAW_AHEAD_FILL` normals: it walks the (cell, trial) jobs in
-record order, and while it scores one job on the calling thread, a helper
-thread fills the next one into the other half of a 4-row scratch; the
-calling thread then fills whatever the helper has not reached.  numpy
-releases the GIL while it fills, so the draws run on the second core.  The
-helper calls nothing a benchmark tracer replaces; stream seeding, the
-trial channel and the fingerprints stay on the calling thread.  A process
-pool keeps the back-to-back trials, since its workers leave no core spare.
+Every trial runs through one loop, `_run_trials`, in three stages: *set-up*
+on the calling thread (stream seeding, the trial channel, the fingerprints,
+and the list of ``(stream, slabs)`` pairs to draw), *fill* (each pair's
+standard-normal calls) and *score* (everything after the draws: the feature
+arithmetic, the screen, normalization, the silhouette and the classifier).
+`run_trial` runs one job through it; a pool worker runs one cell's trials.
+A sweep with one worker process runs all its (cell, trial) jobs in record
+order, and draws ahead when the process may run on at least 2 CPUs and the
+grid's smallest fill call, ``min(n_train, n_test)`` times its smallest K,
+holds at least `_MIN_DRAW_AHEAD_FILL` normals: while it scores one job on
+the calling thread, a helper thread fills the next one into the other half
+of a 4-row scratch, and the calling thread then fills whatever the helper
+has not reached.  numpy releases the GIL while it fills, so the draws run
+on the second core.  The helper calls nothing a benchmark tracer replaces.
+Without the helper, one job at a time takes 2 rows; a process pool never
+uses it, since its workers leave no core spare.
 
 Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
@@ -68,13 +71,14 @@ ids at once.  Every generator is bit-identical to one seeded from a
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,8 +86,9 @@ from . import classifier
 from ._scratch import scratch
 from .analytic import expected_silhouette
 from .channel import ChannelParams, ChannelScenario, Phase, TrialChannel, init_trial_channel
-from .signal_model import Fingerprints, Method, ModelParams, draw_fingerprint, extract_batch
+from .signal_model import Fingerprints, Method, ModelParams, draw_fingerprint
 from .signal_model import _block_features, _fill, _phase_draws
+from .signal_model import extract_batch  # noqa: F401 -- perfbench/spans.py traces it here
 from .silhouette import normalize_block, silhouette_from_normalized
 
 __all__ = [
@@ -315,8 +320,9 @@ def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Job:
-    """A trial set up on the calling thread and ready to fill: its seeded
-    streams, trial channel, fingerprints and both phases' draw blocks."""
+    """A trial set up on the calling thread and ready to fill: its trial
+    channel, fingerprints, both phases' draw blocks and the ``(stream,
+    slabs)`` pairs that fill them, train then test."""
 
     cfg: ExperimentConfig
     snr_db: float
@@ -324,20 +330,11 @@ class _Job:
     method: Method
     trial: TrialChannel
     fp: Fingerprints
-    streams: list[np.random.Generator]
     blocks: tuple[np.ndarray, np.ndarray]  # train, test: (3, D, N, K) each
-
-    def phases(self):
-        """(phase, samples, extraction streams, draw blocks) of train, then test."""
-        return zip(
-            (Phase.TRAIN, Phase.TEST),
-            (self.cfg.n_train, self.cfg.n_test),
-            (self.streams[2::3], self.streams[3::3]),
-            self.blocks,
-        )
+    draws: list[tuple[np.random.Generator, list[np.ndarray]]]
 
 
-def _row_size(cfg: ExperimentConfig, methods: Sequence[Method]) -> int:
+def _row_size(cfg: ExperimentConfig, methods: Iterable[Method]) -> int:
     """Entries of one phase's draw blocks, ``(3, D, N, K)``, in ``methods``' largest trial."""
     k = max(method.subcarriers(cfg.params) for method in methods)
     return 3 * cfg.n_devices * max(cfg.n_train, cfg.n_test) * k
@@ -351,8 +348,8 @@ def _set_up(
     trial_index: int,
     rows: np.ndarray,
 ) -> _Job:
-    """Seed the trial's streams, draw its channel and fingerprints, and view
-    ``rows`` (train, test) as its draw blocks."""
+    """Seed the trial's streams, draw its channel and fingerprints, view
+    ``rows`` (train, test) as its draw blocks and list the pairs that fill them."""
     params = cfg.params.with_snr(snr_db)
     k = method.subcarriers(params)
     blocks = tuple(
@@ -362,47 +359,22 @@ def _set_up(
     streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
     trial = init_trial_channel(scenario, params.channel, k, streams[0])
     fp = draw_fingerprint(params, streams[1::3])
-    return _Job(cfg, snr_db, params, method, trial, fp, streams, blocks)
+    draws = [
+        pair
+        for rngs, phase_blocks in zip((streams[2::3], streams[3::3]), blocks)
+        for pair in _phase_draws(method, trial, rngs, phase_blocks)
+    ]
+    return _Job(cfg, snr_db, params, method, trial, fp, blocks, draws)
 
 
 def _score(job: _Job) -> TrialResult:
-    """The score stage of a filled trial: the features, then every later stage."""
-    features = (
-        _block_features(job.method, job.params, job.fp, job.trial, phase, blocks)
-        for phase, _, _, blocks in job.phases()
-    )
-    return _score_features(job, *features)
-
-
-def run_trial(
-    cfg: ExperimentConfig,
-    scenario: ChannelScenario,
-    method: Method,
-    snr_db: float,
-    trial_index: int,
-) -> TrialResult:
-    """One independent population simulation; deterministic in its indices.
-
-    Samples with non-finite features are counted and left out of the silhouette
-    and the classifier; a device left with fewer than 2 in a phase is a ValueError.
-
-    The draw blocks live in this thread's scratch buffer (see the module
-    docstring), which the result does not depend on.
-    """
-    rows = scratch(len(Phase), _row_size(cfg, [method]))
-    job = _set_up(cfg, scenario, method, snr_db, trial_index, rows)
-    features = (
-        extract_batch(
-            method, job.params, job.fp, job.trial, phase, n, rngs, blocks=blocks
-        )
-        for phase, n, rngs, blocks in job.phases()
-    )
-    return _score_features(job, *features)
-
-
-def _score_features(job: _Job, train: np.ndarray, test: np.ndarray) -> TrialResult:
-    """Every stage after extraction, on the features in slab 0 of each phase's blocks."""
+    """The score stage of a filled trial: the features, in slab 0 of each
+    phase's blocks, then every later stage."""
     cfg = job.cfg
+    train, test = (
+        _block_features(job.method, job.params, job.fp, job.trial, phase, blocks)
+        for phase, blocks in zip((Phase.TRAIN, Phase.TEST), job.blocks)
+    )
     train_kept = _screen_nonfinite(train)
     test_kept = _screen_nonfinite(test)
     counts = np.stack([train_kept.sum(axis=1), test_kept.sum(axis=1)], axis=1)
@@ -435,6 +407,73 @@ def _score_features(job: _Job, train: np.ndarray, test: np.ndarray) -> TrialResu
     )
 
 
+def _run_trials(
+    cfg: ExperimentConfig,
+    jobs: Sequence[tuple[ChannelScenario, Method, float, int]],
+    draw_ahead: bool,
+) -> list[TrialResult]:
+    """The trials ``(scenario, method, snr_db, trial_index)`` of ``jobs``, in
+    order: each set up and scored on this thread, and filled in between.
+
+    Without ``draw_ahead``, one job is in flight, in 2 rows (train, test) of
+    this thread's scratch.  With it, two are, in the two halves of 4 rows,
+    so no fill writes the blocks being scored: a helper thread fills job
+    j + 1 while job j is scored.  Once job j is scored, this thread sets up
+    job j + 2 in j's half, then fills whatever of job j + 1 the helper has
+    not reached, so neither thread waits long for the other.  The first job
+    to fail, in order, raises: an error in setting up a later job waits its
+    turn.  The helper is joined on return and on raise.
+    """
+    depth = 2 if draw_ahead else 1
+    work = scratch(depth * len(Phase), _row_size(cfg, {job[1] for job in jobs}))
+    halves = np.split(work, depth)
+    results: list[TrialResult] = []
+    with ThreadPoolExecutor(max_workers=1) if draw_ahead else contextlib.nullcontext() as helper:
+
+        def queue(j: int):
+            """Job j set up here, its pairs left to fill and the helper's fill
+            of them; or its set-up's error."""
+            try:
+                job = _set_up(cfg, *jobs[j], halves[j % depth])
+            except Exception as error:
+                return error, None, None
+            # both threads drain one iterator; the helper calls nothing a
+            # benchmark tracer replaces
+            pending = iter(job.draws)
+            return job, pending, helper.submit(_fill, pending) if helper else None
+
+        queued = collections.deque(map(queue, range(min(depth, len(jobs)))))
+        for j in range(len(jobs)):
+            job, pending, filled = queued.popleft()
+            if pending is None:
+                raise job
+            _fill(pending)
+            if filled is not None:
+                filled.result()
+            results.append(_score(job))
+            if j + depth < len(jobs):
+                queued.append(queue(j + depth))
+    return results
+
+
+def run_trial(
+    cfg: ExperimentConfig,
+    scenario: ChannelScenario,
+    method: Method,
+    snr_db: float,
+    trial_index: int,
+) -> TrialResult:
+    """One independent population simulation; deterministic in its indices.
+
+    Samples with non-finite features are counted and left out of the silhouette
+    and the classifier; a device left with fewer than 2 in a phase is a ValueError.
+
+    The draw blocks live in this thread's scratch buffer (see the module
+    docstring), which the result does not depend on.
+    """
+    return _run_trials(cfg, [(scenario, method, snr_db, trial_index)], draw_ahead=False)[0]
+
+
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     if values.size < 2:
@@ -444,11 +483,6 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
 
 #: (config, scenario, method, snr_db, closed-form expected silhouette)
 _Cell = tuple[ExperimentConfig, ChannelScenario, Method, float, float]
-
-
-def _run_cell(cell: _Cell) -> SweepRecord:
-    cfg, scenario, method, snr_db, _ = cell
-    return _record(cell, [run_trial(cfg, scenario, method, snr_db, t) for t in range(cfg.n_trials)])
 
 
 def _record(cell: _Cell, results: Sequence[TrialResult]) -> SweepRecord:
@@ -506,53 +540,19 @@ def _draws_ahead(cfg: ExperimentConfig) -> bool:
     return min(cfg.n_train, cfg.n_test) * k >= _MIN_DRAW_AHEAD_FILL and _usable_cpus() >= 2
 
 
-def _run_drawn_ahead(cells: Sequence[_Cell]) -> list[SweepRecord]:
-    """Every trial of ``cells`` in record order, each filled on a helper thread
-    while the trial before it is scored on this one.
-
-    Two jobs are in flight, in the two halves of this thread's scratch (rows
-    0-1 and 2-3), so no fill writes the blocks being scored.  Once job j is
-    scored, this thread sets up job j + 2 in j's half, then fills whatever
-    of job j + 1 the helper has not reached, so neither thread waits long
-    for the other.  The first job to fail, in record order, raises: an error
-    in setting up a later job waits its turn.  The helper is joined on
-    return and on raise.
-    """
+def _run_cells(cells: Sequence[_Cell], draw_ahead: bool) -> list[SweepRecord]:
+    """Every trial of ``cells`` in record order, in one `_run_trials`, each
+    cell reduced from its own trials."""
     cfg = cells[0][0]
-    work = scratch(2 * len(Phase), _row_size(cfg, cfg.methods))
-    halves = work[:2], work[2:]
-    jobs = [(cell, trial) for cell in cells for trial in range(cfg.n_trials)]
-    results: list[TrialResult] = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-
-        def queue(j: int):
-            """Job j set up here, its fill queued on the helper; or its set-up's error."""
-            (_, scenario, method, snr_db, _), trial = jobs[j]
-            try:
-                job = _set_up(cfg, scenario, method, snr_db, trial, halves[j % 2])
-            except Exception as error:
-                return error, None, None
-            # one (stream, slabs) pair per phase and device, drained by both
-            # threads; the helper calls nothing a benchmark tracer replaces
-            pending = iter([
-                pair
-                for _, _, rngs, blocks in job.phases()
-                for pair in _phase_draws(job.method, job.trial, rngs, blocks)
-            ])
-            return job, pending, helper.submit(_fill, pending)
-
-        queued = collections.deque(map(queue, range(min(2, len(jobs)))))
-        for j in range(len(jobs)):
-            job, pending, filled = queued.popleft()
-            if filled is None:
-                raise job
-            _fill(pending)
-            filled.result()
-            results.append(_score(job))
-            if j + 2 < len(jobs):
-                queued.append(queue(j + 2))
     n = cfg.n_trials
+    jobs = [(s, m, snr_db, t) for _, s, m, snr_db, _ in cells for t in range(n)]
+    results = _run_trials(cfg, jobs, draw_ahead)
     return [_record(cell, results[i * n : (i + 1) * n]) for i, cell in enumerate(cells)]
+
+
+def _run_cell(cell: _Cell) -> SweepRecord:
+    """A pool task: one cell's trials, with no helper, since the pool leaves no core spare."""
+    return _run_cells([cell], draw_ahead=False)[0]
 
 
 def run_sweep(cfg: ExperimentConfig, n_threads: int = 1) -> list[SweepRecord]:
@@ -568,9 +568,7 @@ def run_sweep(cfg: ExperimentConfig, n_threads: int = 1) -> list[SweepRecord]:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
     cells = _sorted_cells(cfg)
     if n_threads == 1 or len(cells) == 1:
-        if _draws_ahead(cfg):
-            return _run_drawn_ahead(cells)
-        return [_run_cell(cell) for cell in cells]
+        return _run_cells(cells, _draws_ahead(cfg))
     with ProcessPoolExecutor(max_workers=min(n_threads, len(cells))) as pool:
         return list(pool.map(_run_cell, cells))
 

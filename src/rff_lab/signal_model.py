@@ -181,7 +181,8 @@ def amplification_factor(
 
         P = (beta^2 mu^2 + 3 beta^2 sigma^2 + 3 sigma_n^2) / (beta^4 mu^4)
     """
-    return _gain(params, *_direct_ratio(params, params.beta(), scenario_moments))
+    g, p = _direct_ratio(params, params.beta(), scenario_moments)
+    return math.sqrt(params.eta / reciprocal_moments(g, p).second_moment)
 
 
 def _direct_ratio(
@@ -193,10 +194,6 @@ def _direct_ratio(
         GaussianSpec(mean=mu_hc, variance=sigma_hc_sq),
         RatioParams(rho=rho, noise_variance=params.sigma_n**2),
     )
-
-
-def _gain(params: ModelParams, g: GaussianSpec, p: RatioParams) -> float:
-    return math.sqrt(params.eta / reciprocal_moments(g, p).second_moment)
 
 
 @dataclass(frozen=True)
@@ -218,31 +215,20 @@ def ratio_law(
     ``channel_moments`` only matters for RC, whose gain ``alpha`` depends on
     them (see `amplification_factor`).
     """
-    return _ratio_law(method, params, channel_moments)[0]
-
-
-def _ratio_law(
-    method: Method, params: ModelParams, channel_moments: tuple[float, float]
-) -> tuple[RatioLaw, tuple[GaussianSpec, RatioParams] | None]:
-    """`ratio_law`, with the `_direct_ratio` pair that RC's gain was built from.
-
-    Other methods build none and return None in its place.
-    """
     x, f_ra, beta = params.x, params.f_ra, params.beta()
     long = (params.mu_u, params.sigma_u**2)
     if method is Method.SL:
         short = (params.mu_s, params.sigma_s**2)
         return RatioLaw(
             params.gamma(), short, f_ra * x, noise_in_numerator=True, short_preamble=True
-        ), None
+        )
     if method is Method.CR:
-        return RatioLaw(beta, long, f_ra * x, noise_in_numerator=True), None
+        return RatioLaw(beta, long, f_ra * x, noise_in_numerator=True)
     if method is Method.PC:
-        return RatioLaw(beta, long, f_ra * x**2, noise_in_numerator=False), None
+        return RatioLaw(beta, long, f_ra * x**2, noise_in_numerator=False)
     if method is Method.RC:
-        ratio = _direct_ratio(params, beta, channel_moments)
-        alpha = _gain(params, *ratio)
-        return RatioLaw(beta, long, alpha * f_ra, noise_in_numerator=False), ratio
+        alpha = amplification_factor(params, channel_moments)
+        return RatioLaw(beta, long, alpha * f_ra, noise_in_numerator=False)
     raise ValueError(f"{method.value!r} is not a ratio method")
 
 
@@ -274,39 +260,28 @@ def extract_batch(
     phase: Phase,
     n_samples: int,
     rngs: list[np.random.Generator],
-    *,
-    blocks: np.ndarray | None = None,
 ) -> np.ndarray:
     """(D, n_samples, K) raw features of one phase; may contain non-finite entries.
 
     The draws fill ``blocks``, a C-contiguous float64 ``(3, D, n_samples, K)``
-    array laid out slab-major: slab 0 the CSI, slabs 1 and 2 the noises (RAW
-    draws one noise and leaves slab 2 alone), each slab one contiguous
-    ``(D, n_samples, K)`` tensor.  Device ``d`` draws its standard normals
-    from ``rngs[d]``, one call per drawn slab into ``blocks[s, d]``: the CSI
-    first (none in the deterministic scenario), then the noises in formula
-    reading order (numerator then denominator noise for SL/CR; denominator
-    then additive noise for PC/RC).  The arithmetic then runs once over the
-    phase, in place, on whole slabs, and the features overwrite slab 0: the
-    result is ``blocks[0]``, C-contiguous.  A caller running many phases
-    passes the same ``blocks`` to each, so no call allocates (and
-    page-faults) its own; their contents on entry are ignored.  ``None``
-    allocates them for this call.
+    array allocated here and laid out slab-major: slab 0 the CSI, slabs 1 and
+    2 the noises (RAW draws one noise and leaves slab 2 alone), each slab one
+    contiguous ``(D, n_samples, K)`` tensor.  Device ``d`` draws its standard
+    normals from ``rngs[d]``, one call per drawn slab into ``blocks[s, d]``:
+    the CSI first (none in the deterministic scenario), then the noises in
+    formula reading order (numerator then denominator noise for SL/CR;
+    denominator then additive noise for PC/RC).  The arithmetic then runs
+    once over the phase, in place, on whole slabs, and the features
+    overwrite slab 0: the result is ``blocks[0]``, C-contiguous.
 
     The draws (`_phase_draws`, `_fill`) and the arithmetic (`_block_features`)
-    are two halves that a caller may also run apart, on different threads.
+    are two halves that a trial runs apart, on blocks it keeps in its thread's
+    scratch (see `rff_lab.experiments`).
     """
     k = method.subcarriers(params)
     if trial.n_subcarriers != k:
         raise ValueError(f"{method.value} needs {k} subcarriers, trial has {trial.n_subcarriers}")
-    shape = (3, len(rngs), n_samples, k)
-    if blocks is None:
-        blocks = np.empty(shape)
-    elif not (blocks.dtype == np.float64 and blocks.shape == shape and blocks.flags.c_contiguous):
-        raise ValueError(
-            f"blocks must be C-contiguous float64 of shape {shape}, "
-            f"got {blocks.dtype} {blocks.shape}"
-        )
+    blocks = np.empty((3, len(rngs), n_samples, k))
     _fill(_phase_draws(method, trial, rngs, blocks))
     return _block_features(method, params, fp, trial, phase, blocks)
 

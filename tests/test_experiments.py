@@ -219,11 +219,6 @@ class TestRunSweep:
         assert high.silhouette_empirical > low.silhouette_empirical
 
 
-def inline(cells) -> list[SweepRecord]:
-    """The back-to-back loop of a one-worker sweep."""
-    return [experiments._run_cell(cell) for cell in cells]
-
-
 def subnormal_config(**overrides) -> ExperimentConfig:
     """Nearly every CR feature is 0/0 on this channel, so trials drop too many rows."""
     base = default_config()
@@ -255,14 +250,14 @@ class TestDrawAhead:
             classify_normalized=classify_normalized,
         )
         cells = experiments._sorted_cells(cfg)
-        assert experiments._run_drawn_ahead(cells) == inline(cells)
+        assert experiments._run_cells(cells, True) == experiments._run_cells(cells, False)
 
     def test_one_trial_per_cell_and_one_cell(self):
         # one trial leaves a NaN standard error, so compare the CSV bytes
         for cfg in (small_config(n_trials=1), small_config(methods=(Method.PC,), n_trials=4)):
             cells = experiments._sorted_cells(cfg)
-            ahead = format_records_csv(experiments._run_drawn_ahead(cells))
-            assert ahead == format_records_csv(inline(cells))
+            ahead = format_records_csv(experiments._run_cells(cells, True))
+            assert ahead == format_records_csv(experiments._run_cells(cells, False))
 
     def test_run_sweep_draws_ahead_by_the_size_rule(self, monkeypatch):
         """On 2 CPUs a grid whose smallest fill holds 504 normals draws ahead,
@@ -276,18 +271,22 @@ class TestDrawAhead:
             n_trials=2,
         )
         calls = []
-        real = experiments._run_drawn_ahead
+        real = experiments._run_trials
         monkeypatch.setattr(
-            experiments, "_run_drawn_ahead", lambda cells: calls.append(1) or real(cells)
+            experiments,
+            "_run_trials",
+            lambda cfg, jobs, draw_ahead: calls.append(draw_ahead) or real(cfg, jobs, draw_ahead),
         )
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
         serial = run_sweep(cfg)
-        assert not calls
+        assert calls == [False]
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         assert run_sweep(cfg) == serial
-        assert calls == [1]
+        assert calls == [False, True]
         assert run_sweep(cfg, n_threads=2) == serial  # the pool never draws ahead
-        assert calls == [1]
+        assert calls == [False, True]
+        assert experiments._run_cell(experiments._sorted_cells(cfg)[0]) == serial[0]
+        assert calls == [False, True, False]
 
     @pytest.mark.parametrize(
         "overrides, cpus, ahead",
@@ -314,18 +313,18 @@ class TestDrawAhead:
         monkeypatch.setattr(experiments, "expected_silhouette", lambda *args: 0.0)
         cells = experiments._sorted_cells(subnormal_config(n_trials=3))
         with pytest.raises(ValueError, match="^device 0 train set has fewer than 2 finite"):
-            inline(cells)
+            experiments._run_cells(cells, False)
         with pytest.raises(ValueError, match="^device 0 train set has fewer than 2 finite"):
-            experiments._run_drawn_ahead(cells)
+            experiments._run_cells(cells, True)
 
     def test_the_helper_is_joined_after_a_return_and_after_a_raise(self, monkeypatch):
         before = threading.active_count()
         cells = experiments._sorted_cells(small_config(n_trials=2))
-        experiments._run_drawn_ahead(cells)
+        experiments._run_cells(cells, True)
         assert threading.active_count() == before
         monkeypatch.setattr(experiments, "expected_silhouette", lambda *args: 0.0)
         with pytest.raises(ValueError, match="fewer than 2 finite"):
-            experiments._run_drawn_ahead(experiments._sorted_cells(subnormal_config(n_trials=3)))
+            experiments._run_cells(experiments._sorted_cells(subnormal_config(n_trials=3)), True)
         assert threading.active_count() == before
 
     def test_concurrent_drawn_ahead_sweeps_under_fast_thread_switching(self):
@@ -336,19 +335,23 @@ class TestDrawAhead:
             small_config(scenarios=(ChannelScenario.IID_STOCHASTIC,), n_devices=4, n_test=5),
         ]
         cells = [experiments._sorted_cells(cfg) for cfg in configs]
-        expected = [inline(c) for c in cells]
+        expected = [experiments._run_cells(c, False) for c in cells]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                sweeps = [pool.submit(experiments._run_drawn_ahead, cells[i % 2]) for i in range(8)]
+                sweeps = [
+                    pool.submit(experiments._run_cells, cells[i % 2], True) for i in range(8)
+                ]
                 results = [sweep.result(timeout=120) for sweep in sweeps]
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected[i % 2] for i in range(8)]
 
-    def test_the_first_failing_job_in_record_order_raises(self, monkeypatch):
-        """Trial 2 is set up before trial 1 is scored; trial 1's error still comes first."""
+    @pytest.mark.parametrize("draw_ahead", [True, False])
+    def test_the_first_failing_job_in_record_order_raises(self, monkeypatch, draw_ahead):
+        """Drawing ahead, trial 2 is set up before trial 1 is scored; trial 1's
+        error still comes first."""
         real_streams, real_normalize = experiments._trial_streams, experiments.normalize_block
         normalized = []
 
@@ -367,15 +370,72 @@ class TestDrawAhead:
         monkeypatch.setattr(experiments, "_trial_streams", streams)
         monkeypatch.setattr(experiments, "normalize_block", normalize)
         with pytest.raises(RuntimeError, match="trial 1 score"):
-            experiments._run_drawn_ahead(cells)
+            experiments._run_cells(cells, draw_ahead)
         # with no error in scoring, the set-up error waits until trials 0 and 1 are scored
         normalized.clear()
         monkeypatch.setattr(experiments, "normalize_block", lambda m, **kw: (
             normalized.append(m) or real_normalize(m, **kw)
         ))
         with pytest.raises(RuntimeError, match="trial 2 set-up"):
-            experiments._run_drawn_ahead(cells)
+            experiments._run_cells(cells, draw_ahead)
         assert len(normalized) == 4
+
+
+class TestTrialLoop:
+    """`_run_trials`, the one loop every trial runs through."""
+
+    @pytest.mark.parametrize("cpus, rows", [(1, 2), (2, 4)])
+    def test_a_one_worker_sweep_takes_2_scratch_rows_or_4_when_drawing_ahead(
+        self, monkeypatch, cpus, rows
+    ):
+        """One trial in flight holds its train and test rows; drawing ahead
+        holds a second trial's."""
+        cfg = small_config(
+            scenarios=(ChannelScenario.NON_IID_STOCHASTIC,),
+            methods=(Method.SL, Method.RC),
+            n_devices=2,
+            n_train=50,
+            n_test=42,  # 42 x SL's 12 subcarriers: 504 normals, so 2 CPUs draw ahead
+            n_trials=2,
+        )
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_scratch, "_local", threading.local())
+        run_sweep(cfg)
+        assert _scratch._local.buffer.size == rows * experiments._row_size(cfg, cfg.methods)
+
+    def test_a_pool_task_takes_2_scratch_rows(self, monkeypatch):
+        cfg = small_config(methods=(Method.SL,), n_train=50, n_test=50)
+        # 50 x 12 normals on 2 CPUs: a one-worker sweep of this grid would draw ahead
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_scratch, "_local", threading.local())
+        experiments._run_cell(experiments._sorted_cells(cfg)[0])
+        assert _scratch._local.buffer.size == 2 * experiments._row_size(cfg, cfg.methods)
+
+    @pytest.mark.parametrize("draw_ahead", [False, True])
+    def test_each_job_of_one_loop_gives_its_run_trial_result(self, monkeypatch, draw_ahead):
+        """On a NaN-poisoned scratch, each job of a multi-job loop equals
+        `run_trial` of that job alone on a fresh scratch."""
+        cfg = small_config(
+            methods=tuple(Method), snr_db_grid=(10.0, 30.0), n_devices=4, n_train=7, n_test=5
+        )
+        jobs = [
+            (ChannelScenario.IID_STOCHASTIC, Method.PC, 30.0, 0),
+            # K = 12 after 52, in a deterministic trial, whose slab 0 draws nothing
+            (ChannelScenario.DETERMINISTIC, Method.SL, 10.0, 3),
+            # RAW leaves slab 2 undrawn
+            (ChannelScenario.DETERMINISTIC, Method.RAW, 30.0, 1),
+            (ChannelScenario.NON_IID_STOCHASTIC, Method.RC, 10.0, 2),
+            (ChannelScenario.DETERMINISTIC, Method.CR, 30.0, 0),
+            (ChannelScenario.IID_STOCHASTIC, Method.RAW, 10.0, 5),
+            (ChannelScenario.DETERMINISTIC, Method.PC, 30.0, 4),
+        ]
+        alone = []
+        for job in jobs:
+            monkeypatch.setattr(_scratch, "_local", threading.local())
+            alone.append(run_trial(cfg, *job))
+        monkeypatch.setattr(_scratch, "_local", threading.local())
+        _scratch.scratch(4, experiments._row_size(cfg, cfg.methods)).fill(np.nan)
+        assert experiments._run_trials(cfg, jobs, draw_ahead) == alone
 
 
 #: (scenario, method, classify_normalized, poisoned, trial_index, an oracle
@@ -465,11 +525,12 @@ class TestWorkspace:
         the normalized features and squared deviations share no memory with
         the features they come from.
         """
-        real_extract, real_normalize = experiments.extract_batch, experiments.normalize_block
+        real_features, real_normalize = experiments._block_features, experiments.normalize_block
         features, normalized = [], []
 
-        def extract(*args, blocks, **kwargs):
-            result = real_extract(*args, blocks=blocks, **kwargs)
+        def block_features(*args):
+            blocks = args[-1]
+            result = real_features(*args)
             assert result.flags.c_contiguous and result.shape == blocks.shape[1:]
             assert result.__array_interface__ == blocks[0].__array_interface__
             features.append(result)
@@ -479,7 +540,7 @@ class TestWorkspace:
             normalized.append((matrix, out, square))
             return real_normalize(matrix, out=out, square=square)
 
-        monkeypatch.setattr(experiments, "extract_batch", extract)
+        monkeypatch.setattr(experiments, "_block_features", block_features)
         monkeypatch.setattr(experiments, "normalize_block", normalize)
         cfg = small_config(n_devices=4, n_train=6, n_test=5)
         run_trial(cfg, ChannelScenario.IID_STOCHASTIC, method, 25.0, 0)
@@ -643,12 +704,13 @@ class TestNonfiniteHandling:
         (train 0, test 1).  Returns the list the poisoned batches are recorded
         in, in that order: device 0 train, device 0 test, device 1 train, ...
         """
-        real = experiments.extract_batch
+        real = experiments._block_features
         recorded = {}
         values = (np.nan, np.inf, -np.inf)
 
-        def extract(method, params, fp, trial, phase, n_samples, rngs, **kwargs):
-            block = real(method, params, fp, trial, phase, n_samples, rngs, **kwargs)
+        def block_features(method, params, fp, trial, phase, blocks):
+            block = real(method, params, fp, trial, phase, blocks)
+            n_samples = block.shape[1]
             for device, batch in enumerate(block):
                 call = 2 * device + (phase is Phase.TEST)
                 rows = np.random.default_rng(call).choice(n_samples, drops(call), replace=False)
@@ -659,7 +721,7 @@ class TestNonfiniteHandling:
             return block
 
         batches = []
-        monkeypatch.setattr(experiments, "extract_batch", extract)
+        monkeypatch.setattr(experiments, "_block_features", block_features)
         return batches
 
     @pytest.mark.parametrize(

@@ -121,7 +121,7 @@ def test_every_traced_attribute_runs_on_the_calling_thread_when_drawing_ahead(mo
 
     for module, attribute, layer in spans.TARGETS:
         monkeypatch.setattr(module, attribute, on_thread(getattr(module, attribute), layer))
-    experiments._run_drawn_ahead(_drawn_ahead_cells(_load("workloads")))
+    experiments._run_cells(_drawn_ahead_cells(_load("workloads")), True)
     assert {
         "channel.init_trial_channel", "signal_model.draw_fingerprint",
         "channel.sample_csi_block", "silhouette.normalize_block",
@@ -143,7 +143,7 @@ def test_normals_per_trial_counts_the_draws_of_a_drawn_ahead_sweep(monkeypatch):
 
     monkeypatch.setattr(experiments, "_trial_streams", counted)
     cells = _drawn_ahead_cells(workloads)
-    experiments._run_drawn_ahead(cells)
+    experiments._run_cells(cells, True)
     assert len(trials) == len(cells) * cells[0][0].n_trials
     for cfg, scenario, method, streams in trials:
         drawn = sum(stream.normals for stream in streams)

@@ -295,44 +295,26 @@ def test_extraction_deterministic_given_rng():
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize(
-    ("n_devices", "blocks"),
-    [
-        (1, np.empty((2, 1, 4, 52))),
-        (1, np.empty((3, 1, 5, 52))),
-        (1, np.empty((3, 1, 4, 52), dtype=np.float32)),
-        (1, np.empty((3, 1, 4, 104))[..., ::2]),
-        (2, np.empty((2, 3, 4, 52))),  # the (D, 3, N, K) device-major layout
-    ],
-    ids=["two-slabs", "wrong-samples", "float32", "strided", "device-major"],
-)
-def test_extraction_rejects_blocks_that_cannot_hold_the_phase(n_devices, blocks):
-    p = BASE_PARAMS.with_snr(20.0)
-    rngs = [np.random.default_rng(seed) for seed in range(n_devices)]
-    fp = draw_fingerprint(p, rngs)
-    with pytest.raises(ValueError, match="blocks must be C-contiguous float64"):
-        extract_batch(Method.PC, p, fp, det_trial(p), Phase.TRAIN, 4, rngs, blocks=blocks)
-
-
 @pytest.mark.filterwarnings("ignore:non-i.i.d. scenario")
 @pytest.mark.parametrize("scenario", list(ChannelScenario))
 @pytest.mark.parametrize("method", list(Method))
 def test_the_fill_and_arithmetic_halves_give_extraction_bytes(method, scenario):
-    """Draw pairs filled in reverse, or by two threads draining one list, then
-    the arithmetic, give `extract_batch`'s bytes."""
+    """Draw pairs filled in order, in reverse, or by two threads draining one
+    list, then the arithmetic, give `extract_batch`'s bytes.
+
+    All three reuse one NaN-poisoned block, whose stale contents are ignored.
+    """
     p = BASE_PARAMS.with_snr(25.0)
     k, n_devices, n_samples = method.subcarriers(p), 5, 6
     trial = init_trial_channel(scenario, p.channel, k, np.random.default_rng(1))
     fp = draw_fingerprint(p, [np.random.default_rng(2 + d) for d in range(n_devices)])
+    blocks = np.full((3, n_devices, n_samples, k), np.nan)
+
+    def rngs():
+        return [np.random.default_rng(10 + d) for d in range(n_devices)]
 
     def features(fill) -> bytes:
-        rngs = [np.random.default_rng(10 + d) for d in range(n_devices)]
-        blocks = np.full((3, n_devices, n_samples, k), np.nan)
-        if fill is None:
-            return extract_batch(
-                method, p, fp, trial, Phase.TEST, n_samples, rngs, blocks=blocks
-            ).tobytes()
-        fill(_phase_draws(method, trial, rngs, blocks))
+        fill(_phase_draws(method, trial, rngs(), blocks))
         return _block_features(method, p, fp, trial, Phase.TEST, blocks).tobytes()
 
     def two_threads(pairs):
@@ -348,7 +330,8 @@ def test_the_fill_and_arithmetic_halves_give_extraction_bytes(method, scenario):
             sys.setswitchinterval(interval)
         assert not helper.is_alive()
 
-    expected = features(None)
+    expected = extract_batch(method, p, fp, trial, Phase.TEST, n_samples, rngs()).tobytes()
+    assert features(_fill) == expected
     assert features(lambda pairs: _fill(reversed(pairs))) == expected
     assert features(two_threads) == expected
 
@@ -399,10 +382,7 @@ def _outcome(extract):
 def test_whole_phase_extraction_matches_the_per_device_reference(
     method, scenario, n_devices, n_samples, snr_db, channel, gains, seed
 ):
-    """Every byte of both phases and both fingerprints equals a stack of per-device calls.
-
-    So do both phases extracted into one reused ``blocks`` array.
-    """
+    """Every byte of both phases and both fingerprints equals a stack of per-device calls."""
     x, f_ra, f_ta, f_ru, f_tu_l = gains  # after the SNR mapping, which they would move
     params = replace(
         replace(BASE_PARAMS, channel=channel).with_snr(snr_db),
@@ -414,20 +394,13 @@ def test_whole_phase_extraction_matches_the_per_device_reference(
         children = np.random.SeedSequence(seed).spawn(3 * n_devices + 1)
         return [np.random.default_rng(child) for child in children]
 
-    def whole_phases(blocks):
-        rngs = streams()
-        trial = init_trial_channel(scenario, params.channel, k, rngs[0])
-        fp = draw_fingerprint(params, rngs[1::3])
-        return fp, [
-            _outcome(lambda: extract_batch(
-                method, params, fp, trial, phase, n_samples, phase_rngs, blocks=blocks
-            ).copy())
-            for phase, phase_rngs in ((Phase.TRAIN, rngs[2::3]), (Phase.TEST, rngs[3::3]))
-        ]
-
-    fp, whole = whole_phases(None)
-    # both phases reuse one caller's blocks, whose stale contents are ignored
-    _, reused = whole_phases(np.full((3, n_devices, n_samples, k), np.nan))
+    rngs = streams()
+    trial = init_trial_channel(scenario, params.channel, k, rngs[0])
+    fp = draw_fingerprint(params, rngs[1::3])
+    whole = [
+        _outcome(lambda: extract_batch(method, params, fp, trial, phase, n_samples, phase_rngs))
+        for phase, phase_rngs in ((Phase.TRAIN, rngs[2::3]), (Phase.TEST, rngs[3::3]))
+    ]
 
     rngs = streams()
     trial = init_trial_channel(scenario, params.channel, k, rngs[0])
@@ -442,7 +415,7 @@ def test_whole_phase_extraction_matches_the_per_device_reference(
 
     assert fp.tu.tobytes() == np.stack([f.tu for f in fps]).tobytes()
     assert fp.tu_s.tobytes() == np.stack([f.tu_s for f in fps]).tobytes()
-    for got, expected in zip(whole + reused, per_device * 2):
+    for got, expected in zip(whole, per_device):
         if isinstance(expected, str):
             assert got == expected
         else:
