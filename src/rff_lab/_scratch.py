@@ -1,7 +1,9 @@
 """One float64 scratch buffer per thread, for calls that return only floats.
 
 Two callers draw into it, so a thread that makes many calls faults its
-draw-sized pages in once: `mc_ratio_detail` takes 5 rows, and the trial
+draw-sized pages in once: `mc_ratio_detail` takes 2 rows, or 3 for the
+cross-difference form (``validate-claims`` runs two forms on a helper
+thread when it may use 2 CPUs, so 3 + 2 rows in all), and the trial
 loop `experiments._run_trials`, behind `run_trial` and every sweep, takes 2
 rows (train and test) per trial in flight: 2, or 4 in a one-worker sweep
 that draws ahead, which fills one half on a helper thread while the calling

@@ -66,10 +66,6 @@ __all__ = [
 #: oracle refuses the parameter point as outside the approximation regime.
 MAX_NONFINITE_FRACTION = 1e-3
 
-#: Rows of `mc_ratio_detail`'s scratch: the cross-difference form's four
-#: draws plus the ratio it builds.
-_MC_ROWS = 5
-
 
 @dataclass(frozen=True)
 class GaussianSpec:
@@ -135,6 +131,20 @@ class RatioForm(enum.Enum):
     PAIRED_PRODUCT = "paired_product"
     CROSS_DIFFERENCE = "cross_difference"
     RECIPROCAL = "reciprocal"
+
+
+#: Rows of `mc_ratio_detail`'s scratch per form: one per variable drawn
+#: before the last, whose ratios overwrite row 0, and at least one free row
+#: for the statistics.
+_MC_ROWS = {
+    RatioForm.DIRECT_RATIO: 2,
+    RatioForm.PAIRED_PRODUCT: 2,
+    RatioForm.CROSS_DIFFERENCE: 3,
+    RatioForm.RECIPROCAL: 2,
+}
+#: Entries of the last variable (W or W2) drawn and used per step; its
+#: temporaries stay this small whatever the draw count.
+_MC_CHUNK = 8192
 
 
 def _check_domain(g: GaussianSpec, p: RatioParams) -> None:
@@ -211,68 +221,86 @@ def _ratio_into(
     form: RatioForm, g: GaussianSpec, p: RatioParams, rows: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Fill ``rows[-1]`` with i.i.d. realizations of the selected ratio form.
+    """Fill ``rows[0]`` with i.i.d. realizations of the selected ratio form.
 
     Draw order is fixed (signal variables first, then noises, numerator
     before denominator) so results are reproducible for a given seed.  Each
-    formula is evaluated in its written operation order, one rounding per
-    operation, so the values are those of the plain array expression.
+    variable before the last fills a whole row; the last is drawn
+    `_MC_CHUNK` entries at a time, and each chunk's ratios are computed at
+    once and written over row 0.  ``standard_normal`` gives the same stream
+    however a draw is split into calls.  Each formula is evaluated in its
+    written operation order, one rounding per operation, so the values are
+    those of the plain array expression.
     """
     mu, sg, sw, rho = g.mean, g.std, p.noise_std, p.rho
-    z = rows[-1]
     if form is RatioForm.DIRECT_RATIO:  # G / (rho*G + W)
-        gg, w = rows[0], rows[1]
-        _normal_into(gg, mu, sg, rng)
-        _normal_into(w, 0.0, sw, rng)
-        np.multiply(gg, rho, out=z)
-        z += w
-        return np.divide(gg, z, out=z)
-    if form is RatioForm.PAIRED_PRODUCT:  # G^2 / ((rho*G + W1)(rho*G + W2))
-        gg, w1, w2 = rows[0], rows[1], rows[2]
-        _normal_into(gg, mu, sg, rng)
-        _normal_into(w1, 0.0, sw, rng)
-        _normal_into(w2, 0.0, sw, rng)
-        np.multiply(gg, rho, out=z)
-        w1 += z
-        w2 += z
-        w1 *= w2
-        np.square(gg, out=z)
-        return np.divide(z, w1, out=z)
-    if form is RatioForm.CROSS_DIFFERENCE:  # (G1*W2 - G2*W1) / ((rho*G1 + W1)(rho*G2 + W2))
-        g1, g2, w1, w2 = rows[0], rows[1], rows[2], rows[3]
-        _normal_into(g1, mu, sg, rng)
-        _normal_into(g2, mu, sg, rng)
-        _normal_into(w1, 0.0, sw, rng)
-        _normal_into(w2, 0.0, sw, rng)
-        np.multiply(g1, w2, out=z)
-        g1 *= rho
-        g1 += w1  # rho*G1 + W1
-        w1 *= g2  # G2*W1
-        z -= w1
-        np.multiply(g2, rho, out=w1)
-        w1 += w2  # rho*G2 + W2
-        g1 *= w1
-        return np.divide(z, g1, out=z)
-    if form is RatioForm.RECIPROCAL:  # 1 / (rho*G + W)
-        gg, w = rows[0], rows[1]
-        _normal_into(gg, mu, sg, rng)
-        _normal_into(w, 0.0, sw, rng)
-        np.multiply(gg, rho, out=z)
-        z += w
-        return np.divide(1.0, z, out=z)
-    raise ValueError(f"unknown ratio form: {form!r}")
+        _normal_into(rows[0], mu, sg, rng)
+
+        def ratio(v: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
+            np.multiply(v[0], rho, out=t)
+            t += w
+            np.divide(v[0], t, out=v[0])
+
+    elif form is RatioForm.PAIRED_PRODUCT:  # G^2 / ((rho*G + W1)(rho*G + W2))
+        _normal_into(rows[0], mu, sg, rng)
+        _normal_into(rows[1], 0.0, sw, rng)
+
+        def ratio(v: np.ndarray, w2: np.ndarray, t: np.ndarray) -> None:
+            gg, w1 = v[0], v[1]
+            np.multiply(gg, rho, out=t)
+            w1 += t
+            w2 += t
+            w1 *= w2
+            np.square(gg, out=t)
+            np.divide(t, w1, out=gg)
+
+    elif form is RatioForm.CROSS_DIFFERENCE:  # (G1*W2 - G2*W1) / ((rho*G1 + W1)(rho*G2 + W2))
+        _normal_into(rows[0], mu, sg, rng)
+        _normal_into(rows[1], mu, sg, rng)
+        _normal_into(rows[2], 0.0, sw, rng)
+
+        def ratio(v: np.ndarray, w2: np.ndarray, t: np.ndarray) -> None:
+            g1, g2, w1 = v[0], v[1], v[2]
+            np.multiply(g1, w2, out=t)
+            g1 *= rho
+            g1 += w1  # rho*G1 + W1
+            w1 *= g2  # G2*W1
+            t -= w1
+            np.multiply(g2, rho, out=w1)
+            w1 += w2  # rho*G2 + W2
+            g1 *= w1
+            np.divide(t, g1, out=g1)
+
+    elif form is RatioForm.RECIPROCAL:  # 1 / (rho*G + W)
+        _normal_into(rows[0], mu, sg, rng)
+
+        def ratio(v: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
+            np.multiply(v[0], rho, out=t)
+            t += w
+            np.divide(1.0, t, out=v[0])
+
+    else:
+        raise ValueError(f"unknown ratio form: {form!r}")
+    n_draws = rows.shape[1]
+    last, temp = np.empty((2, _MC_CHUNK))
+    for start in range(0, n_draws, _MC_CHUNK):
+        chunk = slice(start, min(start + _MC_CHUNK, n_draws))
+        size = chunk.stop - start
+        _normal_into(last[:size], 0.0, sw, rng)
+        ratio(rows[:, chunk], last[:size], temp[:size])
+    return rows[0]
 
 
-def _mean_and_se(x: np.ndarray, deviation: np.ndarray) -> tuple[float, float]:
+def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
     """``x.mean()`` and ``x.std(ddof=1) / sqrt(n)`` by numpy's own steps.
 
-    ``deviation`` is scratch of ``x``'s size for the squared deviations.
+    ``x`` is overwritten with its squared deviations.
     """
     n = x.size
     mean = np.add.reduce(x) / n
-    np.subtract(x, mean, out=deviation)
-    np.square(deviation, out=deviation)
-    std = np.sqrt(np.add.reduce(deviation) / (n - 1))
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    std = np.sqrt(np.add.reduce(x) / (n - 1))
     return float(mean), float(std / math.sqrt(n))
 
 
@@ -289,15 +317,18 @@ def mc_ratio_detail(
     moments and reported via ``nonfinite_fraction``; more than 0.1% of them
     raises, signaling parameters outside the approximation regime.
 
-    Every draw, intermediate and deviation of the call lives in this
-    thread's scratch buffer (`rff_lab._scratch`), so a thread making many
-    calls allocates no draw-sized array after its largest one.  The thread
-    keeps that buffer until it exits: 40 MB after a call of 10^6 draws.  The
-    result does not depend on it.
+    Every draw, ratio and deviation of the call lives in this thread's
+    scratch buffer (`rff_lab._scratch`), 2 rows of ``n_draws`` for the
+    direct, paired and reciprocal forms and 3 for the cross-difference form,
+    so a thread making many calls allocates no draw-sized array after its
+    largest one; the last variable and the ratio's intermediates take two
+    rows of 8192 entries for the call.  The thread keeps that buffer until it
+    exits: 24 MB after a cross-difference call of 10^6 draws.  The result
+    does not depend on it.
     """
     if n_draws < 10**4:
         raise ValueError(f"n_draws must be >= 1e4, got {n_draws}")
-    rows = scratch(_MC_ROWS, n_draws)
+    rows = scratch(_MC_ROWS[form], n_draws)
     rng = np.random.default_rng(seed)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = _ratio_into(form, g, p, rows, rng)
@@ -310,13 +341,13 @@ def mc_ratio_detail(
             f"(> {MAX_NONFINITE_FRACTION:.2%}); parameters are outside the "
             "approximation regime"
         )
-    # z sits in the last row; the first three are free for the statistics
+    # z sits in row 0; row 1 is free for the statistics
+    free = rows[1]
     if n_eff < n_draws:
-        z = np.compress(finite, z, out=rows[0, :n_eff])
-    z2 = np.square(z, out=rows[1, :n_eff])
-    deviation = rows[2, :n_eff]
-    mean, se_mean = _mean_and_se(z, deviation)
-    second, se_second = _mean_and_se(z2, deviation)
+        z, free = np.compress(finite, z, out=rows[1, :n_eff]), rows[0]
+    z2 = np.square(z, out=free[:n_eff])
+    mean, se_mean = _mean_and_se(z)
+    second, se_second = _mean_and_se(z2)
     return McRatioResult(
         moments=GaussianMoments(mean=mean, second_moment=second),
         se_mean=se_mean,

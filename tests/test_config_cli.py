@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rff_lab import experiments
+from rff_lab import cli, experiments, gaussian_moments
 from rff_lab.channel import ChannelScenario
 from rff_lab.cli import (
     CSV_HEADER,
@@ -35,6 +36,7 @@ from rff_lab.config import (
     render_config,
 )
 from rff_lab.experiments import SweepRecord, default_config
+from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams
 from rff_lab.signal_model import Method
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
@@ -537,6 +539,12 @@ class TestCliCorrelate:
         assert main(["correlate", "--records", str(records_path)]) == 2
         assert "at least 3" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
+        records_path = tmp_path / "records.csv"
+        records_path.write_text(format_records_csv(small_records()), encoding="utf-8")
+        assert main(["correlate", "--records", str(records_path), "--seed", "-1"]) == 2
+        assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestCliEmitConfigAndValidate:
     def test_emit_config_round_trips(self, tmp_path):
@@ -552,6 +560,12 @@ class TestCliEmitConfigAndValidate:
         assert main(["validate-claims", "--draws", "5000"]) == 2
         assert ">= 10000" in capsys.readouterr().err
 
+    def test_validate_claims_rejects_a_negative_seed_naming_the_flag(self, capsys):
+        assert main(["validate-claims", "--draws", "10000", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
+
     def test_validate_claims_small_run_reports_failures(self, capsys):
         # The second moment of the cross-difference form carries a known
         # truncation error of a few percent at the wide corner of the grid,
@@ -566,6 +580,78 @@ class TestCliEmitConfigAndValidate:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "rff-lab 0.1.0" in capsys.readouterr().out
+
+
+def run_validate_claims(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``validate-claims`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate-claims", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def table_lines(stdout: str) -> list[str]:
+    """The validate-claims output without its timing line."""
+    return [line for line in stdout.splitlines() if not line.startswith("checked ")]
+
+
+def cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: n)
+
+
+class TestValidateClaimsLanes:
+    """With 2 usable CPUs the paired-product and reciprocal forms run on a
+    helper thread; the output must not show it."""
+
+    @pytest.mark.parametrize("seed", ["42", "7"])
+    def test_two_lanes_print_the_one_lane_table(self, monkeypatch, seed):
+        # 30011 draws is not a multiple of the oracle's chunk of the last variable
+        argv = ("--draws", "30011", "--seed", seed)
+        cpus(monkeypatch, 1)
+        one_code, one_lane, _ = run_validate_claims(*argv)
+        cpus(monkeypatch, 2)
+        baseline = threading.active_count()
+        two_code, two_lanes, _ = run_validate_claims(*argv)
+        assert two_code == one_code == 1
+        assert table_lines(two_lanes) == table_lines(one_lane)
+        assert threading.active_count() == baseline  # the helper was joined
+
+    @pytest.mark.parametrize(
+        "point_index, form",
+        [(5, RatioForm.CROSS_DIFFERENCE), (11, RatioForm.RECIPROCAL), (0, RatioForm.PAIRED_PRODUCT)],
+        ids=["calling-lane", "helper-lane", "helper-lane-first-point"],
+    )
+    def test_a_failing_evaluation_stops_the_table_after_the_rows_before_it(
+        self, monkeypatch, point_index, form
+    ):
+        cpus(monkeypatch, 2)
+        baseline = threading.active_count()
+        argv = ("--draws", "10000", "--seed", "42")
+        full = run_validate_claims(*argv)[1].splitlines()
+        form_index = list(RatioForm).index(form)
+        failing_seed = cli._validation_seed(42, point_index, form_index)
+        real = gaussian_moments.mc_ratio_detail
+
+        def failing(form_, g, p, n_draws, seed):
+            if (form_, seed) == (form, failing_seed):
+                raise ValueError("injected oracle failure")
+            return real(form_, g, p, n_draws, seed)
+
+        # the calling lane calls the cli attribute, the helper the module's
+        monkeypatch.setattr(cli, "mc_ratio_detail", failing)
+        monkeypatch.setattr(gaussian_moments, "mc_ratio_detail", failing)
+        quantities = {
+            f: len(cli.CLOSED_FORMS[f](GaussianSpec(1.0, 0.0), RatioParams(1.0, 0.0)))
+            for f in RatioForm
+        }
+        rows_before = point_index * sum(quantities.values()) + sum(
+            quantities[f] for f in list(RatioForm)[:form_index]
+        )
+        code, out, err = run_validate_claims(*argv)
+        assert code == 2
+        assert "error: injected oracle failure" in err
+        assert out.splitlines() == full[: 2 + rows_before]
+        assert threading.active_count() == baseline
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

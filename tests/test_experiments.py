@@ -177,8 +177,9 @@ class TestRunSweep:
         """Sweeps of two sizes and oracle calls, interleaved on 4 threads at
         once, give their serial results.
 
-        Each oracle call needs more scratch than either sweep (5 x 2e4 or 3e4
-        entries against 2 x 8580), so a thread's buffer grows mid-run.
+        Each oracle call needs more scratch than either sweep (3 x 2e4 entries
+        for the cross difference, 2 x 3e4 for the paired product, against
+        2 x 8580), so a thread's buffer grows mid-run.
         """
         g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
         jobs = [

@@ -239,7 +239,7 @@ def test_oracle_equals_the_reference_with_and_without_a_reused_work(points):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_scratch, "_local", threading.local())
             assert mc_ratio_detail(form, g, p, n_draws, seed) == expected
-        _scratch.scratch(_MC_ROWS, n_draws).fill(np.nan)
+        _scratch.scratch(_MC_ROWS[form], n_draws).fill(np.nan)
         assert mc_ratio_detail(form, g, p, n_draws, seed) == expected
 
 
@@ -253,7 +253,7 @@ def test_oracle_partial_nonfinite_share_equals_the_reference():
     """
     g, p = GaussianSpec(1e154, 1e306), RatioParams(0.5, 1e304)
     n_draws = 10**5
-    _scratch.scratch(_MC_ROWS, n_draws).fill(np.nan)
+    _scratch.scratch(_MC_ROWS[RatioForm.PAIRED_PRODUCT], n_draws).fill(np.nan)
     detail = mc_ratio_detail(RatioForm.PAIRED_PRODUCT, g, p, n_draws, SEED)
     assert 0.0 < detail.nonfinite_fraction <= MAX_NONFINITE_FRACTION
     assert detail.n_effective < n_draws
@@ -263,10 +263,11 @@ def test_oracle_partial_nonfinite_share_equals_the_reference():
 
 def test_oracle_with_a_reused_work_allocates_no_draw_sized_array():
     """On a warm thread scratch, each call peaks below one float64 array of
-    n_draws (the finite mask is 1/8)."""
+    n_draws (the finite mask is 1/8, the last variable's chunks 0.16)."""
     n_draws = 10**5
     g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
-    mc_ratio_detail(RatioForm.DIRECT_RATIO, g, p, n_draws, SEED)  # warm up
+    # warm up with the form that takes the most rows
+    mc_ratio_detail(RatioForm.CROSS_DIFFERENCE, g, p, n_draws, SEED)
     for form in RatioForm:
         tracemalloc.start()
         try:

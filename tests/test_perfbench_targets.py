@@ -8,12 +8,15 @@ of its ``TARGETS``.  A renamed attribute would only show up as an
 (`normals_per_trial`), not from the draws, so a trial that drew more or
 fewer normals would go unseen there; the count is checked here against the
 normals a trial actually draws, back to back and in a sweep that draws
-ahead.  That sweep fills trials on a helper thread, which must call no
-traced attribute: the tracer keeps one span stack for all threads.
+ahead.  That sweep fills trials on a helper thread, and ``validate-claims``
+runs two of its four ratio forms on one; neither helper may call a traced
+attribute: the tracer keeps one span stack for all threads.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 import threading
 from dataclasses import replace
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rff_lab import experiments
+from rff_lab import cli, experiments, gaussian_moments
 from rff_lab.channel import ChannelScenario
 from rff_lab.signal_model import Method
 
@@ -107,9 +110,8 @@ def test_sweep_default_draws_ahead_and_population_wide_does_not(monkeypatch):
     assert not experiments._draws_ahead(workloads.population_config(42))
 
 
-def test_every_traced_attribute_runs_on_the_calling_thread_when_drawing_ahead(monkeypatch):
-    """The tracer keeps one span stack for all threads, so the helper must call no target."""
-    spans = _load("spans")
+def _record_threads(monkeypatch, targets) -> dict[str, set[int]]:
+    """Wrap each ``(module, attribute, layer)`` to record the threads that call it."""
     threads: dict[str, set[int]] = {}
 
     def on_thread(original, layer):
@@ -119,8 +121,14 @@ def test_every_traced_attribute_runs_on_the_calling_thread_when_drawing_ahead(mo
 
         return called
 
-    for module, attribute, layer in spans.TARGETS:
+    for module, attribute, layer in targets:
         monkeypatch.setattr(module, attribute, on_thread(getattr(module, attribute), layer))
+    return threads
+
+
+def test_every_traced_attribute_runs_on_the_calling_thread_when_drawing_ahead(monkeypatch):
+    """The tracer keeps one span stack for all threads, so the helper must call no target."""
+    threads = _record_threads(monkeypatch, _load("spans").TARGETS)
     experiments._run_cells(_drawn_ahead_cells(_load("workloads")), True)
     assert {
         "channel.init_trial_channel", "signal_model.draw_fingerprint",
@@ -128,6 +136,24 @@ def test_every_traced_attribute_runs_on_the_calling_thread_when_drawing_ahead(mo
         "silhouette.silhouette_from_normalized", "classifier.fit", "classifier.accuracy",
     } <= set(threads)
     assert all(idents == {threading.get_ident()} for idents in threads.values()), threads
+
+
+def test_every_traced_attribute_runs_on_the_calling_thread_in_two_lane_validate_claims(
+    monkeypatch,
+):
+    """The helper lane evaluates its forms through the module's own oracle,
+    which the tracer does not replace."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    threads = _record_threads(monkeypatch, _load("spans").TARGETS)
+    helper = _record_threads(
+        monkeypatch, [(gaussian_moments, "mc_ratio_detail", "helper_lane")]
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["validate-claims", "--draws", "10000"]) == 1
+    assert set(threads) == {"cli.cmd_validate_claims", "gaussian_moments.mc_ratio_detail"}
+    assert all(idents == {threading.get_ident()} for idents in threads.values()), threads
+    assert len(helper["helper_lane"]) == 1
+    assert threading.get_ident() not in helper["helper_lane"]
 
 
 def test_normals_per_trial_counts_the_draws_of_a_drawn_ahead_sweep(monkeypatch):

@@ -34,7 +34,7 @@ def data_address(array: np.ndarray) -> int:
 
 @pytest.mark.parametrize(
     "rows, size",
-    [(1, 1), (2, 4 * 3 * 7 * 52), (_MC_ROWS, 1000), (3, 0)],
+    [(1, 1), (2, 4 * 3 * 7 * 52), (_MC_ROWS[RatioForm.CROSS_DIFFERENCE], 1000), (3, 0)],
     ids=["one-entry", "trial-blocks", "oracle-rows", "empty-rows"],
 )
 def test_the_view_is_rows_of_size_c_contiguous_float64(rows, size):
@@ -78,7 +78,7 @@ def test_a_larger_request_grows_the_buffer_to_exactly_its_size():
 
 def test_a_warm_request_allocates_no_buffer_sized_array():
     """Only the first request of a size pays for the buffer."""
-    rows, size = _MC_ROWS, 10**5
+    rows, size = _MC_ROWS[RatioForm.CROSS_DIFFERENCE], 10**5
     buffer_bytes = rows * size * 8
 
     def peak() -> int:
@@ -138,11 +138,38 @@ def test_trials_and_the_oracle_share_one_buffer_per_thread():
     g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
     mc_ratio_detail(RatioForm.CROSS_DIFFERENCE, g, p, n_draws, 0)
     buffer = _scratch._local.buffer
-    assert buffer.size == _MC_ROWS * n_draws
-    # 2 phases x 4 devices x 3 slabs x 7 samples x 52 subcarriers < 5 x 1e4
+    assert buffer.size == 3 * n_draws
+    # 2 phases x 4 devices x 3 slabs x 7 samples x 52 subcarriers < 3 x 1e4
     cfg = replace(default_config(), n_devices=4, n_train=7, n_test=4)
     run_trial(cfg, ChannelScenario.DETERMINISTIC, Method.CR, 25.0, 0)
     assert _scratch._local.buffer is buffer
+
+
+@pytest.mark.parametrize(
+    "form, rows",
+    [
+        (RatioForm.DIRECT_RATIO, 2),
+        (RatioForm.PAIRED_PRODUCT, 2),
+        (RatioForm.CROSS_DIFFERENCE, 3),
+        (RatioForm.RECIPROCAL, 2),
+    ],
+    ids=lambda v: v.value if isinstance(v, RatioForm) else f"{v}-rows",
+)
+def test_an_oracle_call_on_a_fresh_thread_leaves_its_forms_rows(form, rows):
+    """Each form keeps whole rows only for its draws before the last, and the
+    ratio and the statistics reuse them."""
+    n_draws = 12_345
+    sizes = []
+
+    def worker() -> None:
+        mc_ratio_detail(form, GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01), n_draws, 0)
+        sizes.append(_scratch._local.buffer.size)
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert sizes == [rows * n_draws]
 
 
 @pytest.mark.parametrize("function", [run_trial, mc_ratio_detail], ids=lambda f: f.__name__)
