@@ -11,10 +11,15 @@ thread scores the other.  A thread keeps its buffer, grown to its largest
 request, until the thread exits.  A caller must return no view of it and
 must not call another user while it holds one: the next request on the
 thread hands out the same memory.
+
+Both helper threads run only when `usable_cpus` is at least 2.  On one CPU
+a helper only time-shares with the calling thread, while its buffer is
+memory the process would not otherwise hold.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -32,3 +37,11 @@ def scratch(rows: int, size: int) -> np.ndarray:
     if buffer is None or buffer.size < rows * size:
         buffer = _local.buffer = np.empty(rows * size)
     return buffer[: rows * size].reshape(rows, size)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1

@@ -44,7 +44,7 @@ from typing import Sequence, get_type_hints
 
 import numpy as np
 
-from . import __version__, experiments, gaussian_moments
+from . import __version__, _scratch, gaussian_moments
 from .config import ConfigError, parse_config, render_config
 from .experiments import (
     SweepRecord,
@@ -267,7 +267,9 @@ def cmd_validate_claims(args: argparse.Namespace) -> int:
 
     n_failures = 0
     n_rows = 0
-    helper = ThreadPoolExecutor(max_workers=1) if experiments._usable_cpus() >= 2 else None
+    # On one CPU, two lanes ran no faster than one and held 7% more peak RSS,
+    # the helper's 2 scratch rows (BENCH_18.json), so both lanes run here.
+    helper = ThreadPoolExecutor(max_workers=1) if _scratch.usable_cpus() >= 2 else None
     try:
         # The helper calls the oracle itself, not this module's attribute,
         # which a benchmark tracer replaces with one span stack for all threads.

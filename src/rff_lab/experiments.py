@@ -75,14 +75,13 @@ import contextlib
 import functools
 import itertools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import classifier
+from . import _scratch, classifier
 from ._scratch import scratch
 from .analytic import expected_silhouette
 from .channel import ChannelParams, ChannelScenario, Phase, TrialChannel, init_trial_channel
@@ -527,17 +526,10 @@ def _sorted_cells(cfg: ExperimentConfig) -> list[_Cell]:
 _MIN_DRAW_AHEAD_FILL = 500
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _draws_ahead(cfg: ExperimentConfig) -> bool:
     """Whether a one-worker sweep of ``cfg`` fills each next trial on a second core."""
     k = min(method.subcarriers(cfg.params) for method in cfg.methods)
-    return min(cfg.n_train, cfg.n_test) * k >= _MIN_DRAW_AHEAD_FILL and _usable_cpus() >= 2
+    return min(cfg.n_train, cfg.n_test) * k >= _MIN_DRAW_AHEAD_FILL and _scratch.usable_cpus() >= 2
 
 
 def _run_cells(cells: Sequence[_Cell], draw_ahead: bool) -> list[SweepRecord]:

@@ -133,15 +133,19 @@ class RatioForm(enum.Enum):
     RECIPROCAL = "reciprocal"
 
 
-#: Rows of `mc_ratio_detail`'s scratch per form: one per variable drawn
-#: before the last, whose ratios overwrite row 0, and at least one free row
-#: for the statistics.
-_MC_ROWS = {
-    RatioForm.DIRECT_RATIO: 2,
-    RatioForm.PAIRED_PRODUCT: 2,
-    RatioForm.CROSS_DIFFERENCE: 3,
-    RatioForm.RECIPROCAL: 2,
+#: The variables each form draws into whole scratch rows, in draw order: a
+#: signal variable ("g") or a noise one ("w").  The last variable (W or W2)
+#: is not listed: it is drawn a chunk at a time.
+_ROW_DRAWS = {
+    RatioForm.DIRECT_RATIO: "g",  # G
+    RatioForm.PAIRED_PRODUCT: "gw",  # G, W1
+    RatioForm.CROSS_DIFFERENCE: "ggw",  # G1, G2, W1
+    RatioForm.RECIPROCAL: "g",  # G
 }
+#: Rows of `mc_ratio_detail`'s scratch per form: one per whole-row draw, and
+#: at least 2, since the ratios overwrite row 0 and the statistics need a
+#: free row after them.
+_MC_ROWS = {form: max(2, len(draws)) for form, draws in _ROW_DRAWS.items()}
 #: Entries of the last variable (W or W2) drawn and used per step; its
 #: temporaries stay this small whatever the draw count.
 _MC_CHUNK = 8192
@@ -225,28 +229,25 @@ def _ratio_into(
 
     Draw order is fixed (signal variables first, then noises, numerator
     before denominator) so results are reproducible for a given seed.  Each
-    variable before the last fills a whole row; the last is drawn
-    `_MC_CHUNK` entries at a time, and each chunk's ratios are computed at
-    once and written over row 0.  ``standard_normal`` gives the same stream
-    however a draw is split into calls.  Each formula is evaluated in its
-    written operation order, one rounding per operation, so the values are
-    those of the plain array expression.
+    variable before the last fills a whole row (`_ROW_DRAWS`, which each
+    formula unpacks); the last is drawn `_MC_CHUNK` entries at a time, and
+    each chunk's ratios are computed at once and written over row 0.
+    ``standard_normal`` gives the same stream however a draw is split into
+    calls.  Each formula is evaluated in its written operation order, one
+    rounding per operation, so the values are those of the plain array
+    expression.
     """
-    mu, sg, sw, rho = g.mean, g.std, p.noise_std, p.rho
+    sw, rho = p.noise_std, p.rho
     if form is RatioForm.DIRECT_RATIO:  # G / (rho*G + W)
-        _normal_into(rows[0], mu, sg, rng)
-
         def ratio(v: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
-            np.multiply(v[0], rho, out=t)
+            (gv,) = v
+            np.multiply(gv, rho, out=t)
             t += w
-            np.divide(v[0], t, out=v[0])
+            np.divide(gv, t, out=gv)
 
     elif form is RatioForm.PAIRED_PRODUCT:  # G^2 / ((rho*G + W1)(rho*G + W2))
-        _normal_into(rows[0], mu, sg, rng)
-        _normal_into(rows[1], 0.0, sw, rng)
-
         def ratio(v: np.ndarray, w2: np.ndarray, t: np.ndarray) -> None:
-            gg, w1 = v[0], v[1]
+            gg, w1 = v
             np.multiply(gg, rho, out=t)
             w1 += t
             w2 += t
@@ -255,12 +256,8 @@ def _ratio_into(
             np.divide(t, w1, out=gg)
 
     elif form is RatioForm.CROSS_DIFFERENCE:  # (G1*W2 - G2*W1) / ((rho*G1 + W1)(rho*G2 + W2))
-        _normal_into(rows[0], mu, sg, rng)
-        _normal_into(rows[1], mu, sg, rng)
-        _normal_into(rows[2], 0.0, sw, rng)
-
         def ratio(v: np.ndarray, w2: np.ndarray, t: np.ndarray) -> None:
-            g1, g2, w1 = v[0], v[1], v[2]
+            g1, g2, w1 = v
             np.multiply(g1, w2, out=t)
             g1 *= rho
             g1 += w1  # rho*G1 + W1
@@ -272,22 +269,25 @@ def _ratio_into(
             np.divide(t, g1, out=g1)
 
     elif form is RatioForm.RECIPROCAL:  # 1 / (rho*G + W)
-        _normal_into(rows[0], mu, sg, rng)
-
         def ratio(v: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
-            np.multiply(v[0], rho, out=t)
+            (gv,) = v
+            np.multiply(gv, rho, out=t)
             t += w
-            np.divide(1.0, t, out=v[0])
+            np.divide(1.0, t, out=gv)
 
     else:
         raise ValueError(f"unknown ratio form: {form!r}")
+    draws = _ROW_DRAWS[form]
+    laws = {"g": (g.mean, g.std), "w": (0.0, sw)}
+    for row, kind in zip(rows, draws):
+        _normal_into(row, *laws[kind], rng)
     n_draws = rows.shape[1]
     last, temp = np.empty((2, _MC_CHUNK))
     for start in range(0, n_draws, _MC_CHUNK):
         chunk = slice(start, min(start + _MC_CHUNK, n_draws))
         size = chunk.stop - start
         _normal_into(last[:size], 0.0, sw, rng)
-        ratio(rows[:, chunk], last[:size], temp[:size])
+        ratio(rows[: len(draws), chunk], last[:size], temp[:size])
     return rows[0]
 
 

@@ -278,10 +278,10 @@ class TestDrawAhead:
             "_run_trials",
             lambda cfg, jobs, draw_ahead: calls.append(draw_ahead) or real(cfg, jobs, draw_ahead),
         )
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_scratch, "usable_cpus", lambda: 1)
         serial = run_sweep(cfg)
         assert calls == [False]
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_scratch, "usable_cpus", lambda: 2)
         assert run_sweep(cfg) == serial
         assert calls == [False, True]
         assert run_sweep(cfg, n_threads=2) == serial  # the pool never draws ahead
@@ -301,13 +301,13 @@ class TestDrawAhead:
         ],
     )
     def test_the_size_and_cpu_rule(self, monkeypatch, overrides, cpus, ahead):
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_scratch, "usable_cpus", lambda: cpus)
         assert experiments._draws_ahead(replace(default_config(), **overrides)) is ahead
 
     def test_usable_cpus_reads_the_affinity_mask(self):
-        if hasattr(experiments.os, "sched_getaffinity"):
-            assert experiments._usable_cpus() == len(experiments.os.sched_getaffinity(0))
-        assert experiments._usable_cpus() >= 1
+        if hasattr(_scratch.os, "sched_getaffinity"):
+            assert _scratch.usable_cpus() == len(_scratch.os.sched_getaffinity(0))
+        assert _scratch.usable_cpus() >= 1
 
     def test_too_few_finite_samples_keeps_its_message(self, monkeypatch):
         # the closed form on this channel is not finite; a stand-in lets trials run
@@ -399,7 +399,7 @@ class TestTrialLoop:
             n_test=42,  # 42 x SL's 12 subcarriers: 504 normals, so 2 CPUs draw ahead
             n_trials=2,
         )
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_scratch, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(_scratch, "_local", threading.local())
         run_sweep(cfg)
         assert _scratch._local.buffer.size == rows * experiments._row_size(cfg, cfg.methods)
@@ -407,7 +407,7 @@ class TestTrialLoop:
     def test_a_pool_task_takes_2_scratch_rows(self, monkeypatch):
         cfg = small_config(methods=(Method.SL,), n_train=50, n_test=50)
         # 50 x 12 normals on 2 CPUs: a one-worker sweep of this grid would draw ahead
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_scratch, "usable_cpus", lambda: 2)
         monkeypatch.setattr(_scratch, "_local", threading.local())
         experiments._run_cell(experiments._sorted_cells(cfg)[0])
         assert _scratch._local.buffer.size == 2 * experiments._row_size(cfg, cfg.methods)

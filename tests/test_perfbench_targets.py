@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rff_lab import cli, experiments, gaussian_moments
+from rff_lab import _scratch, cli, experiments, gaussian_moments
 from rff_lab.channel import ChannelScenario
 from rff_lab.signal_model import Method
 
@@ -105,7 +105,7 @@ def _drawn_ahead_cells(workloads):
 
 def test_sweep_default_draws_ahead_and_population_wide_does_not(monkeypatch):
     workloads = _load("workloads")
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_scratch, "usable_cpus", lambda: 2)
     assert experiments._draws_ahead(workloads.sweep_config(42))
     assert not experiments._draws_ahead(workloads.population_config(42))
 
@@ -143,7 +143,7 @@ def test_every_traced_attribute_runs_on_the_calling_thread_in_two_lane_validate_
 ):
     """The helper lane evaluates its forms through the module's own oracle,
     which the tracer does not replace."""
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_scratch, "usable_cpus", lambda: 2)
     threads = _record_threads(monkeypatch, _load("spans").TARGETS)
     helper = _record_threads(
         monkeypatch, [(gaussian_moments, "mc_ratio_detail", "helper_lane")]

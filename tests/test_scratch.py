@@ -145,17 +145,8 @@ def test_trials_and_the_oracle_share_one_buffer_per_thread():
     assert _scratch._local.buffer is buffer
 
 
-@pytest.mark.parametrize(
-    "form, rows",
-    [
-        (RatioForm.DIRECT_RATIO, 2),
-        (RatioForm.PAIRED_PRODUCT, 2),
-        (RatioForm.CROSS_DIFFERENCE, 3),
-        (RatioForm.RECIPROCAL, 2),
-    ],
-    ids=lambda v: v.value if isinstance(v, RatioForm) else f"{v}-rows",
-)
-def test_an_oracle_call_on_a_fresh_thread_leaves_its_forms_rows(form, rows):
+@pytest.mark.parametrize("form", list(RatioForm), ids=lambda form: form.value)
+def test_an_oracle_call_on_a_fresh_thread_leaves_its_forms_rows(form):
     """Each form keeps whole rows only for its draws before the last, and the
     ratio and the statistics reuse them."""
     n_draws = 12_345
@@ -169,7 +160,7 @@ def test_an_oracle_call_on_a_fresh_thread_leaves_its_forms_rows(form, rows):
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert sizes == [rows * n_draws]
+    assert sizes == [_MC_ROWS[form] * n_draws]
 
 
 @pytest.mark.parametrize("function", [run_trial, mc_ratio_detail], ids=lambda f: f.__name__)
