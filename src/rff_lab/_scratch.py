@@ -1,20 +1,12 @@
 """One float64 scratch buffer per thread, for calls that return only floats.
 
-Two callers draw into it, so a thread that makes many calls faults its
-draw-sized pages in once: `mc_ratio_detail` takes 2 rows, or 3 for the
-cross-difference form (``validate-claims`` runs two forms on a helper
-thread when it may use 2 CPUs, so 3 + 2 rows in all), and the trial
-loop `experiments._run_trials`, behind `run_trial` and every sweep, takes 2
-rows (train and test) per trial in flight: 2, or 4 in a one-worker sweep
-that draws ahead, which fills one half on a helper thread while the calling
-thread scores the other.  A thread keeps its buffer, grown to its largest
-request, until the thread exits.  A caller must return no view of it and
-must not call another user while it holds one: the next request on the
-thread hands out the same memory.
-
-Both helper threads run only when `usable_cpus` is at least 2.  On one CPU
-a helper only time-shares with the calling thread, while its buffer is
-memory the process would not otherwise hold.
+A call takes ``rows`` rows of ``size`` entries of its thread's buffer, so a
+thread that makes many calls faults its draw-sized pages in once.  The
+thread keeps the buffer, grown to its largest request, until the thread
+exits.  A caller must return no view of it and hold none across a call to
+another user: the next request on the thread hands out the same memory.
+How many rows each caller takes is documented with it: `mc_ratio_detail`
+and `experiments._run_trials`.
 """
 
 from __future__ import annotations
@@ -40,7 +32,12 @@ def scratch(rows: int, size: int) -> np.ndarray:
 
 
 def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where the platform has one."""
+    """CPUs this process may run on: its affinity mask, where the platform has one.
+
+    Callers start a helper thread only when this is at least 2: on one CPU a
+    helper only time-shares with the calling thread, while its buffer is
+    memory the process would not otherwise hold.
+    """
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform

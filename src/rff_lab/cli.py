@@ -32,6 +32,7 @@ import argparse
 import csv
 import enum
 import io
+import itertools
 import json
 import math
 import os
@@ -199,11 +200,17 @@ def _resolve_threads(cli_value: int | None) -> int:
     return cli_value
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if args.trials is not None:
         cfg = replace(cfg, n_trials=args.trials)
     if args.seed is not None:
+        _check_seed(args.seed)
         cfg = replace(cfg, master_seed=args.seed)
     n_threads = _resolve_threads(args.threads)
 
@@ -230,11 +237,6 @@ def _validation_seed(base_seed: int, point_index: int, form_index: int) -> int:
     )
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
-
-
 def cmd_validate_claims(args: argparse.Namespace) -> int:
     if args.draws < 10**4:
         raise ConfigError(f"--draws must be >= 10000, got {args.draws}")
@@ -247,13 +249,9 @@ def cmd_validate_claims(args: argparse.Namespace) -> int:
     print(header)
     print("-" * len(header))
 
-    points = [
-        (mu_g, sigma_g, rho, sigma_w)
-        for mu_g in VALIDATION_MU_G
-        for sigma_g in VALIDATION_SIGMA_G
-        for rho in VALIDATION_RHO
-        for sigma_w in VALIDATION_SIGMA_W
-    ]
+    points = list(
+        itertools.product(VALIDATION_MU_G, VALIDATION_SIGMA_G, VALIDATION_RHO, VALIDATION_SIGMA_W)
+    )
     specs = [
         (GaussianSpec(mean=mu_g, variance=sigma_g**2),
          RatioParams(rho=rho, noise_variance=sigma_w**2))

@@ -3,6 +3,9 @@
 The format is one ``dotted.key = value`` pair per line; blank lines and lines
 starting with ``#`` are ignored.  Every key has a default (`default_config`),
 so a file only needs the keys it overrides.  Lists are comma-separated.
+The keys are the fields of `ModelParams` (``model.*``), `ChannelParams`
+(``channel.*``) and `ExperimentConfig` (``experiment.*``), in declaration
+order; a field whose type has no codec here is a TypeError at import.
 `render_config` emits the complete key set, and
 ``parse_config(render_config(cfg)) == cfg`` holds exactly.
 
@@ -17,7 +20,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, get_type_hints
 
 from .channel import ChannelParams, ChannelScenario
 from .experiments import ExperimentConfig, default_config
@@ -44,7 +47,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(item) for item in items)
 
 
-def _parse_enum_list(enum_cls) -> Callable[[str], tuple]:
+def _enum_list(enum_cls) -> tuple[Callable[[str], tuple], Callable[[tuple], str]]:
+    """(parse, render) of a comma-separated list of ``enum_cls`` members."""
     valid = ", ".join(member.value for member in enum_cls)
 
     def parse(text: str) -> tuple:
@@ -56,39 +60,37 @@ def _parse_enum_list(enum_cls) -> Callable[[str], tuple]:
         except ValueError:
             raise ValueError(f"expected values from: {valid}; got {text!r}") from None
 
-    return parse
+    return parse, lambda members: ",".join(member.value for member in members)
 
 
-def _render_enum_list(values: tuple) -> str:
-    return ",".join(member.value for member in values)
+#: each config section and the record whose fields are its keys
+_RECORDS = {"model": ModelParams, "channel": ChannelParams, "experiment": ExperimentConfig}
+
+#: field type -> (parse, render)
+_CODECS = {
+    float: (float, repr),
+    int: (int, repr),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    tuple[float, ...]: (_parse_float_list, lambda v: ",".join(repr(float(x)) for x in v)),
+    tuple[ChannelScenario, ...]: _enum_list(ChannelScenario),
+    tuple[Method, ...]: _enum_list(Method),
+}
 
 
-def _render_float_list(values: tuple) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _config_keys() -> dict[str, tuple[str, str, Callable[[str], object], Callable]]:
+    keys = {}
+    for section, record in _RECORDS.items():
+        for attribute, hint in get_type_hints(record).items():
+            if hint in _RECORDS.values():
+                continue  # another section's record
+            if hint not in _CODECS:
+                raise TypeError(f"{record.__name__}.{attribute}: no config codec for {hint}")
+            keys[f"{section}.{attribute}"] = (section, attribute, *_CODECS[hint])
+    return keys
 
 
 #: key -> (section, attribute, parse, render)
-CONFIG_KEYS: dict[str, tuple[str, str, Callable[[str], object], Callable]] = {}
-
-
-def _register(section: str, attribute: str, parse, render=repr) -> None:
-    CONFIG_KEYS[f"{section}.{attribute}"] = (section, attribute, parse, render)
-
-
-for _name in ("x", "f_ra", "f_ta", "f_ru", "f_tu_l", "eta",
-              "mu_u", "sigma_u", "mu_s", "sigma_s", "sigma_n"):
-    _register("model", _name, float)
-for _name in ("r_l", "r_s"):
-    _register("model", _name, int)
-for _name in ("mu_h", "sigma_h", "mu_h_non", "sigma_h_non"):
-    _register("channel", _name, float)
-for _name in ("n_devices", "n_train", "n_test", "n_trials", "master_seed"):
-    _register("experiment", _name, int)
-_register("experiment", "scenarios", _parse_enum_list(ChannelScenario), _render_enum_list)
-_register("experiment", "methods", _parse_enum_list(Method), _render_enum_list)
-_register("experiment", "snr_db_grid", _parse_float_list, _render_float_list)
-_register("experiment", "classify_normalized", _parse_bool,
-          lambda v: "true" if v else "false")
+CONFIG_KEYS = _config_keys()
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -124,7 +126,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {line_no}: bad value for {key!r}: {exc}") from None
 
     base = default_config()
-    by_section: dict[str, dict[str, object]] = {"model": {}, "channel": {}, "experiment": {}}
+    by_section: dict[str, dict[str, object]] = {section: {} for section in _RECORDS}
     for key, value in overrides.items():
         section, attribute, _, _ = CONFIG_KEYS[key]
         by_section[section][attribute] = value
@@ -137,14 +139,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"configuration invalid: {exc}") from None
 
 
-def _lookup(cfg: ExperimentConfig, section: str, attribute: str):
-    if section == "model":
-        return getattr(cfg.params, attribute)
-    if section == "channel":
-        return getattr(cfg.params.channel, attribute)
-    return getattr(cfg, attribute)
-
-
 def render_config(cfg: ExperimentConfig) -> str:
     """Complete config text for ``cfg``; parsing it back reproduces ``cfg``."""
     sections = {
@@ -152,12 +146,12 @@ def render_config(cfg: ExperimentConfig) -> str:
         "channel": "# CSI distribution parameters (train and shifted-test)",
         "experiment": "# Sweep layout and Monte-Carlo sizes",
     }
+    records = {"model": cfg.params, "channel": cfg.params.channel, "experiment": cfg}
     lines: list[str] = []
     for section, header in sections.items():
         lines.append(header)
         for key, (key_section, attribute, _, render) in CONFIG_KEYS.items():
-            if key_section != section:
-                continue
-            lines.append(f"{key} = {render(_lookup(cfg, section, attribute))}")
+            if key_section == section:
+                lines.append(f"{key} = {render(getattr(records[section], attribute))}")
         lines.append("")
     return "\n".join(lines)

@@ -115,14 +115,14 @@ class ExperimentConfig:
     """Full specification of a sweep."""
 
     params: ModelParams
-    scenarios: tuple[ChannelScenario, ...]
-    methods: tuple[Method, ...]
-    snr_db_grid: tuple[float, ...]
     n_devices: int
     n_train: int
     n_test: int
     n_trials: int
     master_seed: int
+    scenarios: tuple[ChannelScenario, ...]
+    methods: tuple[Method, ...]
+    snr_db_grid: tuple[float, ...]
     #: classify on the same normalized features the silhouette uses; turn off
     #: to probe sensitivity to the normalization step
     classify_normalized: bool = True

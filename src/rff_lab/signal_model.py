@@ -82,13 +82,13 @@ class ModelParams:
     f_ru: float
     f_tu_l: float
     eta: float
-    r_l: int
-    r_s: int
     mu_u: float
     sigma_u: float
     mu_s: float
     sigma_s: float
     sigma_n: float
+    r_l: int
+    r_s: int
     channel: ChannelParams
 
     def __post_init__(self) -> None:

@@ -15,10 +15,10 @@ devices, always in ``[-1, 1]``.  Distances pair training samples against test
 sets only — training samples are never compared with each other.
 
 A phase's samples are one ``(D, N, K)`` tensor: device, sample, subcarrier.
-An optional ``(D, N)`` kept mask leaves rows out (the non-finite screen of
-`experiments.run_trial`); a row outside the mask counts for nothing, whatever
-its values.  Every reduction below runs once over the whole tensor, never
-once per device.
+An optional ``(D, N)`` kept mask leaves rows out (the non-finite screen of a
+trial's score stage, `experiments._score`); a row outside the mask counts for
+nothing, whatever its values.  Every reduction below runs once over the whole
+tensor, never once per device.
 
 Full K-dimensional distances are used (not a single-subcarrier shortcut), and
 the per-device mean of squared distances is evaluated through the exact

@@ -13,7 +13,7 @@ import sys
 import tempfile
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -144,6 +144,54 @@ class TestConfigRoundTrip:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert done.stdout.strip() == "False"
+
+
+def _records(cfg):
+    """Each config section and the record that holds its settings in ``cfg``."""
+    return {"model": cfg.params, "channel": cfg.params.channel, "experiment": cfg}
+
+
+def _with_setting(cfg, section, attribute, value):
+    """``cfg`` with one setting of one section's record replaced."""
+    change = {attribute: value}
+    if section == "channel":
+        change = {"channel": replace(cfg.params.channel, **change)}
+    if section in ("model", "channel"):
+        return replace(cfg, params=replace(cfg.params, **change))
+    return replace(cfg, **change)
+
+
+def _non_default(value):
+    """A valid value of ``value``'s type that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return value[::-1]
+    if isinstance(value, float):
+        return value + 0.1  # e.g. 0.30000000000000004: every digit must survive
+    return value + 1
+
+
+class TestConfigKeysAreTheRecordsFields:
+    def test_keys_are_every_non_record_field_in_declaration_order(self):
+        expected = [
+            f"{section}.{field.name}"
+            for section, record in _records(default_config()).items()
+            for field in fields(record)
+            if not is_dataclass(getattr(record, field.name))
+        ]
+        assert list(CONFIG_KEYS) == expected
+
+    @pytest.mark.parametrize("key", list(CONFIG_KEYS))
+    def test_each_key_round_trips_a_non_default_value(self, key):
+        section, attribute, _, _ = CONFIG_KEYS[key]
+        base = default_config()
+        default = getattr(_records(base)[section], attribute)
+        value = _non_default(default)
+        assert value != default
+        cfg = _with_setting(base, section, attribute, value)
+        assert getattr(_records(cfg)[section], attribute) == value
+        assert parse_config(render_config(cfg)) == cfg
 
 
 class TestPinnedBytes:
@@ -502,6 +550,14 @@ class TestCliSweep:
         monkeypatch.setenv("RFF_LAB_THREADS", "plenty")
         assert main(["sweep", "--config", str(config_path)]) == 2
         assert "RFF_LAB_THREADS" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_naming_the_flag(self, tmp_path, capsys):
+        config_path = tmp_path / "small.cfg"
+        config_path.write_text(SMALL_CONFIG_TEXT, encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
 
 
 class TestCliCorrelate:
