@@ -48,6 +48,7 @@ import numpy as np
 from . import __version__, _scratch, gaussian_moments
 from .config import ConfigError, parse_config, render_config
 from .experiments import (
+    MIN_PERMUTATIONS,
     SweepRecord,
     correlate,
     default_config,
@@ -186,32 +187,32 @@ def _load_config(path: str | None):
     return parse_config(_read_file(path))
 
 
+def _check_at_least(name: str, value: int, least: int) -> int:
+    """``value``, or a `ConfigError` naming the flag or variable it came from."""
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _resolve_threads(cli_value: int | None) -> int:
-    if cli_value is None:
-        env = os.environ.get(ENV_THREADS)
-        if env is None:
-            return 1
-        try:
-            cli_value = int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
-    if cli_value < 1:
-        raise ConfigError(f"thread count must be >= 1, got {cli_value}")
-    return cli_value
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    if cli_value is not None:
+        return _check_at_least("--threads", cli_value, 1)
+    env = os.environ.get(ENV_THREADS)
+    if env is None:
+        return 1
+    try:
+        threads = int(env)
+    except ValueError:
+        raise ConfigError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
+    return _check_at_least(ENV_THREADS, threads, 1)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if args.trials is not None:
-        cfg = replace(cfg, n_trials=args.trials)
+        cfg = replace(cfg, n_trials=_check_at_least("--trials", args.trials, 1))
     if args.seed is not None:
-        _check_seed(args.seed)
-        cfg = replace(cfg, master_seed=args.seed)
+        cfg = replace(cfg, master_seed=_check_at_least("--seed", args.seed, 0))
     n_threads = _resolve_threads(args.threads)
 
     start = time.perf_counter()
@@ -238,9 +239,8 @@ def _validation_seed(base_seed: int, point_index: int, form_index: int) -> int:
 
 
 def cmd_validate_claims(args: argparse.Namespace) -> int:
-    if args.draws < 10**4:
-        raise ConfigError(f"--draws must be >= 10000, got {args.draws}")
-    _check_seed(args.seed)
+    _check_at_least("--draws", args.draws, 10**4)
+    _check_at_least("--seed", args.seed, 0)
     start = time.perf_counter()
     header = (
         f"{'form':<18}{'quantity':<16}{'sigma_g':>8}{'rho':>6}{'sigma_w':>9}"
@@ -322,7 +322,8 @@ def cmd_validate_claims(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    _check_seed(args.seed)
+    _check_at_least("--permutations", args.permutations, MIN_PERMUTATIONS)
+    _check_at_least("--seed", args.seed, 0)
     records = parse_records_csv(_read_file(args.records))
     report = correlate(records, n_permutations=args.permutations, seed=args.seed)
     if args.format == "json":

@@ -133,19 +133,26 @@ class RatioForm(enum.Enum):
     RECIPROCAL = "reciprocal"
 
 
-#: The variables each form draws into whole scratch rows, in draw order: a
-#: signal variable ("g") or a noise one ("w").  The last variable (W or W2)
-#: is not listed: it is drawn a chunk at a time.
-_ROW_DRAWS = {
-    RatioForm.DIRECT_RATIO: "g",  # G
-    RatioForm.PAIRED_PRODUCT: "gw",  # G, W1
-    RatioForm.CROSS_DIFFERENCE: "ggw",  # G1, G2, W1
-    RatioForm.RECIPROCAL: "g",  # G
+#: Each form once: the variables it draws into whole scratch rows, in draw
+#: order, a signal variable ("g") or a noise one ("w"), and its ratio as a
+#: plain expression of ``rho``, those rows and the last variable (W or W2),
+#: which is drawn a chunk at a time.  Each operation rounds once, as in the
+#: whole-array expression, so chunking leaves the bytes as they are.
+_FORMS = {
+    RatioForm.DIRECT_RATIO: ("g", lambda rho, g, w: g / (rho * g + w)),
+    RatioForm.PAIRED_PRODUCT: (
+        "gw", lambda rho, g, w1, w2: g**2 / ((rho * g + w1) * (rho * g + w2))
+    ),
+    RatioForm.CROSS_DIFFERENCE: (
+        "ggw",
+        lambda rho, g1, g2, w1, w2: (g1 * w2 - g2 * w1) / ((rho * g1 + w1) * (rho * g2 + w2)),
+    ),
+    RatioForm.RECIPROCAL: ("g", lambda rho, g, w: 1.0 / (rho * g + w)),
 }
 #: Rows of `mc_ratio_detail`'s scratch per form: one per whole-row draw, and
 #: at least 2, since the ratios overwrite row 0 and the statistics need a
 #: free row after them.
-_MC_ROWS = {form: max(2, len(draws)) for form, draws in _ROW_DRAWS.items()}
+_MC_ROWS = {form: max(2, len(draws)) for form, (draws, _) in _FORMS.items()}
 #: Entries of the last variable (W or W2) drawn and used per step; its
 #: temporaries stay this small whatever the draw count.
 _MC_CHUNK = 8192
@@ -229,65 +236,24 @@ def _ratio_into(
 
     Draw order is fixed (signal variables first, then noises, numerator
     before denominator) so results are reproducible for a given seed.  Each
-    variable before the last fills a whole row (`_ROW_DRAWS`, which each
-    formula unpacks); the last is drawn `_MC_CHUNK` entries at a time, and
-    each chunk's ratios are computed at once and written over row 0.
-    ``standard_normal`` gives the same stream however a draw is split into
-    calls.  Each formula is evaluated in its written operation order, one
-    rounding per operation, so the values are those of the plain array
-    expression.
+    variable before the last fills a whole row (`_FORMS`); the last is drawn
+    `_MC_CHUNK` entries at a time, and each chunk's ratios are evaluated as
+    the form's expression and written over row 0, so its intermediates are
+    temporaries of at most `_MC_CHUNK` entries.  ``standard_normal`` gives the
+    same stream however a draw is split into calls.
     """
-    sw, rho = p.noise_std, p.rho
-    if form is RatioForm.DIRECT_RATIO:  # G / (rho*G + W)
-        def ratio(v: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
-            (gv,) = v
-            np.multiply(gv, rho, out=t)
-            t += w
-            np.divide(gv, t, out=gv)
-
-    elif form is RatioForm.PAIRED_PRODUCT:  # G^2 / ((rho*G + W1)(rho*G + W2))
-        def ratio(v: np.ndarray, w2: np.ndarray, t: np.ndarray) -> None:
-            gg, w1 = v
-            np.multiply(gg, rho, out=t)
-            w1 += t
-            w2 += t
-            w1 *= w2
-            np.square(gg, out=t)
-            np.divide(t, w1, out=gg)
-
-    elif form is RatioForm.CROSS_DIFFERENCE:  # (G1*W2 - G2*W1) / ((rho*G1 + W1)(rho*G2 + W2))
-        def ratio(v: np.ndarray, w2: np.ndarray, t: np.ndarray) -> None:
-            g1, g2, w1 = v
-            np.multiply(g1, w2, out=t)
-            g1 *= rho
-            g1 += w1  # rho*G1 + W1
-            w1 *= g2  # G2*W1
-            t -= w1
-            np.multiply(g2, rho, out=w1)
-            w1 += w2  # rho*G2 + W2
-            g1 *= w1
-            np.divide(t, g1, out=g1)
-
-    elif form is RatioForm.RECIPROCAL:  # 1 / (rho*G + W)
-        def ratio(v: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
-            (gv,) = v
-            np.multiply(gv, rho, out=t)
-            t += w
-            np.divide(1.0, t, out=gv)
-
-    else:
-        raise ValueError(f"unknown ratio form: {form!r}")
-    draws = _ROW_DRAWS[form]
+    draws, ratio = _FORMS[form]
+    sw = p.noise_std
     laws = {"g": (g.mean, g.std), "w": (0.0, sw)}
     for row, kind in zip(rows, draws):
         _normal_into(row, *laws[kind], rng)
     n_draws = rows.shape[1]
-    last, temp = np.empty((2, _MC_CHUNK))
+    last = np.empty(_MC_CHUNK)
     for start in range(0, n_draws, _MC_CHUNK):
         chunk = slice(start, min(start + _MC_CHUNK, n_draws))
-        size = chunk.stop - start
-        _normal_into(last[:size], 0.0, sw, rng)
-        ratio(rows[: len(draws), chunk], last[:size], temp[:size])
+        w = last[: chunk.stop - start]
+        _normal_into(w, 0.0, sw, rng)
+        rows[0, chunk] = ratio(p.rho, *rows[: len(draws), chunk], w)
     return rows[0]
 
 
@@ -321,10 +287,10 @@ def mc_ratio_detail(
     scratch buffer (`rff_lab._scratch`), 2 rows of ``n_draws`` for the
     direct, paired and reciprocal forms and 3 for the cross-difference form,
     so a thread making many calls allocates no draw-sized array after its
-    largest one; the last variable and the ratio's intermediates take two
-    rows of 8192 entries for the call.  The thread keeps that buffer until it
-    exits: 24 MB after a cross-difference call of 10^6 draws.  The result
-    does not depend on it.
+    largest one; the last variable takes one row of 8192 entries for the
+    call, and the ratio's intermediates are temporaries of at most 8192
+    entries.  The thread keeps that buffer until it exits: 24 MB after a
+    cross-difference call of 10^6 draws.  The result does not depend on it.
     """
     if n_draws < 10**4:
         raise ValueError(f"n_draws must be >= 1e4, got {n_draws}")

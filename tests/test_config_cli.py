@@ -559,6 +559,27 @@ class TestCliSweep:
         assert "error: --seed must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["--trials", "0"], None, "--trials must be >= 1, got 0"),
+            (["--threads", "0"], None, "--threads must be >= 1, got 0"),
+            ([], "0", "RFF_LAB_THREADS must be >= 1, got 0"),
+        ],
+        ids=["trials", "threads", "env"],
+    )
+    def test_a_count_below_one_exits_2_naming_its_source(
+        self, argv, env, message, tmp_path, monkeypatch, capsys
+    ):
+        config_path = tmp_path / "small.cfg"
+        config_path.write_text(SMALL_CONFIG_TEXT, encoding="utf-8")
+        if env is not None:
+            monkeypatch.setenv("RFF_LAB_THREADS", env)
+        assert main(["sweep", "--config", str(config_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
 
 class TestCliCorrelate:
     def test_text_report(self, tmp_path, capsys):
@@ -600,6 +621,13 @@ class TestCliCorrelate:
         records_path.write_text(format_records_csv(small_records()), encoding="utf-8")
         assert main(["correlate", "--records", str(records_path), "--seed", "-1"]) == 2
         assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_too_few_permutations_exit_2_naming_the_flag(self, tmp_path, capsys):
+        records_path = tmp_path / "records.csv"
+        records_path.write_text(format_records_csv(small_records()), encoding="utf-8")
+        argv = ["correlate", "--records", str(records_path), "--permutations", "999"]
+        assert main(argv) == 2
+        assert "error: --permutations must be >= 1000, got 999" in capsys.readouterr().err
 
 
 class TestCliEmitConfigAndValidate:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import oracle_reference as reference
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rff_lab import _scratch
@@ -23,7 +23,7 @@ from rff_lab.gaussian_moments import (
     paired_product_mean,
     reciprocal_moments,
 )
-from rff_lab.gaussian_moments import _MC_ROWS
+from rff_lab.gaussian_moments import _MC_CHUNK, _MC_ROWS
 
 SEED = 42
 
@@ -228,7 +228,13 @@ oracle_points = st.tuples(
 )
 
 
+def _every_form_at(n_draws: int) -> list[tuple]:
+    return [(form, 1.5, 0.2, -0.75, 0.15, n_draws, SEED) for form in RatioForm]
+
+
 @given(st.lists(oracle_points, min_size=2, max_size=4))
+@example(_every_form_at(2 * _MC_CHUNK))  # the last chunk is whole
+@example(_every_form_at(2 * _MC_CHUNK + 1))  # the last chunk is one entry
 @settings(max_examples=30, deadline=None)
 def test_oracle_equals_the_reference_with_and_without_a_reused_work(points):
     """Every field equals the reference, on a fresh thread scratch and on the

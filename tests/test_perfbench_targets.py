@@ -8,9 +8,11 @@ of its ``TARGETS``.  A renamed attribute would only show up as an
 (`normals_per_trial`), not from the draws, so a trial that drew more or
 fewer normals would go unseen there; the count is checked here against the
 normals a trial actually draws, back to back and in a sweep that draws
-ahead.  That sweep fills trials on a helper thread, and ``validate-claims``
-runs two of its four ratio forms on one; neither helper may call a traced
-attribute: the tracer keeps one span stack for all threads.
+ahead.  validate_claims' ``draws_per_s`` reads `ORACLE_NORMALS_PER_DRAW`,
+checked here against the normals one oracle call draws.  That sweep fills
+trials on a helper thread, and ``validate-claims`` runs two of its four
+ratio forms on one; neither helper may call a traced attribute: the tracer
+keeps one span stack for all threads.
 """
 
 import contextlib
@@ -174,3 +176,26 @@ def test_normals_per_trial_counts_the_draws_of_a_drawn_ahead_sweep(monkeypatch):
     for cfg, scenario, method, streams in trials:
         drawn = sum(stream.normals for stream in streams)
         assert drawn == workloads.normals_per_trial(cfg, scenario, method), (scenario, method)
+
+
+@pytest.mark.parametrize("form", list(gaussian_moments.RatioForm), ids=lambda form: form.value)
+def test_oracle_normals_per_draw_counts_the_draws_of_one_oracle_call(monkeypatch, form):
+    """validate_claims' ``draws_per_s`` reads `ORACLE_NORMALS_PER_DRAW`; a chunked
+    last variable must not draw more or fewer normals than the table says."""
+    workloads = _load("workloads")
+    real_rng = np.random.default_rng
+    streams = []
+
+    def counted(seed):
+        streams.append(CountingStream(real_rng(seed)))
+        return streams[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    n_draws = 2 * gaussian_moments._MC_CHUNK + 1
+    gaussian_moments.mc_ratio_detail(
+        form, gaussian_moments.GaussianSpec(1.0, 0.01), gaussian_moments.RatioParams(1.0, 0.01),
+        n_draws, 42,
+    )
+    assert [stream.normals for stream in streams] == [
+        workloads.ORACLE_NORMALS_PER_DRAW[form] * n_draws
+    ]
