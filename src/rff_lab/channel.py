@@ -25,6 +25,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .gaussian_moments import _as_normal
+
 __all__ = [
     "ChannelScenario",
     "Phase",
@@ -49,11 +51,19 @@ class Phase(enum.Enum):
 
 
 def require_finite(params) -> None:
-    """Reject a parameter record whose float fields hold a NaN or an infinity."""
+    """Reject a record with a NaN or an infinity in a float field or a tuple field."""
     for field in fields(params):
         value = getattr(params, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise ValueError(f"{field.name} must be finite, got {x}")
+
+
+def require_at_least(name: str, value, least):
+    """``value``, or a ValueError: ``NAME must be >= LEAST, got VALUE``."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -67,10 +77,8 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        for name in ("sigma_h", "sigma_h_non"):
-            value = getattr(self, name)
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        require_at_least("sigma_h", self.sigma_h, 0)
+        require_at_least("sigma_h_non", self.sigma_h_non, 0)
 
     def for_phase(self, scenario: ChannelScenario, phase: Phase) -> tuple[float, float]:
         """(mean, std) of the CSI draws in one phase of a scenario."""
@@ -106,8 +114,7 @@ def init_trial_channel(
     rng: np.random.Generator,
 ) -> TrialChannel:
     """Set up one trial's channel; draws the shared K-vector if deterministic."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    require_at_least("k", k, 1)
     if scenario is ChannelScenario.NON_IID_STOCHASTIC and (
         params.mu_h_non == params.mu_h and params.sigma_h_non == params.sigma_h
     ):
@@ -128,7 +135,4 @@ def sample_csi_block(trial: TrialChannel, phase: Phase, block: np.ndarray) -> np
     if trial.fixed_csi is not None:
         block[...] = trial.fixed_csi
         return block
-    mu, sigma = trial.params.for_phase(trial.scenario, phase)
-    block *= sigma
-    block += mu
-    return block
+    return _as_normal(block, *trial.params.for_phase(trial.scenario, phase))

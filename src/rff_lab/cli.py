@@ -46,6 +46,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from . import __version__, _scratch, gaussian_moments
+from .channel import require_at_least
 from .config import ConfigError, parse_config, render_config
 from .experiments import (
     MIN_PERMUTATIONS,
@@ -177,7 +178,7 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return handle.read()
 
 
@@ -187,16 +188,9 @@ def _load_config(path: str | None):
     return parse_config(_read_file(path))
 
 
-def _check_at_least(name: str, value: int, least: int) -> int:
-    """``value``, or a `ConfigError` naming the flag or variable it came from."""
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
-    return value
-
-
 def _resolve_threads(cli_value: int | None) -> int:
     if cli_value is not None:
-        return _check_at_least("--threads", cli_value, 1)
+        return require_at_least("--threads", cli_value, 1)
     env = os.environ.get(ENV_THREADS)
     if env is None:
         return 1
@@ -204,15 +198,15 @@ def _resolve_threads(cli_value: int | None) -> int:
         threads = int(env)
     except ValueError:
         raise ConfigError(f"{ENV_THREADS} must be an integer, got {env!r}") from None
-    return _check_at_least(ENV_THREADS, threads, 1)
+    return require_at_least(ENV_THREADS, threads, 1)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     if args.trials is not None:
-        cfg = replace(cfg, n_trials=_check_at_least("--trials", args.trials, 1))
+        cfg = replace(cfg, n_trials=require_at_least("--trials", args.trials, 1))
     if args.seed is not None:
-        cfg = replace(cfg, master_seed=_check_at_least("--seed", args.seed, 0))
+        cfg = replace(cfg, master_seed=require_at_least("--seed", args.seed, 0))
     n_threads = _resolve_threads(args.threads)
 
     start = time.perf_counter()
@@ -239,8 +233,8 @@ def _validation_seed(base_seed: int, point_index: int, form_index: int) -> int:
 
 
 def cmd_validate_claims(args: argparse.Namespace) -> int:
-    _check_at_least("--draws", args.draws, 10**4)
-    _check_at_least("--seed", args.seed, 0)
+    require_at_least("--draws", args.draws, 10**4)
+    require_at_least("--seed", args.seed, 0)
     start = time.perf_counter()
     header = (
         f"{'form':<18}{'quantity':<16}{'sigma_g':>8}{'rho':>6}{'sigma_w':>9}"
@@ -322,8 +316,8 @@ def cmd_validate_claims(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    _check_at_least("--permutations", args.permutations, MIN_PERMUTATIONS)
-    _check_at_least("--seed", args.seed, 0)
+    require_at_least("--permutations", args.permutations, MIN_PERMUTATIONS)
+    require_at_least("--seed", args.seed, 0)
     records = parse_records_csv(_read_file(args.records))
     report = correlate(records, n_permutations=args.permutations, seed=args.seed)
     if args.format == "json":

@@ -85,6 +85,8 @@ from . import _scratch, classifier
 from ._scratch import scratch
 from .analytic import expected_silhouette
 from .channel import ChannelParams, ChannelScenario, Phase, TrialChannel, init_trial_channel
+from .channel import require_at_least, require_finite
+from .gaussian_moments import _mean_and_se
 from .signal_model import Fingerprints, Method, ModelParams, draw_fingerprint
 from .signal_model import _block_features, _fill, _phase_draws
 from .signal_model import extract_batch  # noqa: F401 -- perfbench/spans.py traces it here
@@ -128,12 +130,11 @@ class ExperimentConfig:
     classify_normalized: bool = True
 
     def __post_init__(self) -> None:
+        require_finite(self)
         # the silhouette and the LDA need 2 devices and 2 samples per device and phase
-        for name, least in (("n_devices", 2), ("n_train", 2), ("n_test", 2), ("n_trials", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+        bounds = {"n_devices": 2, "n_train": 2, "n_test": 2, "n_trials": 1, "master_seed": 0}
+        for name, least in bounds.items():
+            require_at_least(name, getattr(self, name), least)
         for name in ("scenarios", "methods", "snr_db_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be nonempty")
@@ -141,8 +142,6 @@ class ExperimentConfig:
             raise ValueError("scenarios contains duplicates")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("methods contains duplicates")
-        if not all(math.isfinite(v) for v in self.snr_db_grid):
-            raise ValueError("snr_db_grid must be finite")
         if len({_snr_stream_key(v) for v in self.snr_db_grid}) != len(self.snr_db_grid):
             raise ValueError(
                 "snr_db_grid contains duplicates or points under 0.0005 dB apart, "
@@ -474,10 +473,10 @@ def run_trial(
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
+    """`_mean_and_se`, with a NaN standard error for a one-trial cell."""
     if values.size < 2:
-        return mean, float("nan")
-    return mean, float(values.std(ddof=1) / math.sqrt(values.size))
+        return float(values.mean()), math.nan
+    return _mean_and_se(values)
 
 
 #: (config, scenario, method, snr_db, closed-form expected silhouette)
@@ -556,8 +555,7 @@ def run_sweep(cfg: ExperimentConfig, n_threads: int = 1) -> list[SweepRecord]:
     Every cell's closed form is evaluated here, before any trial runs or
     worker starts: one that is not finite raises its ValueError first.
     """
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+    require_at_least("n_threads", n_threads, 1)
     cells = _sorted_cells(cfg)
     if n_threads == 1 or len(cells) == 1:
         return _run_cells(cells, _draws_ahead(cfg))
@@ -576,8 +574,7 @@ def correlate(
     accuracy column: ``(1 + #{|r_perm| >= |r_obs|}) / (n_permutations + 1)``.
     The least-squares line regresses accuracy on silhouette.
     """
-    if n_permutations < MIN_PERMUTATIONS:
-        raise ValueError(f"n_permutations must be >= {MIN_PERMUTATIONS}")
+    require_at_least("n_permutations", n_permutations, MIN_PERMUTATIONS)
     if len(records) < 3:
         raise ValueError(f"need at least 3 records, got {len(records)}")
     x = np.array([r.silhouette_empirical for r in records])

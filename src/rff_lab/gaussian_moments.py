@@ -214,18 +214,16 @@ def reciprocal_moments(g: GaussianSpec, p: RatioParams) -> GaussianMoments:
     )
 
 
-def _normal_into(
-    row: np.ndarray, loc: float, scale: float, rng: np.random.Generator
-) -> None:
-    """Fill ``row`` with the bits of ``rng.normal(loc, scale, row.size)``.
+def _as_normal(z: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    """Make standard normals ``z`` N(loc, scale^2) in place, and return ``z``.
 
-    numpy draws ``loc + scale * standard_normal``; scaling in place is the
-    same two roundings, and ``+= 0.0`` turns a zero scale's ``-0.0`` into the
-    ``+0.0`` that ``normal(0.0, 0.0)`` gives.
+    numpy's ``rng.normal(loc, scale)`` is ``loc + scale * standard_normal``;
+    scaling then shifting in place rounds the same twice, so the bits match,
+    a zero's sign included: ``-0.0 + 0.0`` is ``+0.0``.
     """
-    rng.standard_normal(out=row)
-    row *= scale
-    row += loc
+    z *= scale
+    z += loc
+    return z
 
 
 def _ratio_into(
@@ -246,21 +244,22 @@ def _ratio_into(
     sw = p.noise_std
     laws = {"g": (g.mean, g.std), "w": (0.0, sw)}
     for row, kind in zip(rows, draws):
-        _normal_into(row, *laws[kind], rng)
+        _as_normal(rng.standard_normal(out=row), *laws[kind])
     n_draws = rows.shape[1]
     last = np.empty(_MC_CHUNK)
     for start in range(0, n_draws, _MC_CHUNK):
         chunk = slice(start, min(start + _MC_CHUNK, n_draws))
         w = last[: chunk.stop - start]
-        _normal_into(w, 0.0, sw, rng)
+        _as_normal(rng.standard_normal(out=w), 0.0, sw)
         rows[0, chunk] = ratio(p.rho, *rows[: len(draws), chunk], w)
     return rows[0]
 
 
 def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
-    """``x.mean()`` and ``x.std(ddof=1) / sqrt(n)`` by numpy's own steps.
+    """The mean of ``x`` and its standard error, ``x.std(ddof=1) / sqrt(n)``.
 
-    ``x`` is overwritten with its squared deviations.
+    The bits are numpy's ``x.mean()`` and ``x.std(ddof=1)``, by the same
+    steps; ``x`` is overwritten with its squared deviations.
     """
     n = x.size
     mean = np.add.reduce(x) / n

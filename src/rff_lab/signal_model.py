@@ -40,7 +40,7 @@ SL, ``beta`` otherwise), the observed fingerprint ``t`` and its moments
 That record is the single description of each ratio method: `extract_batch`
 draws from it and `analytic.feature_law` derives closed-form moments from it
 (see `gaussian_moments`); both take a phase's law through `phase_law`, which
-rejects a law that overflows the floats with a ValueError.
+rejects a law that overflows the floats or is singular with a ValueError.
 
 The noise level is configured through a conventional SNR mapping:
 ``sigma_n^2 = s^2 * 10^(-snr_db/10)`` where ``s = f_ra*mu_u*mu_h*x`` is the
@@ -56,8 +56,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import ChannelParams, Phase, TrialChannel, require_finite, sample_csi_block
-from .gaussian_moments import GaussianSpec, RatioParams, reciprocal_moments
+from .channel import ChannelParams, Phase, TrialChannel, require_at_least, require_finite
+from .channel import sample_csi_block
+from .gaussian_moments import GaussianSpec, RatioParams, _as_normal, reciprocal_moments
 
 __all__ = [
     "ModelParams",
@@ -95,14 +96,12 @@ class ModelParams:
         require_finite(self)
         if self.eta <= 0.0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
-        for name in ("r_l", "r_s"):  # per-sample normalization needs K >= 2
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2, got {getattr(self, name)}")
+        # per-sample normalization needs K = r_l, r_s >= 2
+        bounds = {"r_l": 2, "r_s": 2, "sigma_u": 0, "sigma_s": 0, "sigma_n": 0}
+        for name, least in bounds.items():
+            require_at_least(name, getattr(self, name), least)
         if self.r_s > self.r_l:
             raise ValueError(f"r_s ({self.r_s}) must be <= r_l ({self.r_l})")
-        for name in ("sigma_u", "sigma_s", "sigma_n"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
         for name, value in (("gamma", self.gamma()), ("beta", self.beta())):
             if value == 0.0 or not math.isfinite(value):
                 raise ValueError(f"{name} must be finite and nonzero, got {value}")
@@ -238,18 +237,19 @@ def phase_law(
     """``build(method, params, (mu, sigma^2))`` for a phase whose CSI is ``(mu, sigma)``.
 
     ``build`` is `ratio_law` or `analytic.feature_law`.  A float overflow, a
-    zero division or a non-finite field is a ValueError naming the phase.
+    zero division, a ValueError of the build (such as a form singular at
+    ``mu == 0``) or a non-finite field is a ValueError naming the method and
+    the phase.
     """
     mu, sigma = csi
     try:
         law = build(method, params, (mu, sigma**2))
-        values = vars(law).values()
-        numbers = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
-        if all(map(math.isfinite, numbers)):
-            return law
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise ValueError(f"{method.value} closed form is not finite in the {phase.value} phase")
+        require_finite(law)
+        return law
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise ValueError(
+            f"{method.value} closed form is not finite in the {phase.value} phase"
+        ) from None
 
 
 def extract_batch(
@@ -328,8 +328,7 @@ def _block_features(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         csi = sample_csi_block(trial, phase, blocks[0])
         noise = blocks[1:2] if method is Method.RAW else blocks[1:]
-        noise *= params.sigma_n
-        noise += 0.0  # as numpy's normal(0.0, sigma_n) does: -0.0 becomes 0.0
+        _as_normal(noise, 0.0, params.sigma_n)
         if method is Method.RAW:  # f_ra*H*tu*x, in place of H
             csi *= params.f_ra
             csi *= fp.tu[:, None]

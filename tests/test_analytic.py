@@ -649,6 +649,14 @@ class TestFrozenValues:
             extract_batch(Method.RC, p, fp, trial, Phase.TEST, 4, rngs)
 
 
+    @pytest.mark.parametrize("method", [m for m in ALL_METHODS if m is not Method.RAW])
+    def test_a_form_singular_at_zero_mean_csi_names_method_and_phase(self, method):
+        p = replace(params_at(30.0), channel=replace(BASE_PARAMS.channel, mu_h_non=0.0))
+        with pytest.raises(ValueError) as excinfo:
+            expected_silhouette(method, ChannelScenario.NON_IID_STOCHASTIC, p)
+        assert str(excinfo.value) == f"{method.value} closed form is not finite in the test phase"
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo cross-check of one stochastic-scenario prediction
 # ---------------------------------------------------------------------------

@@ -240,12 +240,43 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="configuration invalid"):
             parse_config("experiment.n_devices = 1\n")
 
-    @pytest.mark.parametrize("key", ["model.r_l", "model.r_s"])
-    def test_a_single_subcarrier_is_rejected_naming_the_field(self, key):
-        # per-sample normalization needs at least two subcarriers
+    @pytest.mark.parametrize(
+        "key, least, value",
+        [
+            # per-sample normalization needs at least two subcarriers
+            ("model.r_l", 2, "1"),
+            ("model.r_s", 2, "1"),
+            ("model.sigma_u", 0, "-0.5"),
+            ("model.sigma_s", 0, "-0.5"),
+            ("model.sigma_n", 0, "-0.5"),
+            ("channel.sigma_h", 0, "-0.5"),
+            ("channel.sigma_h_non", 0, "-0.5"),
+            # the silhouette and the LDA need 2 devices and 2 samples per phase
+            ("experiment.n_devices", 2, "1"),
+            ("experiment.n_train", 2, "1"),
+            ("experiment.n_test", 2, "1"),
+            ("experiment.n_trials", 1, "0"),
+            ("experiment.master_seed", 0, "-1"),
+        ],
+    )
+    def test_a_value_below_its_least_is_rejected_naming_field_and_value(
+        self, key, least, value
+    ):
         attribute = key.partition(".")[2]
-        with pytest.raises(ConfigError, match=f"{attribute} must be >= 2, got 1"):
-            parse_config(f"{key} = 1\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(f"{key} = {value}\n")
+        assert str(excinfo.value) == (
+            f"configuration invalid: {attribute} must be >= {least}, got {value}"
+        )
+
+    @pytest.mark.parametrize("grid", ["inf", "0,-inf", "20,nan"])
+    def test_a_non_finite_snr_is_rejected_naming_it(self, grid):
+        value = grid.rpartition(",")[2]
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(f"experiment.snr_db_grid = {grid}\n")
+        assert str(excinfo.value) == (
+            f"configuration invalid: snr_db_grid must be finite, got {value}"
+        )
 
     def test_snr_whose_noise_std_overflows_is_rejected_at_parse(self):
         # checked per grid point when the config is built, before any trial runs
@@ -392,6 +423,33 @@ class TestCliSweep:
     )
     def test_input_errors_exit_2(self, argv, tmp_path):
         assert main(argv) == 2
+
+    def test_config_saved_with_a_byte_order_mark_is_read(self, tmp_path):
+        text = SMALL_CONFIG_TEXT.split("\n", 2)[2]  # the mark comes before a key
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for config_path in (plain, marked):
+            out = tmp_path / f"{config_path.stem}.json"
+            argv = ["sweep", "--config", str(config_path), "--format", "json", "--out", str(out)]
+            assert main(argv) == 0
+            bundle = json.loads(out.read_text(encoding="utf-8"))
+            assert not out.read_bytes().startswith(b"\xef\xbb\xbf")
+            outputs.append((bundle["config_echo"], bundle["records"]))
+        assert outputs[0] == outputs[1]
+
+    def test_a_singular_test_phase_exits_2_naming_method_and_phase(self, tmp_path, capsys):
+        config_path = tmp_path / "singular.cfg"
+        config_path.write_text(
+            SMALL_CONFIG_TEXT.replace("deterministic", "non_iid") + "channel.mu_h_non = 0\n",
+            encoding="utf-8",
+        )
+        assert main(["sweep", "--config", str(config_path), "--trials", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cr closed form is not finite in the test phase\n"
+        )
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "bad.cfg"
@@ -606,6 +664,19 @@ class TestCliCorrelate:
         }
         assert payload["n_points"] == 6
         assert payload["pearson_r"] > 0.9  # accuracy rises with the score here
+
+    def test_records_saved_with_a_byte_order_mark_are_read(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(format_records_csv(small_records()), encoding="utf-8")
+        marked.write_text(format_records_csv(small_records()), encoding="utf-8-sig")
+        reports = []
+        for records_path in (plain, marked):
+            out = tmp_path / f"{records_path.stem}.txt"
+            assert main(["correlate", "--records", str(records_path), "--out", str(out)]) == 0
+            assert not out.read_bytes().startswith(b"\xef\xbb\xbf")
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert b"n_points = 6\n" in reports[0]
 
     def test_missing_file_exits_2(self):
         assert main(["correlate", "--records", "/nonexistent/records.csv"]) == 2

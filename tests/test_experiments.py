@@ -27,7 +27,8 @@ from rff_lab.experiments import (
     run_sweep,
     run_trial,
 )
-from rff_lab.experiments import _screen_nonfinite, _snr_stream_key, _trial_streams
+from rff_lab.experiments import _mean_and_stderr, _screen_nonfinite, _snr_stream_key
+from rff_lab.experiments import _trial_streams
 from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
 from rff_lab.signal_model import Method
 from rff_lab.silhouette import normalize_block
@@ -552,6 +553,20 @@ class TestWorkspace:
             assert out.shape == square.shape == feature.shape
             for a, b in ((out, feature), (square, feature), (out, square)):
                 assert not np.shares_memory(a, b)
+
+
+class TestCellMeanAndStderr:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e100, 1e100), min_size=2, max_size=300))
+    def test_equals_numpys_mean_and_std_bit_for_bit(self, values):
+        x = np.array(values)
+        expected = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)))
+        assert np.array(_mean_and_stderr(x.copy())).tobytes() == np.array(expected).tobytes()
+
+    def test_a_one_trial_cell_has_a_nan_stderr(self):
+        mean, stderr = _mean_and_stderr(np.array([0.75]))
+        assert mean == 0.75
+        assert math.isnan(stderr)
 
 
 def records_of(pairs) -> list[SweepRecord]:

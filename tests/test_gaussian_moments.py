@@ -23,7 +23,7 @@ from rff_lab.gaussian_moments import (
     paired_product_mean,
     reciprocal_moments,
 )
-from rff_lab.gaussian_moments import _MC_CHUNK, _MC_ROWS
+from rff_lab.gaussian_moments import _MC_CHUNK, _MC_ROWS, _as_normal
 
 SEED = 42
 
@@ -174,6 +174,16 @@ def test_oracle_convergence_with_more_draws():
 # ---------------------------------------------------------------------------
 # oracle mechanics
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("loc", [0.0, -3.5, 5e-324])
+@pytest.mark.parametrize("scale", [0.0, 1e-300, 0.15])
+def test_scaled_standard_normals_are_numpys_normal_bits(loc, scale):
+    z = np.random.default_rng(SEED).standard_normal(4096)
+    assert _as_normal(z, loc, scale) is z
+    assert z.tobytes() == np.random.default_rng(SEED).normal(loc, scale, 4096).tobytes()
+    if loc == 0.0:  # normal(0.0, 0.0) gives +0.0, never -0.0
+        assert not np.signbit(z[z == 0.0]).any()
 
 
 def test_oracle_rejects_small_draw_counts():
