@@ -38,7 +38,8 @@ class LdaModel:
         c, k = self.class_means.shape
         if self.pooled_covariance_inverse.shape != (k, k):
             raise ValueError("precision matrix does not match feature dimension")
-        if self.priors.shape != (c,) or not np.isclose(self.priors.sum(), 1.0):
+        # np.isclose's tolerance, atol + rtol * 1, without its call
+        if self.priors.shape != (c,) or not abs(self.priors.sum() - 1.0) <= 1e-8 + 1e-5:
             raise ValueError("priors must be one per class and sum to 1")
         for arr in (self.class_means, self.pooled_covariance_inverse, self.priors):
             arr.flags.writeable = False
@@ -68,10 +69,11 @@ def fit(
 
     means = samples.sum(axis=1) / counts[:, None]
     centered = samples - means[:, None, :]
-    centered[~mask] = 0.0
-    # One (K, K) scatter per class, summed in class order.
-    scatter = (centered.transpose(0, 2, 1) @ centered).sum(axis=0)
-    pooled = scatter / (n_total - n_classes)
+    if not mask.all():
+        centered[~mask] = 0.0
+    # The within-class scatter as one symmetric product of all centered rows.
+    rows = centered.reshape(-1, k)
+    pooled = (rows.T @ rows) / (n_total - n_classes)
 
     trace = float(np.trace(pooled))
     scale = trace / k if trace > 0.0 else 1.0

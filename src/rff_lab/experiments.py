@@ -22,11 +22,12 @@ the slabs and the draw order); every later stage runs once per phase over
 whole contiguous slabs.  One non-finite screen gives a ``(D, N)`` kept mask
 per phase: a row with any non-finite entry is zeroed, counted as dropped,
 and left out of the silhouette and the classifier, which take the tensor
-and its kept mask as they are.  A device with fewer than 2 kept rows in
-either phase aborts the trial with a ValueError.  The draws are dead after
-the arithmetic, so normalization writes its output into slab 1 and its
-squared deviations into slab 2, both contiguous and disjoint from the
-features.
+and its kept mask as they are.  The screen sums each row first and checks
+the entries only of a phase with some row sum not finite.  A device with
+fewer than 2 kept rows in either phase aborts the trial with a ValueError.
+The draws are dead after the arithmetic, so normalization writes its output
+into slab 1 and its squared deviations into slab 2, both contiguous and
+disjoint from the features.
 
 The two blocks are two rows, train then test, of the thread's scratch
 buffer (`rff_lab._scratch`), each row the flat buffer of one phase's blocks.
@@ -35,21 +36,24 @@ that buffer until it exits and grows it only for a trial it cannot hold, so
 no trial allocates or page-faults its own blocks.
 
 Every trial runs through one loop, `_run_trials`, in three stages: *set-up*
-on the calling thread (stream seeding, the trial channel, the fingerprints,
-and the list of ``(stream, slabs)`` pairs to draw), *fill* (each pair's
-standard-normal calls) and *score* (everything after the draws: the feature
-arithmetic, the screen, normalization, the silhouette and the classifier).
-`run_trial` runs one job through it; a pool worker runs one cell's trials.
-A sweep with one worker process runs all its (cell, trial) jobs in record
-order, and draws ahead when the process may run on at least 2 CPUs and the
-grid's smallest fill call, ``min(n_train, n_test)`` times its smallest K,
-holds at least `_MIN_DRAW_AHEAD_FILL` normals: while it scores one job on
-the calling thread, a helper thread fills the next one into the other half
-of a 4-row scratch, and the calling thread then fills whatever the helper
-has not reached.  numpy releases the GIL while it fills, so the draws run
-on the second core.  The helper calls nothing a benchmark tracer replaces.
-Without the helper, one job at a time takes 2 rows; a process pool never
-uses it, since its workers leave no core spare.
+on the calling thread (stream seeding, the trial channel and the
+fingerprints), *fill* (each (phase, device) index's standard-normal calls,
+its slab views taken as it is drawn) and *score* (everything after the
+draws: the feature arithmetic, the screen, normalization, the silhouette
+and the classifier, each called through the module attribute that a
+benchmark tracer replaces).  `run_trial` runs one job through it; a pool
+worker runs one cell's trials.  A sweep with one worker process runs all
+its (cell, trial) jobs in record order, and draws ahead when the process
+may run on at least 2 CPUs and the grid's smallest fill call,
+``min(n_train, n_test)`` times its smallest K, holds at least
+`_MIN_DRAW_AHEAD_FILL` normals: while it scores one job on the calling
+thread, a helper thread fills the next one into the other half of a 4-row
+scratch, and the calling thread then fills whatever the helper has not
+reached; both drain one iterator of the job's (phase, device) indices.
+numpy releases the GIL while it fills, so the draws run on the second core.
+The helper calls nothing a benchmark tracer replaces.  Without the helper,
+one job at a time takes 2 rows; a process pool never uses it, since its
+workers leave no core spare.
 
 Determinism: every random stream is seeded from
 ``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
@@ -88,7 +92,7 @@ from .channel import ChannelParams, ChannelScenario, Phase, TrialChannel, init_t
 from .channel import require_at_least, require_finite
 from .gaussian_moments import _mean_and_se
 from .signal_model import Fingerprints, Method, ModelParams, draw_fingerprint
-from .signal_model import _block_features, _fill, _phase_draws
+from .signal_model import _block_features, _fill
 from .signal_model import extract_batch  # noqa: F401 -- perfbench/spans.py traces it here
 from .silhouette import normalize_block, silhouette_from_normalized
 
@@ -310,7 +314,17 @@ def _trial_streams(
 
 
 def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
-    """The (D, N) mask of rows with only finite entries; the other rows are zeroed."""
+    """The (D, N) mask of rows with only finite entries; the other rows are zeroed.
+
+    A finite row sum needs finite entries, so one pass of sums keeps every row
+    of a finite block.  A block with some row sum not finite, from a
+    non-finite entry or from finite entries whose sum overflows, takes the
+    entrywise check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.reduce(block, axis=2)
+    if np.isfinite(sums).all():
+        return np.ones(sums.shape, dtype=bool)
     kept = np.isfinite(block).all(axis=2)
     block[~kept] = 0.0
     return kept
@@ -319,8 +333,8 @@ def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Job:
     """A trial set up on the calling thread and ready to fill: its trial
-    channel, fingerprints, both phases' draw blocks and the ``(stream,
-    slabs)`` pairs that fill them, train then test."""
+    channel, fingerprints, and both phases' draw blocks and each device's
+    extraction streams that fill them, train then test."""
 
     cfg: ExperimentConfig
     snr_db: float
@@ -329,7 +343,7 @@ class _Job:
     trial: TrialChannel
     fp: Fingerprints
     blocks: tuple[np.ndarray, np.ndarray]  # train, test: (3, D, N, K) each
-    draws: list[tuple[np.random.Generator, list[np.ndarray]]]
+    streams: tuple[list[np.random.Generator], list[np.random.Generator]]
 
 
 def _row_size(cfg: ExperimentConfig, methods: Iterable[Method]) -> int:
@@ -346,8 +360,8 @@ def _set_up(
     trial_index: int,
     rows: np.ndarray,
 ) -> _Job:
-    """Seed the trial's streams, draw its channel and fingerprints, view
-    ``rows`` (train, test) as its draw blocks and list the pairs that fill them."""
+    """Seed the trial's streams, draw its channel and fingerprints and view
+    ``rows`` (train, test) as its draw blocks."""
     params = cfg.params.with_snr(snr_db)
     k = method.subcarriers(params)
     blocks = tuple(
@@ -357,12 +371,7 @@ def _set_up(
     streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
     trial = init_trial_channel(scenario, params.channel, k, streams[0])
     fp = draw_fingerprint(params, streams[1::3])
-    draws = [
-        pair
-        for rngs, phase_blocks in zip((streams[2::3], streams[3::3]), blocks)
-        for pair in _phase_draws(method, trial, rngs, phase_blocks)
-    ]
-    return _Job(cfg, snr_db, params, method, trial, fp, blocks, draws)
+    return _Job(cfg, snr_db, params, method, trial, fp, blocks, (streams[2::3], streams[3::3]))
 
 
 def _score(job: _Job) -> TrialResult:
@@ -429,23 +438,24 @@ def _run_trials(
     with ThreadPoolExecutor(max_workers=1) if draw_ahead else contextlib.nullcontext() as helper:
 
         def queue(j: int):
-            """Job j set up here, its pairs left to fill and the helper's fill
-            of them; or its set-up's error."""
+            """Job j set up here, the fill of its (phase, device) indices left
+            to draw and the helper's run of that fill; or its set-up's error."""
             try:
                 job = _set_up(cfg, *jobs[j], halves[j % depth])
             except Exception as error:
                 return error, None, None
             # both threads drain one iterator; the helper calls nothing a
             # benchmark tracer replaces
-            pending = iter(job.draws)
-            return job, pending, helper.submit(_fill, pending) if helper else None
+            pending = itertools.product(range(len(Phase)), range(cfg.n_devices))
+            fill = functools.partial(_fill, job.method, job.trial, job.streams, job.blocks, pending)
+            return job, fill, helper.submit(fill) if helper else None
 
         queued = collections.deque(map(queue, range(min(depth, len(jobs)))))
         for j in range(len(jobs)):
-            job, pending, filled = queued.popleft()
-            if pending is None:
+            job, fill, filled = queued.popleft()
+            if fill is None:
                 raise job
-            _fill(pending)
+            fill()
             if filled is not None:
                 filled.result()
             results.append(_score(job))

@@ -53,6 +53,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -274,40 +275,39 @@ def extract_batch(
     once over the phase, in place, on whole slabs, and the features
     overwrite slab 0: the result is ``blocks[0]``, C-contiguous.
 
-    The draws (`_phase_draws`, `_fill`) and the arithmetic (`_block_features`)
-    are two halves that a trial runs apart, on blocks it keeps in its thread's
-    scratch (see `rff_lab.experiments`).
+    The draws (`_fill`) and the arithmetic (`_block_features`) are two halves
+    that a trial runs apart, on blocks it keeps in its thread's scratch (see
+    `rff_lab.experiments`).
     """
     k = method.subcarriers(params)
     if trial.n_subcarriers != k:
         raise ValueError(f"{method.value} needs {k} subcarriers, trial has {trial.n_subcarriers}")
     blocks = np.empty((3, len(rngs), n_samples, k))
-    _fill(_phase_draws(method, trial, rngs, blocks))
+    _fill(method, trial, [rngs], [blocks], ((0, d) for d in range(len(rngs))))
     return _block_features(method, params, fp, trial, phase, blocks)
 
 
-def _phase_draws(
-    method: Method, trial: TrialChannel, rngs: list[np.random.Generator], blocks: np.ndarray
-) -> list[tuple[np.random.Generator, list[np.ndarray]]]:
-    """The draw half of `extract_batch` as work: one ``(stream, slabs)`` pair per device.
+def _fill(
+    method: Method,
+    trial: TrialChannel,
+    streams: Sequence[Sequence[np.random.Generator]],
+    blocks: Sequence[np.ndarray],
+    pending: Iterable[tuple[int, int]],
+) -> None:
+    """The draw half of `extract_batch`: fill each ``(phase, device)`` index that
+    ``pending`` yields.  Device ``d`` of phase ``p`` fills its slabs
+    ``blocks[p][s, d]`` from ``streams[p][d]`` in stream order: the CSI (none
+    in the deterministic scenario), then the noises (one for RAW).
 
-    A pair lists the device's drawn slabs in stream order, the CSI first (none
-    in the deterministic scenario), then the noises.  The streams are
-    independent, so `_fill` may take the pairs in any order, on any thread.
+    The streams are independent, so the devices may come in any order.  Two
+    threads may drain one iterator: each device is taken whole, so each stream
+    still fills its slabs in order.
     """
     drawn = range(0 if trial.fixed_csi is None else 1, 2 if method is Method.RAW else 3)
-    return [(rng, [blocks[s, d] for s in drawn]) for d, rng in enumerate(rngs)]
-
-
-def _fill(draws) -> None:
-    """Fill each ``(stream, slabs)`` pair that ``draws`` yields with its standard normals.
-
-    Two threads may drain one iterator over a list of pairs: each pair is
-    taken whole, so each stream still fills its slabs in order.
-    """
-    for rng, slabs in draws:
-        for slab in slabs:
-            rng.standard_normal(out=slab)
+    for p, d in pending:
+        rng, phase_blocks = streams[p][d], blocks[p]
+        for s in drawn:
+            rng.standard_normal(out=phase_blocks[s, d])
 
 
 def _block_features(

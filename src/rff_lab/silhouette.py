@@ -85,11 +85,15 @@ def normalize_block(
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim < 2 or matrix.shape[-1] < 2:
         raise ValueError(f"expected an (..., n, K>=2) array, got shape {matrix.shape}")
-    # The steps of np.std, keeping the centered rows for the output.
-    centered = np.subtract(matrix, matrix.mean(axis=-1, keepdims=True), out=out)
+    # The steps of np.std, its means without np.mean's wrapper, keeping the
+    # centered rows for the output.
+    k = matrix.shape[-1]
+    centered = np.subtract(matrix, np.add.reduce(matrix, axis=-1, keepdims=True) / k, out=out)
     squared = np.multiply(centered, centered, out=square)
-    std = np.sqrt(squared.mean(axis=-1, keepdims=True))
+    std = np.sqrt(np.add.reduce(squared, axis=-1, keepdims=True) / k)
     degenerate = std[..., 0] == 0.0
+    if not degenerate.any():
+        return np.divide(centered, std, out=centered), degenerate
     normalized = np.divide(centered, np.where(std == 0.0, 1.0, std), out=centered)
     normalized[degenerate] = 0.0
     return normalized, degenerate
@@ -107,14 +111,18 @@ def _score(
     te_sq = (test**2).sum(axis=2).sum(axis=1) / test_counts  # (D,)
 
     row_sq = (train**2).sum(axis=2)  # (D, N)
-    # dists[i, n, d] = mean over device d's test samples of ||train[i, n] - te||^2;
-    # the expanded form can leave cancellation residue (negative or dust-
-    # positive) where the true value is 0, so snap that band to exactly 0.
+    # dists[i, n, d] = mean over device d's test samples of ||train[i, n] - te||^2,
+    # copied as others[d, i, n]: one contiguous (D, N) plane per test device,
+    # so the inter minimum is an elementwise minimum of D planes.  The expanded
+    # form can leave cancellation residue (negative or dust-positive) where the
+    # true value is 0, so snap that band to exactly 0.
     dists = row_sq[:, :, None] - 2.0 * (train @ te_mean.T) + te_sq
-    dists = np.where(dists < k * ZERO_DISTANCE_TOLERANCE, 0.0, dists)
-    own = np.eye(n_dev, dtype=bool)[:, None, :]  # (D, 1, D): d == i
-    intra = np.diagonal(dists, axis1=0, axis2=2).T  # (D, N)
-    inter = np.where(own, np.inf, dists).min(axis=2)
+    others = dists.transpose(2, 0, 1).copy()
+    others[others < k * ZERO_DISTANCE_TOLERANCE] = 0.0
+    device = np.arange(n_dev)
+    intra = others[device, device]  # (D, N)
+    others[device, device] = np.inf
+    inter = np.minimum.reduce(others)
     biggest = np.maximum(inter, intra)
     with np.errstate(invalid="ignore", divide="ignore"):
         coef = np.where(biggest > 0.0, (inter - intra) / np.where(biggest > 0.0, biggest, 1.0), 0.0)

@@ -112,19 +112,32 @@ def definition_silhouette(
     return float(np.mean(coefficients))
 
 
-def definition_lda(
-    train_sets: Sequence[np.ndarray], test_sets: Sequence[np.ndarray]
-) -> tuple[np.ndarray, float]:
-    """Class means and test accuracy of the pooled, ridge-regularized LDA."""
+def definition_pooled(train_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Class means and the ridge-regularized pooled covariance, its scatter
+    summed one class at a time."""
     k = train_sets[0].shape[1]
     means = np.array([m.mean(axis=0) for m in train_sets])
     scatter = sum((m - mu).T @ (m - mu) for m, mu in zip(train_sets, means))
     pooled = scatter / (sum(len(m) for m in train_sets) - len(train_sets))
     pooled += DEFAULT_RIDGE * np.trace(pooled) / k * np.eye(k)
+    return means, pooled
+
+
+def definition_predictions(
+    train_sets: Sequence[np.ndarray], test_sets: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Each test set's labels under the pooled, ridge-regularized LDA."""
+    means, pooled = definition_pooled(train_sets)
     weights = np.linalg.inv(pooled) @ means.T
     offsets = -0.5 * np.einsum("ck,kc->c", means, weights)
-    correct = sum(
-        int((np.argmax(m @ weights + offsets, axis=1) == label).sum())
-        for label, m in enumerate(test_sets)
-    )
+    return [np.argmax(m @ weights + offsets, axis=1) for m in test_sets]
+
+
+def definition_lda(
+    train_sets: Sequence[np.ndarray], test_sets: Sequence[np.ndarray]
+) -> tuple[np.ndarray, float]:
+    """Class means and test accuracy of the pooled, ridge-regularized LDA."""
+    means, _ = definition_pooled(train_sets)
+    predictions = definition_predictions(train_sets, test_sets)
+    correct = sum(int((p == label).sum()) for label, p in enumerate(predictions))
     return means, correct / sum(len(m) for m in test_sets)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rff_lab.classifier import LdaModel, accuracy, fit, predict_batch
-from silhouette_reference import definition_lda
+from silhouette_reference import definition_lda, definition_pooled, definition_predictions
 
 
 def _symmetric_two_class_train(delta: float = 0.5) -> list[np.ndarray]:
@@ -145,6 +145,38 @@ class TestKeptMask:
         assert accuracy(model, test) == accuracy(model, test, np.ones((3, 7), dtype=bool))
 
 
+class TestOneProductScatter:
+    """`fit` forms the within-class scatter as one product of all centered rows;
+    the reference sums one product per class."""
+
+    @pytest.mark.parametrize(
+        "n_classes, n, k, masked, seed",
+        [(40, 10, 52, False, 0), (40, 10, 52, True, 1), (10, 100, 52, True, 2),
+         (5, 9, 4, True, 3), (3, 30, 12, True, 4)],
+    )
+    def test_pooled_covariance_and_predictions_match_the_per_class_sums(
+        self, n_classes, n, k, masked, seed
+    ):
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(0.0, 0.3, (n_classes, 1, k))
+        train = centers + rng.standard_normal((n_classes, n, k))
+        test = centers + rng.standard_normal((n_classes, n, k))
+        train_kept = rng.random(train.shape[:2]) < (0.7 if masked else 1.0)
+        test_kept = rng.random(test.shape[:2]) < (0.7 if masked else 1.0)
+        train_kept[:, :2] = test_kept[:, 0] = True
+        train[~train_kept] = np.nan  # dropped rows count for nothing
+        model = fit(train, train_kept)
+        train_sets = [rows[kept] for rows, kept in zip(train, train_kept)]
+        test_sets = [rows[kept] for rows, kept in zip(test, test_kept)]
+        _, pooled = definition_pooled(train_sets)
+        error = np.abs(np.linalg.inv(model.pooled_covariance_inverse) - pooled).max()
+        assert error <= 1e-12 * np.abs(pooled).max()
+        predictions = predict_batch(model, test.reshape(-1, k)).reshape(n_classes, n)
+        for label, expected in enumerate(definition_predictions(train_sets, test_sets)):
+            np.testing.assert_array_equal(predictions[label][test_kept[label]], expected)
+        assert accuracy(model, test, test_kept) == definition_lda(train_sets, test_sets)[1]
+
+
 class TestValidation:
     def test_fit_rejects_single_class(self):
         with pytest.raises(ValueError, match="two classes"):
@@ -200,6 +232,23 @@ class TestValidation:
                 class_means=np.zeros((2, 3)),
                 pooled_covariance_inverse=np.eye(3),
                 priors=np.array([0.9, 0.2]),
+            )
+
+    @pytest.mark.parametrize("excess", [5e-6, -5e-6])
+    def test_priors_within_isclose_tolerance_of_one_are_accepted(self, excess):
+        LdaModel(
+            class_means=np.zeros((2, 3)),
+            pooled_covariance_inverse=np.eye(3),
+            priors=np.array([0.5 + excess, 0.5]),
+        )
+
+    @pytest.mark.parametrize("excess", [2e-5, -2e-5, np.nan])
+    def test_priors_beyond_isclose_tolerance_of_one_or_nan_are_rejected(self, excess):
+        with pytest.raises(ValueError, match="priors"):
+            LdaModel(
+                class_means=np.zeros((2, 3)),
+                pooled_covariance_inverse=np.eye(3),
+                priors=np.array([0.5 + excess, 0.5]),
             )
 
     def test_model_arrays_are_immutable(self):

@@ -712,6 +712,15 @@ class TestNonfiniteHandling:
         assert kept.shape == (2, 3) and kept.all()
         assert np.array_equal(block, np.arange(12.0).reshape(2, 3, 2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_finite_row_whose_sum_overflows_is_kept_and_inf_minus_inf_is_dropped(self):
+        """The screen's row sums overflow on the first row and are NaN on the
+        third; neither may warn, and only the third row holds a non-finite entry."""
+        block = np.array([[[1e308, 1e308], [1.0, 2.0], [np.inf, -np.inf]]])
+        kept = _screen_nonfinite(block)
+        assert kept.tolist() == [[True, True, False]]
+        assert np.array_equal(block, [[[1e308, 1e308], [1.0, 2.0], [0.0, 0.0]]])
+
     @staticmethod
     def _poison(monkeypatch, drops):
         """Make extraction blank ``drops(call)`` rows of each device's batch.

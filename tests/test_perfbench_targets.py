@@ -15,6 +15,7 @@ ratio forms on one; neither helper may call a traced attribute: the tracer
 keeps one span stack for all threads.
 """
 
+import collections
 import contextlib
 import importlib
 import importlib.util
@@ -138,6 +139,37 @@ def test_every_traced_attribute_runs_on_the_calling_thread_when_drawing_ahead(mo
         "silhouette.silhouette_from_normalized", "classifier.fit", "classifier.accuracy",
     } <= set(threads)
     assert all(idents == {threading.get_ident()} for idents in threads.values()), threads
+
+
+def test_a_population_wide_trial_calls_each_score_stage_through_its_traced_attribute(
+    monkeypatch,
+):
+    """A stage inlined past its module attribute would drop out of the tracer's spans."""
+    workloads = _load("workloads")
+    cfg = workloads.population_config(42)
+    calls = collections.Counter()
+
+    def counted(original, layer):
+        def called(*args, **kwargs):
+            calls[layer, threading.get_ident()] += 1
+            return original(*args, **kwargs)
+
+        return called
+
+    for module, attribute, layer in _load("spans").TARGETS:
+        monkeypatch.setattr(module, attribute, counted(getattr(module, attribute), layer))
+    assert not experiments._draws_ahead(cfg)
+    cell = experiments._sorted_cells(replace(cfg, n_trials=1))[0]
+    experiments._run_cells([cell], False)
+    here = threading.get_ident()
+    stages = ("silhouette.normalize_block", "silhouette.silhouette_from_normalized",
+              "classifier.fit", "classifier.accuracy")
+    assert {key: n for key, n in calls.items() if key[0] in stages} == {
+        ("silhouette.normalize_block", here): 2,
+        ("silhouette.silhouette_from_normalized", here): 1,
+        ("classifier.fit", here): 1,
+        ("classifier.accuracy", here): 1,
+    }
 
 
 def test_every_traced_attribute_runs_on_the_calling_thread_in_two_lane_validate_claims(

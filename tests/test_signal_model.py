@@ -1,5 +1,6 @@
 """Feature extraction laws, amplification factor, and closed-form moments."""
 
+import functools
 import math
 import sys
 import threading
@@ -22,7 +23,7 @@ from rff_lab.signal_model import (
     draw_fingerprint,
     extract_batch,
 )
-from rff_lab.signal_model import _block_features, _fill, _phase_draws
+from rff_lab.signal_model import _block_features, _fill
 
 BASE_PARAMS = default_config().params  # shipped defaults; sigma_n is set per test
 
@@ -299,8 +300,8 @@ def test_extraction_deterministic_given_rng():
 @pytest.mark.parametrize("scenario", list(ChannelScenario))
 @pytest.mark.parametrize("method", list(Method))
 def test_the_fill_and_arithmetic_halves_give_extraction_bytes(method, scenario):
-    """Draw pairs filled in order, in reverse, or by two threads draining one
-    list, then the arithmetic, give `extract_batch`'s bytes.
+    """Devices filled in order, in reverse, or by two threads draining one
+    iterator, then the arithmetic, give `extract_batch`'s bytes.
 
     All three reuse one NaN-poisoned block, whose stale contents are ignored.
     """
@@ -309,30 +310,30 @@ def test_the_fill_and_arithmetic_halves_give_extraction_bytes(method, scenario):
     trial = init_trial_channel(scenario, p.channel, k, np.random.default_rng(1))
     fp = draw_fingerprint(p, [np.random.default_rng(2 + d) for d in range(n_devices)])
     blocks = np.full((3, n_devices, n_samples, k), np.nan)
-
-    def rngs():
-        return [np.random.default_rng(10 + d) for d in range(n_devices)]
+    devices = [(0, d) for d in range(n_devices)]
 
     def features(fill) -> bytes:
-        fill(_phase_draws(method, trial, rngs(), blocks))
+        rngs = [np.random.default_rng(10 + d) for d in range(n_devices)]
+        fill(functools.partial(_fill, method, trial, [rngs], [blocks]))
         return _block_features(method, p, fp, trial, Phase.TEST, blocks).tobytes()
 
-    def two_threads(pairs):
-        pending = iter(pairs)
-        helper = threading.Thread(target=_fill, args=(pending,))
+    def two_threads(fill):
+        pending = iter(devices)
+        helper = threading.Thread(target=fill, args=(pending,))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             helper.start()
-            _fill(pending)
+            fill(pending)
             helper.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
         assert not helper.is_alive()
 
-    expected = extract_batch(method, p, fp, trial, Phase.TEST, n_samples, rngs()).tobytes()
-    assert features(_fill) == expected
-    assert features(lambda pairs: _fill(reversed(pairs))) == expected
+    rngs = [np.random.default_rng(10 + d) for d in range(n_devices)]
+    expected = extract_batch(method, p, fp, trial, Phase.TEST, n_samples, rngs).tobytes()
+    assert features(lambda fill: fill(devices)) == expected
+    assert features(lambda fill: fill(reversed(devices))) == expected
     assert features(two_threads) == expected
 
 
