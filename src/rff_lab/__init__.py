@@ -6,7 +6,10 @@ compares Monte-Carlo silhouette scores and classification accuracies against
 closed-form (Taylor/delta-method) predictions.
 
 Each library module's ``__all__`` is republished here; the command-line
-module `rff_lab.cli` is not imported.
+module `rff_lab.cli` is not imported.  Importing the package loads numpy
+but neither `numpy.random` nor `concurrent.futures` (with its
+`multiprocessing`, `socket`, `subprocess` and `logging`): the first trial
+imports the one, and the first pool or helper thread the other.
 """
 
 #: the one place the version is written; the CLI and the build read it here

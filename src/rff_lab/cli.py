@@ -14,6 +14,8 @@ Subcommands
     errors of 0).  When the process may use 2 CPUs, a helper thread
     evaluates the paired-product and reciprocal forms while the calling
     thread evaluates the other two; the table is the same bytes either way.
+    ``concurrent.futures`` is imported only then, so no other command, nor a
+    one-CPU run, loads it.
 ``correlate``
     Read a sweep CSV and report the Pearson correlation between the
     empirical silhouette score and the classification accuracy, with a
@@ -39,7 +41,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
 from typing import Sequence, get_type_hints
 
@@ -261,7 +262,12 @@ def cmd_validate_claims(args: argparse.Namespace) -> int:
     n_rows = 0
     # On one CPU, two lanes ran no faster than one and held 7% more peak RSS,
     # the helper's 2 scratch rows (BENCH_18.json), so both lanes run here.
-    helper = ThreadPoolExecutor(max_workers=1) if _scratch.usable_cpus() >= 2 else None
+    helper = None
+    if _scratch.usable_cpus() >= 2:
+        # imported here, so that a command without a helper does not load it
+        from concurrent.futures import ThreadPoolExecutor
+
+        helper = ThreadPoolExecutor(max_workers=1)
     try:
         # The helper calls the oracle itself, not this module's attribute,
         # which a benchmark tracer replaces with one span stack for all threads.

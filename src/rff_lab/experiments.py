@@ -53,18 +53,26 @@ reached; both drain one iterator of the job's (phase, device) indices.
 numpy releases the GIL while it fills, so the draws run on the second core.
 The helper calls nothing a benchmark tracer replaces.  Without the helper,
 one job at a time takes 2 rows; a process pool never uses it, since its
-workers leave no core spare.
+workers leave no core spare.  Each cell's parameters at its SNR are built
+once, with its closed form, and every trial of the cell reads them.
+
+`concurrent.futures` is imported only where a pool is built: the helper
+thread's pool in `_run_trials` and the process pool behind the module
+attribute `ProcessPoolExecutor`.  It pulls in `multiprocessing`, `socket`,
+`subprocess` and `logging`, which no config, closed form or single trial
+needs, so ``import rff_lab`` does not load them.
 
 Determinism: every random stream is seeded from
-``(master_seed, scenario, method, round(snr_db * 1000), trial_index,
-stream_id)``; results are bit-identical for a given configuration no matter
-how many worker processes run the sweep, and independent of trial execution
-order and of which thread fills a stream's blocks: each stream is drawn
-whole by one thread, in its own order, and each cell is reduced in trial
-order.  Two grid points with the same rounded SNR key would share every
-stream, so `ExperimentConfig` rejects such grids.  Stream ids: 0 drives the
-trial channel; device ``d`` uses ``3d + 1`` (fingerprint), ``3d + 2`` (train
-extraction), ``3d + 3`` (test extraction).  A trial seeds its ``3D + 1``
+``(master_seed, scenario, method, snr key, trial_index, stream_id)``, where
+the snr key is ``round(snr_db * 1000)`` modulo 2**64 (`_snr_stream_key`), so
+a negative SNR seeds as a non-negative int.  Results are bit-identical for a
+given configuration no matter how many worker processes run the sweep, and
+independent of trial execution order and of which thread fills a stream's
+blocks: each stream is drawn whole by one thread, in its own order, and each
+cell is reduced in trial order.  Two grid points with the same snr key
+would share every stream, so `ExperimentConfig` rejects such grids.  Stream
+ids: 0 drives the trial channel; device ``d`` uses ``3d + 1`` (fingerprint),
+``3d + 2`` (train extraction), ``3d + 3`` (test extraction).  A trial seeds its ``3D + 1``
 generators in one pass (`_trial_streams`): numpy encodes the key up to the
 trial index, mixes it into its pool and seeds each `PCG64`; the library
 replays only the stream id's tail mix and the output hash, over all stream
@@ -79,7 +87,6 @@ import contextlib
 import functools
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -227,7 +234,11 @@ def default_config() -> ExperimentConfig:
 
 
 def _snr_stream_key(snr_db: float) -> int:
-    """The SNR's part of a stream seed: millidecibels, rounded."""
+    """The SNR's part of a stream seed: millidecibels, rounded, modulo 2**64.
+
+    `SeedSequence` rejects a negative part, so a negative SNR seeds as its
+    two's-complement word pair: -10 dB is ``2**64 - 10000``.
+    """
     try:
         return int(round(snr_db * 1000.0)) & 0xFFFFFFFFFFFFFFFF
     except OverflowError:
@@ -358,11 +369,12 @@ def _set_up(
     method: Method,
     snr_db: float,
     trial_index: int,
+    params: ModelParams,
     rows: np.ndarray,
 ) -> _Job:
     """Seed the trial's streams, draw its channel and fingerprints and view
-    ``rows`` (train, test) as its draw blocks."""
-    params = cfg.params.with_snr(snr_db)
+    ``rows`` (train, test) as its draw blocks; ``params`` is
+    ``cfg.params.with_snr(snr_db)``, built once per cell."""
     k = method.subcarriers(params)
     blocks = tuple(
         row[: 3 * cfg.n_devices * n * k].reshape(3, cfg.n_devices, n, k)
@@ -416,11 +428,12 @@ def _score(job: _Job) -> TrialResult:
 
 def _run_trials(
     cfg: ExperimentConfig,
-    jobs: Sequence[tuple[ChannelScenario, Method, float, int]],
+    jobs: Sequence[tuple[ChannelScenario, Method, float, int, ModelParams]],
     draw_ahead: bool,
 ) -> list[TrialResult]:
-    """The trials ``(scenario, method, snr_db, trial_index)`` of ``jobs``, in
-    order: each set up and scored on this thread, and filled in between.
+    """The trials ``(scenario, method, snr_db, trial_index, params)`` of
+    ``jobs``, in order: each set up and scored on this thread, and filled in
+    between.  ``params`` is ``cfg.params.with_snr(snr_db)``.
 
     Without ``draw_ahead``, one job is in flight, in 2 rows (train, test) of
     this thread's scratch.  With it, two are, in the two halves of 4 rows,
@@ -435,6 +448,8 @@ def _run_trials(
     work = scratch(depth * len(Phase), _row_size(cfg, {job[1] for job in jobs}))
     halves = np.split(work, depth)
     results: list[TrialResult] = []
+    if draw_ahead:
+        from concurrent.futures import ThreadPoolExecutor  # see the module docstring
     with ThreadPoolExecutor(max_workers=1) if draw_ahead else contextlib.nullcontext() as helper:
 
         def queue(j: int):
@@ -479,7 +494,8 @@ def run_trial(
     The draw blocks live in this thread's scratch buffer (see the module
     docstring), which the result does not depend on.
     """
-    return _run_trials(cfg, [(scenario, method, snr_db, trial_index)], draw_ahead=False)[0]
+    job = (scenario, method, snr_db, trial_index, cfg.params.with_snr(snr_db))
+    return _run_trials(cfg, [job], draw_ahead=False)[0]
 
 
 def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -489,13 +505,14 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     return _mean_and_se(values)
 
 
-#: (config, scenario, method, snr_db, closed-form expected silhouette)
-_Cell = tuple[ExperimentConfig, ChannelScenario, Method, float, float]
+#: (config, scenario, method, snr_db, ``config.params.with_snr(snr_db)``,
+#: closed-form expected silhouette)
+_Cell = tuple[ExperimentConfig, ChannelScenario, Method, float, ModelParams, float]
 
 
 def _record(cell: _Cell, results: Sequence[TrialResult]) -> SweepRecord:
     """A cell's record, reduced from its trials' results in trial order."""
-    _, scenario, method, snr_db, analytic = cell
+    _, scenario, method, snr_db, _, analytic = cell
     sil = np.array([r.silhouette for r in results])
     acc = np.array([r.accuracy for r in results])
     nonfinite = np.array([r.nonfinite_rate for r in results])
@@ -515,16 +532,18 @@ def _record(cell: _Cell, results: Sequence[TrialResult]) -> SweepRecord:
 
 
 def _sorted_cells(cfg: ExperimentConfig) -> list[_Cell]:
-    """Every grid cell in record order, carrying its closed form, evaluated here."""
+    """Every grid cell in record order, carrying its parameters and its
+    closed form, evaluated here."""
     keys = sorted(
         itertools.product(cfg.scenarios, cfg.methods, cfg.snr_db_grid),
         key=lambda c: (c[0].value, c[1].value, c[2]),
     )
-    return [
-        (cfg, scenario, method, snr_db,
-         expected_silhouette(method, scenario, cfg.params.with_snr(snr_db)))
-        for scenario, method, snr_db in keys
-    ]
+    cells = []
+    for scenario, method, snr_db in keys:
+        params = cfg.params.with_snr(snr_db)
+        cells.append((cfg, scenario, method, snr_db, params,
+                      expected_silhouette(method, scenario, params)))
+    return cells
 
 
 #: Least standard normals in one fill call, ``min(n_train, n_test)`` times
@@ -546,7 +565,7 @@ def _run_cells(cells: Sequence[_Cell], draw_ahead: bool) -> list[SweepRecord]:
     cell reduced from its own trials."""
     cfg = cells[0][0]
     n = cfg.n_trials
-    jobs = [(s, m, snr_db, t) for _, s, m, snr_db, _ in cells for t in range(n)]
+    jobs = [(s, m, snr_db, t, params) for _, s, m, snr_db, params, _ in cells for t in range(n)]
     results = _run_trials(cfg, jobs, draw_ahead)
     return [_record(cell, results[i * n : (i + 1) * n]) for i, cell in enumerate(cells)]
 
@@ -554,6 +573,18 @@ def _run_cells(cells: Sequence[_Cell], draw_ahead: bool) -> list[SweepRecord]:
 def _run_cell(cell: _Cell) -> SweepRecord:
     """A pool task: one cell's trials, with no helper, since the pool leaves no core spare."""
     return _run_cells([cell], draw_ahead=False)[0]
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """A `concurrent.futures.ProcessPoolExecutor`, its module imported when a
+    sweep first builds a pool (see the module docstring).
+
+    `run_sweep` builds its pool through this module attribute, which keeps the
+    class's name, so a benchmark tracer can replace it with a pool class.
+    """
+    from concurrent import futures
+
+    return futures.ProcessPoolExecutor(max_workers=max_workers)
 
 
 def run_sweep(cfg: ExperimentConfig, n_threads: int = 1) -> list[SweepRecord]:

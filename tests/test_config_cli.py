@@ -6,10 +6,7 @@ import io
 import itertools
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tempfile
 import threading
 import warnings
@@ -17,6 +14,7 @@ from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
+from fresh_process import run_fresh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -135,15 +133,7 @@ class TestConfigRoundTrip:
             "rff_lab.parse_config(rff_lab.render_config(rff_lab.default_config()))\n"
             "print('numpy.random' in sys.modules)\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert done.stdout.strip() == "False"
+        assert run_fresh(script).strip() == "False"
 
 
 def _records(cfg):
@@ -776,6 +766,22 @@ class TestValidateClaimsLanes:
         assert code == 1
         assert table_digest(out) == digest
         assert threading.active_count() == baseline  # a helper was joined
+
+    def test_a_fresh_process_imports_the_helper_pool_at_its_first_run(self, monkeypatch):
+        """The helper lane imports `concurrent.futures` itself when it starts,
+        and the table keeps the in-process bytes."""
+        script = (
+            "import sys\n"
+            "from rff_lab import _scratch, cli\n"
+            "_scratch.usable_cpus = lambda: 2\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert cli.main(['validate-claims', '--draws', '10000']) == 1\n"
+            "assert 'concurrent.futures' in sys.modules\n"
+        )
+        cpus(monkeypatch, 2)
+        code, out, _ = run_validate_claims("--draws", "10000")
+        assert code == 1
+        assert table_digest(run_fresh(script)) == table_digest(out)
 
     @pytest.mark.parametrize(
         "point_index, form",

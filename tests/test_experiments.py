@@ -5,7 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +17,7 @@ from rff_lab import _scratch, experiments
 from rff_lab.analytic import expected_silhouette
 from rff_lab.channel import ChannelScenario, Phase
 from rff_lab.cli import format_records_csv
+from rff_lab.config import render_config
 from rff_lab.experiments import (
     MIN_PERMUTATIONS,
     CorrelationReport,
@@ -30,8 +31,9 @@ from rff_lab.experiments import (
 from rff_lab.experiments import _mean_and_stderr, _screen_nonfinite, _snr_stream_key
 from rff_lab.experiments import _trial_streams
 from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
-from rff_lab.signal_model import Method
+from rff_lab.signal_model import Method, ModelParams
 from rff_lab.silhouette import normalize_block
+from fresh_process import run_fresh
 from silhouette_reference import definition_lda, definition_silhouette
 
 
@@ -159,6 +161,40 @@ class TestRunSweep:
             ),
         ):
             assert run_sweep(cfg, n_threads=1) == run_sweep(cfg, n_threads=2)
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_each_cell_builds_its_parameters_once(self, monkeypatch, tmp_path, n_threads):
+        """The trials of a cell read the parameters built with its closed form.
+
+        Each call appends to a file, so forked pool workers count too.
+        """
+        calls = tmp_path / "with_snr"
+        real = ModelParams.with_snr
+
+        def counted(params, snr_db):
+            with open(calls, "a") as handle:
+                handle.write("x")
+            return real(params, snr_db)
+
+        monkeypatch.setattr(ModelParams, "with_snr", counted)
+        cfg = small_config(snr_db_grid=(10.0, 30.0))  # 4 cells of 3 trials
+        run_sweep(cfg, n_threads=n_threads)
+        assert calls.read_text() == "x" * 4
+
+    def test_the_pool_is_built_through_the_module_attribute(self, monkeypatch):
+        """A benchmark tracer swaps its own pool class in here."""
+        built = []
+
+        class Recorded(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        cfg = small_config()
+        serial = format_records_csv(run_sweep(cfg))
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorded)
+        assert format_records_csv(run_sweep(cfg, n_threads=2)) == serial
+        assert [pool._max_workers for pool in built] == [2]
 
     def test_default_grid_bytes_are_pinned(self):
         """One trial per default cell at seed 42 reproduces these exact bytes.
@@ -305,6 +341,24 @@ class TestDrawAhead:
         monkeypatch.setattr(_scratch, "usable_cpus", lambda: cpus)
         assert experiments._draws_ahead(replace(default_config(), **overrides)) is ahead
 
+    def test_a_fresh_process_imports_the_helper_pool_at_its_first_sweep(self, monkeypatch):
+        """The first drawn-ahead sweep of a process imports `concurrent.futures`
+        itself, and gives the in-process bytes."""
+        cfg = small_config(methods=(Method.CR,), n_train=10, n_test=10)  # 10 x 52 normals
+        script = (
+            "import sys\n"
+            "from rff_lab import _scratch, cli, config, experiments\n"
+            "_scratch.usable_cpus = lambda: 2\n"
+            f"cfg = config.parse_config({render_config(cfg)!r})\n"
+            "assert experiments._draws_ahead(cfg)\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "records = experiments.run_sweep(cfg)\n"
+            "assert 'concurrent.futures' in sys.modules\n"
+            "sys.stdout.write(cli.format_records_csv(records))\n"
+        )
+        monkeypatch.setattr(_scratch, "usable_cpus", lambda: 2)
+        assert run_fresh(script) == format_records_csv(run_sweep(cfg))
+
     def test_usable_cpus_reads_the_affinity_mask(self):
         if hasattr(_scratch.os, "sched_getaffinity"):
             assert _scratch.usable_cpus() == len(_scratch.os.sched_getaffinity(0))
@@ -437,6 +491,7 @@ class TestTrialLoop:
             alone.append(run_trial(cfg, *job))
         monkeypatch.setattr(_scratch, "_local", threading.local())
         _scratch.scratch(4, experiments._row_size(cfg, cfg.methods)).fill(np.nan)
+        jobs = [(*job, cfg.params.with_snr(job[2])) for job in jobs]
         assert experiments._run_trials(cfg, jobs, draw_ahead) == alone
 
 
@@ -679,6 +734,11 @@ class TestTrialStreams:
             expected = np.random.default_rng(np.random.SeedSequence(key + (stream,)))
             assert rng.bit_generator.state == expected.bit_generator.state
             assert np.array_equal(rng.standard_normal(4), expected.standard_normal(4))
+
+    def test_a_negative_snr_key_wraps_modulo_2_64(self):
+        assert _snr_stream_key(-10.0) == 2**64 - 10_000
+        assert _snr_stream_key(-0.0004) == 0 == _snr_stream_key(0.0)
+        assert _snr_stream_key(30.0) == 30_000
 
     def test_negative_trial_index_is_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

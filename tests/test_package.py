@@ -1,12 +1,11 @@
 """The package namespace republishes each library module's public names."""
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
+
+import pytest
 
 import rff_lab
+from fresh_process import run_fresh
 
 #: the library modules `rff_lab` republishes, in `__all__` order; `cli` is not one
 LIBRARY_MODULES = (
@@ -64,12 +63,30 @@ def test_import_loads_neither_the_cli_nor_numpy_random():
         "import sys, rff_lab\n"
         "print('rff_lab.cli' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert done.stdout.split() == ["False", "False"]
+    assert run_fresh(script).split() == ["False", "False"]
+
+
+#: what `concurrent.futures` loads behind a pool, none of which a config,
+#: a closed form or one trial uses
+POOL_MODULES = (
+    "concurrent.futures", "multiprocessing", "socket", "selectors", "subprocess", "logging",
+    "queue",
+)
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import rff_lab\n"
+        "rff_lab.parse_config(rff_lab.render_config(rff_lab.default_config()))\n",
+        "import rff_lab.cli\n",
+        "from dataclasses import replace\n"
+        "from rff_lab import ChannelScenario, Method, default_config, run_trial\n"
+        "cfg = replace(default_config(), n_devices=2, n_train=4, n_test=4)\n"
+        "run_trial(cfg, ChannelScenario.IID_STOCHASTIC, Method.CR, 30.0, 0)\n",
+    ],
+    ids=["config-round-trip", "cli", "one-trial"],
+)
+def test_no_pool_machinery_is_loaded_before_a_pool_is_built(script):
+    check = f"import sys\nprint(*(m for m in {POOL_MODULES!r} if m in sys.modules))\n"
+    assert run_fresh(script + check).split() == []
