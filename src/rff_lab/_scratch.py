@@ -23,10 +23,13 @@ def scratch(rows: int, size: int) -> np.ndarray:
     """This thread's buffer as ``rows`` C-contiguous rows of ``size`` float64 entries.
 
     The contents are whatever the thread's last caller left.  The buffer is
-    reallocated only when it holds fewer than ``rows * size`` entries.
+    reallocated only when it holds fewer than ``rows * size`` entries; the
+    old one is dropped first, so that unless a caller still holds a view of
+    it, the two are never allocated at once.
     """
     buffer = getattr(_local, "buffer", None)
     if buffer is None or buffer.size < rows * size:
+        buffer = _local.buffer = None
         buffer = _local.buffer = np.empty(rows * size)
     return buffer[: rows * size].reshape(rows, size)
 

@@ -11,11 +11,11 @@ Subcommands
     on a fixed parameter grid and print one table row per quantity.  Exits 1
     if any in-regime quantity misses its tolerance (2% for means, 5% for
     second moments; the cross-difference mean must sit within 3 standard
-    errors of 0).  When the process may use 2 CPUs, a helper thread
-    evaluates the paired-product and reciprocal forms while the calling
-    thread evaluates the other two; the table is the same bytes either way.
-    ``concurrent.futures`` is imported only then, so no other command, nor a
-    one-CPU run, loads it.
+    errors of 0).  When the process may use 2 CPUs, the 108 (point, form)
+    evaluations wait in one queue in table order: the calling thread takes
+    them from the front and a helper thread from the back, until the two
+    meet; the table is the same bytes either way.  ``concurrent.futures``
+    is imported only then, so no other command, nor a one-CPU run, loads it.
 ``correlate``
     Read a sweep CSV and report the Pearson correlation between the
     empirical silhouette score and the classification accuracy, with a
@@ -31,6 +31,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import enum
 import io
@@ -107,9 +108,6 @@ VALIDATION_MU_G = (1.0,)
 VALIDATION_SIGMA_G = (0.0, 0.1, 0.15)
 VALIDATION_RHO = (0.5, 1.0, 2.0)
 VALIDATION_SIGMA_W = (0.001, 0.01, 0.05)
-#: forms a helper thread evaluates when a second CPU is usable: 5 normals per
-#: draw between them, against the other two forms' 6
-_HELPER_FORMS = (RatioForm.PAIRED_PRODUCT, RatioForm.RECIPROCAL)
 
 
 def _g17(value: float) -> str:
@@ -254,59 +252,85 @@ def cmd_validate_claims(args: argparse.Namespace) -> int:
     ]
     forms = list(RatioForm)
 
-    def oracle_args(point_index: int, form_index: int) -> tuple:
+    def oracle_args(entry: tuple[int, int]) -> tuple:
+        point_index, form_index = entry
         seed = _validation_seed(args.seed, point_index, form_index)
         return (forms[form_index], *specs[point_index], args.draws, seed)
 
     n_failures = 0
     n_rows = 0
+
+    def print_rows(entry: tuple[int, int], mc) -> None:
+        nonlocal n_failures, n_rows
+        point_index, form_index = entry
+        _, sigma_g, rho, sigma_w = points[point_index]
+        g, p = specs[point_index]
+        form = forms[form_index]
+        gated = in_regime(g, p)
+        for quantity, predicted in CLOSED_FORMS[form](g, p).items():
+            n_rows += 1
+            observed = getattr(mc.moments, quantity)
+            if quantity == "mean" and predicted == 0.0:
+                # zero-mean prediction: gate on the oracle's own standard error
+                ok = abs(observed) <= 3.0 * mc.se_mean
+                rel_text = "-"
+            else:
+                rel_err = abs(predicted - observed) / abs(observed)
+                ok = rel_err <= QUANTITY_TOLERANCE[quantity]
+                rel_text = f"{rel_err:.5f}"
+            if gated and not ok:
+                n_failures += 1
+            status = ("ok" if ok else "FAIL") + ("" if gated else " (out-of-regime)")
+            print(
+                f"{form.value:<18}{quantity:<16}{sigma_g:>8g}{rho:>6g}{sigma_w:>9g}"
+                f"{predicted:>14.6g}{observed:>14.6g}{rel_text:>10}  {status}"
+            )
+
+    # Every (point, form) in table order.  The calling lane takes entries from
+    # the front and prints each as it goes; the helper takes them from the
+    # back, so the two meet wherever their speeds put them.  deque's pop and
+    # popleft are atomic, so each entry is evaluated exactly once.
+    queue = collections.deque(itertools.product(range(len(points)), range(len(forms))))
+
+    def drain_from_the_back() -> list:
+        # The helper calls the oracle itself, not this module's attribute,
+        # which a benchmark tracer replaces with one span stack for all
+        # threads.  A failure ends the lane: the entries below it are left
+        # to the calling lane, which prints exactly the rows before it.
+        done = []
+        while True:
+            try:
+                entry = queue.pop()
+            except IndexError:
+                return done
+            done.append((entry, gaussian_moments.mc_ratio_detail(*oracle_args(entry))))
+
     # On one CPU, two lanes ran no faster than one and held 7% more peak RSS,
-    # the helper's 2 scratch rows (BENCH_18.json), so both lanes run here.
+    # the helper's scratch rows (BENCH_18.json), so the calling lane runs alone.
     helper = None
     if _scratch.usable_cpus() >= 2:
         # imported here, so that a command without a helper does not load it
         from concurrent.futures import ThreadPoolExecutor
 
-        helper = ThreadPoolExecutor(max_workers=1)
+        pool = ThreadPoolExecutor(max_workers=1)
+        helper = pool.submit(drain_from_the_back)
     try:
-        # The helper calls the oracle itself, not this module's attribute,
-        # which a benchmark tracer replaces with one span stack for all threads.
-        on_helper = {
-            (i, j): helper.submit(gaussian_moments.mc_ratio_detail, *oracle_args(i, j))
-            for i in range(len(points))
-            for j, form in enumerate(forms)
-            if helper is not None and form in _HELPER_FORMS
-        }
-        for point_index, ((_, sigma_g, rho, sigma_w), (g, p)) in enumerate(zip(points, specs)):
-            gated = in_regime(g, p)
-            for form_index, form in enumerate(forms):
-                job = on_helper.get((point_index, form_index))
-                if job is not None:
-                    mc = job.result()
-                else:
-                    mc = mc_ratio_detail(*oracle_args(point_index, form_index))
-                for quantity, predicted in CLOSED_FORMS[form](g, p).items():
-                    n_rows += 1
-                    observed = getattr(mc.moments, quantity)
-                    if quantity == "mean" and predicted == 0.0:
-                        # zero-mean prediction: gate on the oracle's own standard error
-                        ok = abs(observed) <= 3.0 * mc.se_mean
-                        rel_text = "-"
-                    else:
-                        rel_err = abs(predicted - observed) / abs(observed)
-                        ok = rel_err <= QUANTITY_TOLERANCE[quantity]
-                        rel_text = f"{rel_err:.5f}"
-                    if gated and not ok:
-                        n_failures += 1
-                    status = ("ok" if ok else "FAIL") + ("" if gated else " (out-of-regime)")
-                    print(
-                        f"{form.value:<18}{quantity:<16}{sigma_g:>8g}{rho:>6g}{sigma_w:>9g}"
-                        f"{predicted:>14.6g}{observed:>14.6g}{rel_text:>10}  {status}"
-                    )
+        while True:
+            try:
+                entry = queue.popleft()
+            except IndexError:
+                break
+            print_rows(entry, mc_ratio_detail(*oracle_args(entry)))
+        if helper is not None:
+            # the helper's results, taken in descending order, follow in table order
+            for entry, mc in reversed(helper.result()):
+                print_rows(entry, mc)
     finally:
         if helper is not None:
-            # cancel what has not started, and join the helper
-            helper.shutdown(cancel_futures=True)
+            # After a failure on this lane the helper stops at its next pop,
+            # and this lane's error, the earlier row, is the one reported.
+            queue.clear()
+            pool.shutdown()
 
     wall = time.perf_counter() - start
     print("-" * len(header))

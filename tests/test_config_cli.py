@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tempfile
 import threading
 import warnings
@@ -746,8 +747,9 @@ def cpus(monkeypatch, n: int) -> None:
 
 
 class TestValidateClaimsLanes:
-    """With 2 usable CPUs the paired-product and reciprocal forms run on a
-    helper thread; the output must not show it."""
+    """With 2 usable CPUs the calling thread evaluates the (point, form)
+    entries from the front of the table and a helper thread from the back,
+    until they meet; the output must not show it."""
 
     @pytest.mark.parametrize(
         "seed, digest",
@@ -783,14 +785,80 @@ class TestValidateClaimsLanes:
         assert code == 1
         assert table_digest(run_fresh(script)) == table_digest(out)
 
+    def test_each_evaluation_runs_exactly_once_on_one_of_the_lanes(self, monkeypatch):
+        """Under a short switch interval, the calling lane evaluates a prefix
+        of the table from its first entry, the helper the rest from its last
+        entry down, and no entry is evaluated twice or skipped."""
+        cpus(monkeypatch, 1)
+        one_lane = run_validate_claims("--draws", "10000")[1]
+        cpus(monkeypatch, 2)
+        calls = []
+        record = threading.Lock()
+
+        def recording(real):
+            def oracle(form, g, p, n_draws, seed):
+                with record:
+                    calls.append((form, seed, threading.get_ident()))
+                return real(form, g, p, n_draws, seed)
+
+            return oracle
+
+        monkeypatch.setattr(cli, "mc_ratio_detail", recording(cli.mc_ratio_detail))
+        monkeypatch.setattr(
+            gaussian_moments, "mc_ratio_detail", recording(gaussian_moments.mc_ratio_detail)
+        )
+        baseline = threading.active_count()
+        outcome = []
+        runner = threading.Thread(
+            target=lambda: outcome.append(run_validate_claims("--draws", "10000"))
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert threading.active_count() == baseline  # the helper was joined too
+        (code, out, _), = outcome
+        assert code == 1
+        assert table_digest(out) == table_digest(one_lane)
+
+        grid = (cli.VALIDATION_MU_G, cli.VALIDATION_SIGMA_G, cli.VALIDATION_RHO,
+                cli.VALIDATION_SIGMA_W)
+        table = [
+            (form, cli._validation_seed(42, point_index, form_index))
+            for point_index in range(math.prod(map(len, grid)))
+            for form_index, form in enumerate(RatioForm)
+        ]
+        assert len(table) == 108
+        assert sorted((form.value, seed) for form, seed, _ in calls) == sorted(
+            (form.value, seed) for form, seed in table
+        )
+        calling = [(form, seed) for form, seed, thread in calls if thread == runner.ident]
+        helper = [(form, seed) for form, seed, thread in calls if thread != runner.ident]
+        # The helper starts before the calling lane's first pop, so either
+        # may call first; the calling lane evaluates the table's first entry.
+        assert calling and calling == table[: len(calling)]
+        assert helper and helper == table[len(calling) :][::-1]
+
     @pytest.mark.parametrize(
         "point_index, form",
-        [(5, RatioForm.CROSS_DIFFERENCE), (11, RatioForm.RECIPROCAL), (0, RatioForm.PAIRED_PRODUCT)],
-        ids=["calling-lane", "helper-lane", "helper-lane-first-point"],
+        [
+            (0, RatioForm.DIRECT_RATIO),
+            (0, RatioForm.PAIRED_PRODUCT),
+            (5, RatioForm.CROSS_DIFFERENCE),
+            (11, RatioForm.RECIPROCAL),
+            (26, RatioForm.RECIPROCAL),
+        ],
+        ids=["entry-0-first", "entry-1", "entry-22", "entry-47", "entry-107-last"],
     )
     def test_a_failing_evaluation_stops_the_table_after_the_rows_before_it(
         self, monkeypatch, point_index, form
     ):
+        """Entry 0 is the calling lane's first pop and entry 107 the helper's;
+        an entry in between runs on whichever lane reaches it."""
         cpus(monkeypatch, 2)
         baseline = threading.active_count()
         argv = ("--draws", "10000", "--seed", "42")

@@ -93,6 +93,19 @@ def test_a_warm_request_allocates_no_buffer_sized_array():
     assert peak() < buffer_bytes // 100
 
 
+def test_a_growing_buffer_is_released_before_the_larger_one_is_allocated():
+    """Growing from 2 rows to 3 holds at most the 3 rows at once, not 5."""
+    size = 10**5
+    tracemalloc.start()
+    try:
+        _scratch.scratch(2, size)
+        _scratch.scratch(3, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * size * 8 <= peak <= 3 * size * 8 + 64 * 1024
+
+
 def test_each_thread_has_its_own_buffer():
     n_threads = 3
     barrier = threading.Barrier(n_threads)
