@@ -25,8 +25,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gaussian_moments import _as_normal
-
 __all__ = [
     "ChannelScenario",
     "Phase",
@@ -64,6 +62,18 @@ def require_at_least(name: str, value, least):
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def _as_normal(z: np.ndarray, loc: float, scale: float) -> np.ndarray:
+    """Make standard normals ``z`` N(loc, scale^2) in place, and return ``z``.
+
+    numpy's ``rng.normal(loc, scale)`` is ``loc + scale * standard_normal``;
+    scaling then shifting in place rounds the same twice, so the bits match,
+    a zero's sign included: ``-0.0 + 0.0`` is ``+0.0``.
+    """
+    z *= scale
+    z += loc
+    return z
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,7 @@ def init_trial_channel(
         )
     fixed = None
     if scenario is ChannelScenario.DETERMINISTIC:
-        fixed = rng.normal(params.mu_h, params.sigma_h, size=k)
+        fixed = _as_normal(rng.standard_normal(k), params.mu_h, params.sigma_h)
         fixed.flags.writeable = False
     return TrialChannel(scenario=scenario, params=params, n_subcarriers=k, fixed_csi=fixed)
 

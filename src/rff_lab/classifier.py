@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import require_at_least
 from .silhouette import device_tensor
 
 __all__ = ["LdaModel", "fit", "predict_batch", "accuracy"]
@@ -53,8 +54,7 @@ def fit(
     train: np.ndarray, kept: np.ndarray | None = None, ridge: float = DEFAULT_RIDGE
 ) -> LdaModel:
     """Fit the discriminant on a (C, N, K) training tensor (class = position)."""
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    require_at_least("ridge", ridge, 0)
     samples, mask = device_tensor(train, kept)
     if len(samples) < 2:
         raise ValueError("need at least two classes")

@@ -147,12 +147,11 @@ class ExperimentConfig:
         for name, least in bounds.items():
             require_at_least(name, getattr(self, name), least)
         for name in ("scenarios", "methods", "snr_db_grid"):
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"{name} must be nonempty")
-        if len(set(self.scenarios)) != len(self.scenarios):
-            raise ValueError("scenarios contains duplicates")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError("methods contains duplicates")
+            if name != "snr_db_grid" and len(set(values)) != len(values):
+                raise ValueError(f"{name} contains duplicates")
         if len({_snr_stream_key(v) for v in self.snr_db_grid}) != len(self.snr_db_grid):
             raise ValueError(
                 "snr_db_grid contains duplicates or points under 0.0005 dB apart, "
@@ -498,13 +497,6 @@ def run_trial(
     return _run_trials(cfg, [job], draw_ahead=False)[0]
 
 
-def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    """`_mean_and_se`, with a NaN standard error for a one-trial cell."""
-    if values.size < 2:
-        return float(values.mean()), math.nan
-    return _mean_and_se(values)
-
-
 #: (config, scenario, method, snr_db, ``config.params.with_snr(snr_db)``,
 #: closed-form expected silhouette)
 _Cell = tuple[ExperimentConfig, ChannelScenario, Method, float, ModelParams, float]
@@ -516,8 +508,8 @@ def _record(cell: _Cell, results: Sequence[TrialResult]) -> SweepRecord:
     sil = np.array([r.silhouette for r in results])
     acc = np.array([r.accuracy for r in results])
     nonfinite = np.array([r.nonfinite_rate for r in results])
-    sil_mean, sil_se = _mean_and_stderr(sil)
-    acc_mean, acc_se = _mean_and_stderr(acc)
+    sil_mean, sil_se = _mean_and_se(sil)
+    acc_mean, acc_se = _mean_and_se(acc)
     return SweepRecord(
         scenario=scenario,
         method=method,

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scratch import scratch
+from .channel import _as_normal, require_at_least, require_finite
 
 __all__ = [
     "GaussianSpec",
@@ -75,10 +76,8 @@ class GaussianSpec:
     variance: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
-        if not (self.variance >= 0.0):
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
+        require_finite(self)
+        require_at_least("variance", self.variance, 0)
 
     @property
     def std(self) -> float:
@@ -93,12 +92,10 @@ class RatioParams:
     noise_variance: float
 
     def __post_init__(self) -> None:
-        if self.rho == 0.0 or not math.isfinite(self.rho):
-            raise ValueError(f"rho must be finite and nonzero, got {self.rho}")
-        if not (self.noise_variance >= 0.0):
-            raise ValueError(
-                f"noise_variance must be >= 0, got {self.noise_variance}"
-            )
+        require_finite(self)
+        require_at_least("noise_variance", self.noise_variance, 0)
+        if self.rho == 0.0:
+            raise ValueError(f"rho must be nonzero, got {self.rho}")
 
     @property
     def noise_std(self) -> float:
@@ -214,18 +211,6 @@ def reciprocal_moments(g: GaussianSpec, p: RatioParams) -> GaussianMoments:
     )
 
 
-def _as_normal(z: np.ndarray, loc: float, scale: float) -> np.ndarray:
-    """Make standard normals ``z`` N(loc, scale^2) in place, and return ``z``.
-
-    numpy's ``rng.normal(loc, scale)`` is ``loc + scale * standard_normal``;
-    scaling then shifting in place rounds the same twice, so the bits match,
-    a zero's sign included: ``-0.0 + 0.0`` is ``+0.0``.
-    """
-    z *= scale
-    z += loc
-    return z
-
-
 def _ratio_into(
     form: RatioForm, g: GaussianSpec, p: RatioParams, rows: np.ndarray,
     rng: np.random.Generator,
@@ -259,10 +244,13 @@ def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
     """The mean of ``x`` and its standard error, ``x.std(ddof=1) / sqrt(n)``.
 
     The bits are numpy's ``x.mean()`` and ``x.std(ddof=1)``, by the same
-    steps; ``x`` is overwritten with its squared deviations.
+    steps; ``x`` is overwritten with its squared deviations.  One value has a
+    NaN standard error (a one-trial sweep cell).
     """
     n = x.size
     mean = np.add.reduce(x) / n
+    if n < 2:
+        return float(mean), math.nan
     np.subtract(x, mean, out=x)
     np.square(x, out=x)
     std = np.sqrt(np.add.reduce(x) / (n - 1))
@@ -291,8 +279,7 @@ def mc_ratio_detail(
     entries.  The thread keeps that buffer until it exits: 24 MB after a
     cross-difference call of 10^6 draws.  The result does not depend on it.
     """
-    if n_draws < 10**4:
-        raise ValueError(f"n_draws must be >= 1e4, got {n_draws}")
+    require_at_least("n_draws", n_draws, 10**4)
     rows = scratch(_MC_ROWS[form], n_draws)
     rng = np.random.default_rng(seed)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

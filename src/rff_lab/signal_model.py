@@ -57,9 +57,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, Phase, TrialChannel, require_at_least, require_finite
-from .channel import sample_csi_block
-from .gaussian_moments import GaussianSpec, RatioParams, _as_normal, reciprocal_moments
+from .channel import ChannelParams, Phase, TrialChannel, _as_normal, require_at_least
+from .channel import require_finite, sample_csi_block
+from .gaussian_moments import GaussianSpec, RatioParams, reciprocal_moments
 
 __all__ = [
     "ModelParams",
@@ -166,7 +166,9 @@ def draw_fingerprint(params: ModelParams, rngs: list[np.random.Generator]) -> Fi
     for rng, row in zip(rngs, z):
         rng.standard_normal(out=row)
     tu, tu_s = z[:, : params.r_l], z[:, params.r_l :]
-    return Fingerprints(tu * params.sigma_u + params.mu_u, tu_s * params.sigma_s + params.mu_s)
+    return Fingerprints(
+        _as_normal(tu, params.mu_u, params.sigma_u), _as_normal(tu_s, params.mu_s, params.sigma_s)
+    )
 
 
 def amplification_factor(

@@ -520,7 +520,7 @@ class TestCliSweep:
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran before the closed forms were checked")
 
-        monkeypatch.setattr(experiments, "run_trial", no_trials)
+        monkeypatch.setattr(experiments, "_set_up", no_trials)
         config_path = tmp_path / "subnormal.cfg"
         config_path.write_text(
             SUBNORMAL_CHANNEL.replace("methods = cr", "methods = raw,cr"), encoding="utf-8"

@@ -28,9 +28,10 @@ from rff_lab.experiments import (
     run_sweep,
     run_trial,
 )
-from rff_lab.experiments import _mean_and_stderr, _screen_nonfinite, _snr_stream_key
+from rff_lab.experiments import _screen_nonfinite, _snr_stream_key
 from rff_lab.experiments import _trial_streams
-from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
+from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, _mean_and_se
+from rff_lab.gaussian_moments import mc_ratio_detail
 from rff_lab.signal_model import Method, ModelParams
 from rff_lab.silhouette import normalize_block
 from fresh_process import run_fresh
@@ -616,10 +617,10 @@ class TestCellMeanAndStderr:
     def test_equals_numpys_mean_and_std_bit_for_bit(self, values):
         x = np.array(values)
         expected = (float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size)))
-        assert np.array(_mean_and_stderr(x.copy())).tobytes() == np.array(expected).tobytes()
+        assert np.array(_mean_and_se(x.copy())).tobytes() == np.array(expected).tobytes()
 
     def test_a_one_trial_cell_has_a_nan_stderr(self):
-        mean, stderr = _mean_and_stderr(np.array([0.75]))
+        mean, stderr = _mean_and_se(np.array([0.75]))
         assert mean == 0.75
         assert math.isnan(stderr)
 

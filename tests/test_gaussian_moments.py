@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rff_lab import _scratch
+from rff_lab.channel import _as_normal
 from rff_lab.gaussian_moments import (
     MAX_NONFINITE_FRACTION,
     GaussianSpec,
@@ -23,7 +24,7 @@ from rff_lab.gaussian_moments import (
     paired_product_mean,
     reciprocal_moments,
 )
-from rff_lab.gaussian_moments import _MC_CHUNK, _MC_ROWS, _as_normal
+from rff_lab.gaussian_moments import _MC_CHUNK, _MC_ROWS
 
 SEED = 42
 
@@ -91,6 +92,11 @@ def test_parameter_validation():
         RatioParams(0.0, 0.1)
     with pytest.raises(ValueError):
         RatioParams(1.0, -0.1)
+    for variance in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="^variance must be finite"):
+            GaussianSpec(1.0, variance)
+        with pytest.raises(ValueError, match="^noise_variance must be finite"):
+            RatioParams(1.0, variance)
 
 
 # ---------------------------------------------------------------------------

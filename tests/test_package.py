@@ -66,6 +66,18 @@ def test_import_loads_neither_the_cli_nor_numpy_random():
     assert run_fresh(script).split() == ["False", "False"]
 
 
+def test_channel_loads_no_other_rff_lab_module():
+    # the package is registered unexecuted, so its __init__ imports nothing
+    script = (
+        "import importlib.util, sys\n"
+        "package = importlib.util.module_from_spec(importlib.util.find_spec('rff_lab'))\n"
+        "sys.modules['rff_lab'] = package\n"
+        "import rff_lab.channel\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('rff_lab.')))\n"
+    )
+    assert run_fresh(script).split() == ["rff_lab.channel"]
+
+
 #: what `concurrent.futures` loads behind a pool, none of which a config,
 #: a closed form or one trial uses
 POOL_MODULES = (

@@ -10,9 +10,10 @@ fewer normals would go unseen there; the count is checked here against the
 normals a trial actually draws, back to back and in a sweep that draws
 ahead.  validate_claims' ``draws_per_s`` reads `ORACLE_NORMALS_PER_DRAW`,
 checked here against the normals one oracle call draws.  That sweep fills
-trials on a helper thread, and ``validate-claims`` runs two of its four
-ratio forms on one; neither helper may call a traced attribute: the tracer
-keeps one span stack for all threads.
+trials on a helper thread, and ``validate-claims`` has one take (point,
+form) evaluations from the back of the queue the calling thread takes from
+the front; neither helper may call a traced attribute: the tracer keeps one
+span stack for all threads.
 """
 
 import collections
@@ -52,9 +53,6 @@ class CountingStream:
 
     def standard_normal(self, *args, **kwargs):
         return self._count(self._rng.standard_normal(*args, **kwargs))
-
-    def normal(self, *args, **kwargs):
-        return self._count(self._rng.normal(*args, **kwargs))
 
     def _count(self, drawn):
         self.normals += np.size(drawn)
@@ -175,8 +173,9 @@ def test_a_population_wide_trial_calls_each_score_stage_through_its_traced_attri
 def test_every_traced_attribute_runs_on_the_calling_thread_in_two_lane_validate_claims(
     monkeypatch,
 ):
-    """The helper lane evaluates its forms through the module's own oracle,
-    which the tracer does not replace."""
+    """The helper lane evaluates what it takes from the back of the queue
+    through `gaussian_moments.mc_ratio_detail`, which the tracer does not
+    replace."""
     monkeypatch.setattr(_scratch, "usable_cpus", lambda: 2)
     threads = _record_threads(monkeypatch, _load("spans").TARGETS)
     helper = _record_threads(
