@@ -1,13 +1,15 @@
 """Linear discriminant analysis with equal priors, written from scratch.
 
 Classes share one pooled covariance estimate: the within-class scatter
-divided by ``N_total - C``, regularized by ``ridge * (trace / K)`` on the
-diagonal (plain ``ridge`` when the trace is zero, i.e. all samples are
-identical).  A sample is assigned to the class with the largest
+divided by ``N_total - C``, regularized by ``RIDGE * (trace / K)`` on the
+diagonal (plain ``RIDGE`` when the trace is zero, i.e. all samples are
+identical).  `fit` folds the class means and that precision into one linear
+rule, and a sample is assigned to the class with the largest
 
-    delta_c(x) = x . Sigma^-1 mu_c - 1/2 mu_c . Sigma^-1 mu_c + log prior_c
+    delta_c(x) = x . w_c + b_c,   w_c = Sigma^-1 mu_c,   b_c = -1/2 mu_c . w_c
 
-with ties resolved toward the lowest class index.  Class labels are the
+with ties resolved toward the lowest class index.  Equal priors add the same
+``log(1/C)`` to every class, so the rule leaves it out.  Class labels are the
 device positions of the ``(C, N, K)`` tensor passed to `fit` / `accuracy`,
 with an optional ``(C, N)`` kept mask of the rows to use (see
 `silhouette.device_tensor`).  Both work on the whole tensor at once.
@@ -19,42 +21,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import require_at_least
 from .silhouette import device_tensor
 
 __all__ = ["LdaModel", "fit", "predict_batch", "accuracy"]
 
-DEFAULT_RIDGE = 1e-6
+RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
 class LdaModel:
-    """Fitted discriminant: per-class means, shared precision, priors."""
+    """Fitted discriminant: the class scores are ``x @ weights + offsets``."""
 
-    class_means: np.ndarray  # (C, K)
-    pooled_covariance_inverse: np.ndarray  # (K, K)
-    priors: np.ndarray  # (C,), sums to 1
+    weights: np.ndarray  # (K, C), Sigma^-1 mu^T
+    offsets: np.ndarray  # (C,), -1/2 mu . Sigma^-1 mu
 
     def __post_init__(self) -> None:
-        c, k = self.class_means.shape
-        if self.pooled_covariance_inverse.shape != (k, k):
-            raise ValueError("precision matrix does not match feature dimension")
-        # np.isclose's tolerance, atol + rtol * 1, without its call
-        if self.priors.shape != (c,) or not abs(self.priors.sum() - 1.0) <= 1e-8 + 1e-5:
-            raise ValueError("priors must be one per class and sum to 1")
-        for arr in (self.class_means, self.pooled_covariance_inverse, self.priors):
+        if self.weights.ndim != 2 or self.offsets.shape != self.weights.shape[1:]:
+            raise ValueError("offsets must be one per class of the weights")
+        for arr in (self.weights, self.offsets):
             arr.flags.writeable = False
 
     @property
     def n_classes(self) -> int:
-        return self.class_means.shape[0]
+        return self.weights.shape[1]
 
 
-def fit(
-    train: np.ndarray, kept: np.ndarray | None = None, ridge: float = DEFAULT_RIDGE
-) -> LdaModel:
+def fit(train: np.ndarray, kept: np.ndarray | None = None) -> LdaModel:
     """Fit the discriminant on a (C, N, K) training tensor (class = position)."""
-    require_at_least("ridge", ridge, 0)
     samples, mask = device_tensor(train, kept)
     if len(samples) < 2:
         raise ValueError("need at least two classes")
@@ -77,40 +70,33 @@ def fit(
 
     trace = float(np.trace(pooled))
     scale = trace / k if trace > 0.0 else 1.0
-    regularized = pooled + ridge * scale * np.eye(k)
-
-    eigenvalues = np.linalg.eigvalsh(regularized)
-    smallest = float(eigenvalues[0])
-    largest = float(eigenvalues[-1])
-    # Eigenvalues at rounding-noise scale (exact duplicates of a column land
-    # around 1e-17 * largest) mean the matrix is numerically singular even
-    # though the computed eigenvalue may be a hair above zero.
-    floor = largest * np.finfo(float).eps * k
-    if smallest <= floor or not np.isfinite(smallest):
+    # The ridge lifts every eigenvalue to at least RIDGE * scale, less the
+    # Gram's rounding, while numerical singularity sits near eps * K * trace:
+    # the two meet only for K of about 67,000, so the matrix is always
+    # invertible.  What can fail is the scale itself: a non-finite trace, or
+    # a ridge below the smallest normal float, whose inverse overflows.
+    if not (np.isfinite(trace) and RIDGE * scale >= np.finfo(float).tiny):
         raise ValueError(
-            "pooled covariance is singular after regularization: "
-            f"smallest eigenvalue {smallest:.6g}"
+            f"pooled covariance trace {trace:.6g} is not finite or too small "
+            "to regularize"
         )
-
-    precision = np.linalg.inv(regularized)
-    priors = np.full(n_classes, 1.0 / n_classes)
-    return LdaModel(
-        class_means=means, pooled_covariance_inverse=precision, priors=priors
-    )
+    precision = np.linalg.inv(pooled + RIDGE * scale * np.eye(k))
+    weights = precision @ means.T
+    offsets = -0.5 * np.einsum("ck,kc->c", means, weights)
+    # Zero scatter leaves the plain RIDGE, which does not scale with the
+    # features: identical samples near 1e150 square past the largest float.
+    if not np.isfinite(offsets).all():
+        raise ValueError("class offsets overflow: the features are too large to fit")
+    return LdaModel(weights=weights, offsets=offsets)
 
 
 def predict_batch(model: LdaModel, samples: np.ndarray) -> np.ndarray:
     """Class labels for an (n, K) batch; ties go to the lowest index."""
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != model.class_means.shape[1]:
+    if samples.ndim != 2 or samples.shape[1] != model.weights.shape[0]:
         raise ValueError(f"expected (n, K) samples, got shape {samples.shape}")
-    projected = model.pooled_covariance_inverse @ model.class_means.T  # (K, C)
-    offsets = -0.5 * np.einsum(
-        "ck,kc->c", model.class_means, projected
-    ) + np.log(model.priors)
-    scores = samples @ projected + offsets  # (n, C)
     # np.argmax returns the first (lowest-index) maximizer on ties.
-    return np.argmax(scores, axis=1)
+    return np.argmax(samples @ model.weights + model.offsets, axis=1)
 
 
 def accuracy(model: LdaModel, test: np.ndarray, kept: np.ndarray | None = None) -> float:

@@ -5,7 +5,9 @@ vectorized form: every training sample's mean squared distance to every
 sample of its own and of each other device's test set.  Tests use it as the
 oracle for the vectorized path and as a plain per-sample distance probe.
 `definition_lda` does the same for `rff_lab.classifier`: the equal-prior LDA
-fitted and scored one device's set at a time.
+fitted and scored one device's set at a time.  `eigen_floor_fires` keeps the
+eigenvalue conditioning check that `classifier.fit` once ran, so tests can
+show it never fires at the library's ridge.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rff_lab.classifier import DEFAULT_RIDGE
+from rff_lab.classifier import RIDGE
 from rff_lab.silhouette import ZERO_DISTANCE_TOLERANCE
 
 
@@ -119,8 +121,26 @@ def definition_pooled(train_sets: Sequence[np.ndarray]) -> tuple[np.ndarray, np.
     means = np.array([m.mean(axis=0) for m in train_sets])
     scatter = sum((m - mu).T @ (m - mu) for m, mu in zip(train_sets, means))
     pooled = scatter / (sum(len(m) for m in train_sets) - len(train_sets))
-    pooled += DEFAULT_RIDGE * np.trace(pooled) / k * np.eye(k)
+    pooled += RIDGE * np.trace(pooled) / k * np.eye(k)
     return means, pooled
+
+
+def definition_weights(train_sets: Sequence[np.ndarray]) -> np.ndarray:
+    """The (K, C) discriminant weights Sigma^-1 mu^T, solved rather than inverted."""
+    means, pooled = definition_pooled(train_sets)
+    return np.linalg.solve(pooled, means.T)
+
+
+def eigen_floor_fires(regularized: np.ndarray) -> bool:
+    """The conditioning check `classifier.fit` ran before its ridge became a
+    constant: the regularized pooled covariance counts as singular when its
+    smallest eigenvalue is within K rounding units of its largest, or is not
+    finite."""
+    eigenvalues = np.linalg.eigvalsh(regularized)
+    smallest = float(eigenvalues[0])
+    largest = float(eigenvalues[-1])
+    floor = largest * np.finfo(float).eps * len(regularized)
+    return smallest <= floor or not np.isfinite(smallest)
 
 
 def definition_predictions(

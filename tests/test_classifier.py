@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rff_lab.classifier import LdaModel, accuracy, fit, predict_batch
-from silhouette_reference import definition_lda, definition_pooled, definition_predictions
+from silhouette_reference import (
+    definition_lda,
+    definition_pooled,
+    definition_predictions,
+    definition_weights,
+    eigen_floor_fires,
+)
 
 
 def _symmetric_two_class_train(delta: float = 0.5) -> list[np.ndarray]:
@@ -23,16 +33,34 @@ def predict(model: LdaModel, sample: np.ndarray) -> int:
     return int(predict_batch(model, sample[None])[0])
 
 
+def assert_weights_match_reference(
+    model: LdaModel, train_sets, rtol: float = 1e-12
+) -> None:
+    """`model.weights` within ``rtol`` (relative to the largest) of the solved
+    reference weights."""
+    expected = definition_weights(train_sets)
+    error = np.abs(model.weights - expected).max()
+    assert error <= rtol * np.abs(expected).max()
+
+
+def _separable_three_class_sets() -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(11)
+    means = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
+    train = np.array([mu + rng.standard_normal((40, 2)) * 0.1 for mu in means])
+    test = np.array([mu + rng.standard_normal((25, 2)) * 0.1 for mu in means])
+    return train, test
+
+
 class TestDecisionBoundary:
     def test_symmetric_classes_split_on_first_coordinate(self):
-        model = fit(_symmetric_two_class_train(), ridge=0.0)
+        model = fit(_symmetric_two_class_train())
         assert predict(model, np.array([0.3, 5.0])) == 0
         assert predict(model, np.array([1e-9, -2.0])) == 0
         assert predict(model, np.array([-0.3, 5.0])) == 1
         assert predict(model, np.array([-1e-9, 2.0])) == 1
 
     def test_tie_on_boundary_goes_to_lowest_index(self):
-        model = fit(_symmetric_two_class_train(), ridge=0.0)
+        model = fit(_symmetric_two_class_train())
         # x1 == 0 is equidistant from both class means under equal priors.
         assert predict(model, np.array([0.0, 0.0])) == 0
         assert predict(model, np.array([0.0, 3.7])) == 0
@@ -45,13 +73,10 @@ class TestDecisionBoundary:
         train = [mu + 0.05 * rng.standard_normal((30, 4)) for mu in means]
         model = fit(train)
         for label in range(3):
-            assert predict(model, model.class_means[label]) == label
+            assert predict(model, train[label].mean(axis=0)) == label
 
     def test_separated_clusters_reach_perfect_accuracy(self):
-        rng = np.random.default_rng(11)
-        means = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
-        train = [mu + rng.standard_normal((40, 2)) * 0.1 for mu in means]
-        test = [mu + rng.standard_normal((25, 2)) * 0.1 for mu in means]
+        train, test = _separable_three_class_sets()
         model = fit(train)
         assert accuracy(model, test) == 1.0
 
@@ -64,13 +89,44 @@ class TestDegenerateInputs:
         model = fit([constant, spread])  # default ridge absorbs zero scatter
         assert predict(model, constant[0]) == 0
 
-    def test_duplicated_column_without_ridge_raises_singular(self):
+    def test_duplicated_column_fits_and_predicts_as_the_reference(self):
         rng = np.random.default_rng(5)
         base = rng.standard_normal((12, 2))
         degenerate = np.column_stack([base[:, 0], base[:, 0], base[:, 1]])
         train = [degenerate, degenerate + 3.0]
-        with pytest.raises(ValueError, match="singular"):
-            fit(train, ridge=0.0)
+        queries = rng.normal(1.5, 2.0, (40, 3))
+        model = fit(train)
+        # Only the ridge lifts the null direction, so the condition number
+        # (~3e6) scales the rounding of the weights.
+        _, pooled = definition_pooled(train)
+        rtol = np.finfo(float).eps * np.linalg.cond(pooled)
+        assert_weights_match_reference(model, train, rtol)
+        np.testing.assert_array_equal(
+            predict_batch(model, queries), definition_predictions(train, [queries])[0]
+        )
+
+    @pytest.mark.parametrize("scale, spoil", [(1e-156, 0.0), (1.0, np.nan)])
+    def test_a_scatter_that_cannot_be_regularized_raises(self, scale, spoil):
+        # A ridge RIDGE * trace / K below the smallest normal float, whose
+        # inverse overflows, or a trace that is not finite.
+        train, _ = _separable_three_class_sets()
+        train[1, 3, 0] += spoil
+        with pytest.raises(ValueError, match="not finite or too small"):
+            fit(scale * train)
+
+    def test_features_whose_scatter_underflows_still_separate(self):
+        # The scatter is exactly zero, so the ridge is the plain RIDGE; the
+        # scores are near 1e-318 and no constant log-prior term swamps them.
+        train, test = _separable_three_class_sets()
+        model = fit(1e-162 * train)
+        assert accuracy(model, 1e-162 * test) == 1.0
+
+    def test_identical_huge_samples_overflow_the_offsets_and_raise(self):
+        # Zero scatter at scale 1e150: RIDGE is absolute, so mu . Sigma^-1 mu
+        # is about K * 1e302 / 1e-6.
+        train = np.full((3, 4, 300), 1e151)
+        with pytest.raises(ValueError, match="overflow"):
+            fit(train)
 
     def test_identical_class_distributions_hit_chance_floor(self):
         rng = np.random.default_rng(2024)
@@ -125,11 +181,11 @@ class TestKeptMask:
         train[~train_kept] = rng.choice([np.nan, np.inf, 1e6], size=((~train_kept).sum(), 1))
         test[~test_kept] = 1e6
         model = fit(train, train_kept)
-        means, expected = definition_lda(
-            [rows[kept] for rows, kept in zip(train, train_kept)],
-            [rows[kept] for rows, kept in zip(test, test_kept)],
+        train_sets = [rows[kept] for rows, kept in zip(train, train_kept)]
+        _, expected = definition_lda(
+            train_sets, [rows[kept] for rows, kept in zip(test, test_kept)]
         )
-        np.testing.assert_allclose(model.class_means, means, rtol=1e-12, atol=1e-12)
+        assert_weights_match_reference(model, train_sets)
         assert accuracy(model, test, test_kept) == expected
 
     def test_all_kept_mask_equals_no_mask(self):
@@ -138,10 +194,8 @@ class TestKeptMask:
         test = rng.standard_normal((3, 7, 4)) + np.arange(3)[:, None, None]
         model = fit(train)
         masked = fit(train, np.ones((3, 10), dtype=bool))
-        np.testing.assert_array_equal(model.class_means, masked.class_means)
-        np.testing.assert_array_equal(
-            model.pooled_covariance_inverse, masked.pooled_covariance_inverse
-        )
+        np.testing.assert_array_equal(model.weights, masked.weights)
+        np.testing.assert_array_equal(model.offsets, masked.offsets)
         assert accuracy(model, test) == accuracy(model, test, np.ones((3, 7), dtype=bool))
 
 
@@ -154,7 +208,7 @@ class TestOneProductScatter:
         [(40, 10, 52, False, 0), (40, 10, 52, True, 1), (10, 100, 52, True, 2),
          (5, 9, 4, True, 3), (3, 30, 12, True, 4)],
     )
-    def test_pooled_covariance_and_predictions_match_the_per_class_sums(
+    def test_weights_and_predictions_match_the_per_class_sums(
         self, n_classes, n, k, masked, seed
     ):
         rng = np.random.default_rng(seed)
@@ -168,9 +222,7 @@ class TestOneProductScatter:
         model = fit(train, train_kept)
         train_sets = [rows[kept] for rows, kept in zip(train, train_kept)]
         test_sets = [rows[kept] for rows, kept in zip(test, test_kept)]
-        _, pooled = definition_pooled(train_sets)
-        error = np.abs(np.linalg.inv(model.pooled_covariance_inverse) - pooled).max()
-        assert error <= 1e-12 * np.abs(pooled).max()
+        assert_weights_match_reference(model, train_sets)
         predictions = predict_batch(model, test.reshape(-1, k)).reshape(n_classes, n)
         for label, expected in enumerate(definition_predictions(train_sets, test_sets)):
             np.testing.assert_array_equal(predictions[label][test_kept[label]], expected)
@@ -185,10 +237,6 @@ class TestValidation:
     def test_fit_rejects_inconsistent_dimensions(self):
         with pytest.raises(ValueError, match="consistent dimension"):
             fit([np.zeros((5, 2)), np.zeros((5, 3))])
-
-    def test_fit_rejects_negative_ridge(self):
-        with pytest.raises(ValueError, match="ridge"):
-            fit([np.zeros((5, 2)), np.ones((5, 2))], ridge=-1e-9)
 
     def test_fit_needs_more_samples_than_classes(self):
         with pytest.raises(ValueError, match="more samples than classes"):
@@ -218,40 +266,58 @@ class TestValidation:
         with pytest.raises(ValueError, match="kept mask"):
             accuracy(model, train, np.ones(shape, dtype=bool))
 
-    def test_model_rejects_mismatched_precision_shape(self):
-        with pytest.raises(ValueError, match="precision"):
-            LdaModel(
-                class_means=np.zeros((2, 3)),
-                pooled_covariance_inverse=np.eye(2),
-                priors=np.array([0.5, 0.5]),
-            )
-
-    def test_model_rejects_bad_priors(self):
-        with pytest.raises(ValueError, match="priors"):
-            LdaModel(
-                class_means=np.zeros((2, 3)),
-                pooled_covariance_inverse=np.eye(3),
-                priors=np.array([0.9, 0.2]),
-            )
-
-    @pytest.mark.parametrize("excess", [5e-6, -5e-6])
-    def test_priors_within_isclose_tolerance_of_one_are_accepted(self, excess):
-        LdaModel(
-            class_means=np.zeros((2, 3)),
-            pooled_covariance_inverse=np.eye(3),
-            priors=np.array([0.5 + excess, 0.5]),
-        )
-
-    @pytest.mark.parametrize("excess", [2e-5, -2e-5, np.nan])
-    def test_priors_beyond_isclose_tolerance_of_one_or_nan_are_rejected(self, excess):
-        with pytest.raises(ValueError, match="priors"):
-            LdaModel(
-                class_means=np.zeros((2, 3)),
-                pooled_covariance_inverse=np.eye(3),
-                priors=np.array([0.5 + excess, 0.5]),
-            )
+    @pytest.mark.parametrize(
+        "weights, offsets", [((3, 2), (3,)), ((3, 2), (2, 1)), ((3,), (3,))]
+    )
+    def test_model_rejects_mismatched_offsets_shape(self, weights, offsets):
+        with pytest.raises(ValueError, match="offsets"):
+            LdaModel(weights=np.zeros(weights), offsets=np.zeros(offsets))
 
     def test_model_arrays_are_immutable(self):
         model = fit(_symmetric_two_class_train())
         with pytest.raises(ValueError):
-            model.class_means[0, 0] = 99.0
+            model.weights[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            model.offsets[0] = 99.0
+
+
+class TestRetiredEigenCheck:
+    """`fit` once ran an eigenvalue conditioning check before inverting;
+    `silhouette_reference.eigen_floor_fires` keeps it.  At the constant ridge
+    it cannot fire wherever `fit`'s own scale check passes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_classes=st.integers(2, 12),
+        n=st.integers(2, 60),
+        k=st.sampled_from([2, 3, 12, 52, 128, 300]),
+        log10_scale=st.floats(-150.0, 150.0),
+        duplicated=st.booleans(),
+        constant_share=st.sampled_from([0.0, 0.5, 1.0]),
+        masked=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_eigen_floor_never_fires_where_fit_succeeds(
+        self, n_classes, n, k, log10_scale, duplicated, constant_share, masked, seed
+    ):
+        rng = np.random.default_rng(seed)
+        train = rng.normal(0.0, 1.5, (n_classes, 1, k)) + rng.standard_normal(
+            (n_classes, n, k)
+        )
+        if duplicated:
+            train[..., k // 2:] = train[..., :1]
+        constant = rng.random(n_classes) < constant_share
+        train[constant] = train[constant, :1]
+        train *= 10.0**log10_scale
+        kept = rng.random((n_classes, n)) < (0.6 if masked else 1.0)
+        kept[:, 0] = kept[0, 1] = True
+
+        with mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv:
+            try:
+                model = fit(train, kept)
+            except ValueError as err:
+                assert "regularize" in str(err) or "overflow" in str(err)
+                return
+        assert not eigen_floor_fires(inv.call_args.args[0])
+        assert np.isfinite(model.weights).all()
+        assert np.isfinite(model.offsets).all()
