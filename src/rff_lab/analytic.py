@@ -49,8 +49,9 @@ import sys
 from dataclasses import dataclass
 
 from .channel import ChannelScenario, Phase
-from .gaussian_moments import direct_ratio_moments, paired_product_mean, reciprocal_moments
-from .signal_model import Method, ModelParams, _direct_ratio, phase_law, ratio_law
+from .gaussian_moments import GaussianSpec, direct_ratio_moments, paired_product_mean
+from .gaussian_moments import reciprocal_moments
+from .signal_model import Method, ModelParams, phase_law, ratio_law
 
 __all__ = [
     "FeatureLaw",
@@ -81,43 +82,23 @@ def _phi_variance(rho: float, mu_h: float, sn2: float) -> float:
     return sn2 * (rho**2 * mu_h**2 - sn2) / (rho**6 * mu_h**4)
 
 
-def feature_law(
-    method: Method, params: ModelParams, channel_moments: tuple[float, float]
-) -> FeatureLaw:
-    """The law of one method's feature under CSI moments ``(mu_hc, sigma_hc_sq)``."""
-    mu_h, sig_h2 = channel_moments
-    sn2 = params.sigma_n**2
+def feature_law(method: Method, params: ModelParams, csi: GaussianSpec) -> FeatureLaw:
+    """The law of one method's feature under a phase's CSI law ``csi``."""
+    mu_h, sig_h2 = csi.mean, csi.variance
     if method is Method.RAW:
-        f, x = params.f_ra, params.x
+        f, x, sn2 = params.f_ra, params.x, params.sigma_n**2
         mu_u, su2 = params.mu_u, params.sigma_u**2
         # exact, and typed: a^2 (mu_u^2 Var H + sigma_u^2 E[H^2]) moves the last ulp
         variance = f**2 * x**2 * (mu_u**2 * sig_h2 + su2 * mu_h**2 + su2 * sig_h2) + sn2
         return FeatureLaw(f * x, (mu_u, su2), mu_h, mu_h**2 + sig_h2, variance)
-    law = ratio_law(method, params, channel_moments)
-    a, r = law.amplitude, law.rho
+    law = ratio_law(method, params, csi)
+    a, p, sn2 = law.amplitude, law.ratio, law.ratio.noise_variance
     mu_t, st2 = law.fingerprint
-    g, p = _direct_ratio(params, r, channel_moments)
-    phi = direct_ratio_moments(g, p)
-    noise_gain = reciprocal_moments(g, p).second_moment if law.noise_in_numerator else 1.0
-    var_phi = _phi_variance(r, mu_h, sn2)
+    phi = direct_ratio_moments(csi, p)
+    noise_gain = reciprocal_moments(csi, p).second_moment if law.noise_in_numerator else 1.0
+    var_phi = _phi_variance(p.rho, mu_h, sn2)
     variance = a**2 * (mu_t**2 * var_phi + st2 * phi.second_moment) + sn2 * noise_gain
-    return FeatureLaw(a, law.fingerprint, phi.mean, paired_product_mean(g, p), variance)
-
-
-def _setup(
-    method: Method, scenario: ChannelScenario, params: ModelParams
-) -> tuple[FeatureLaw, FeatureLaw, float]:
-    """Per-phase laws plus the scenario's cross factor Phi."""
-    channel = params.channel
-    train, test = (
-        phase_law(feature_law, method, params, channel.for_phase(scenario, phase), phase)
-        for phase in (Phase.TRAIN, Phase.TEST)
-    )
-    if scenario is ChannelScenario.DETERMINISTIC:
-        phi_cross = train.phi_shared
-    else:
-        phi_cross = train.phi_mean * test.phi_mean
-    return train, test, phi_cross
+    return FeatureLaw(a, law.fingerprint, phi.mean, paired_product_mean(csi, p), variance)
 
 
 def _std_product(train: FeatureLaw, test: FeatureLaw) -> float:
@@ -147,7 +128,14 @@ def _cross_terms(
     across devices it is ``spread`` alone.  Factored, neither cancels when
     the fingerprint variance is far below ``mu_t^2``.
     """
-    train, test, phi_cross = _setup(method, scenario, params)
+    train, test = (
+        phase_law(feature_law, method, params, params.channel.for_phase(scenario, phase), phase)
+        for phase in (Phase.TRAIN, Phase.TEST)
+    )
+    if scenario is ChannelScenario.DETERMINISTIC:
+        phi_cross = train.phi_shared
+    else:
+        phi_cross = train.phi_mean * test.phi_mean
     mu_t, sig_t2 = train.fingerprint
     gain = train.amplitude * test.amplitude
     shared = gain * sig_t2 * phi_cross

@@ -23,16 +23,17 @@ symbol per subcarrier.  With ``gamma = f_ra*f_tu_l*x`` and
 where ``alpha`` scales the reciprocal payload so its transmit power reaches
 the amplifier budget ``eta``: ``alpha = sqrt(eta / P)`` with ``P`` the second
 moment of ``1/(beta*H + N_u)`` under the phase's CSI distribution (see
-`amplification_factor`).  Division by a noisy denominator can produce
-non-finite values at very low SNR; extraction reports them unmasked and the
-experiment harness counts and excludes those samples.
+`ratio_law`).  Division by a noisy denominator can produce non-finite values
+at very low SNR; extraction reports them unmasked and the experiment harness
+counts and excludes those samples.
 
 The four ratio laws differ only in a few constants, and `ratio_law` states
-them once per method as a `RatioLaw`: the ratio scale ``rho`` (``gamma`` for
-SL, ``beta`` otherwise), the observed fingerprint ``t`` and its moments
-(``tu_s`` for SL, ``tu`` otherwise), the amplitude ``a`` (``f_ra*x``,
-``f_ra*x^2`` or ``alpha*f_ra``), and whether the noise enters the numerator
-(SL, CR) or is added after the ratio (PC, RC)::
+them once per method as a `RatioLaw`: the ratio's `RatioParams` (the scale
+``rho``, ``gamma`` for SL and ``beta`` otherwise, and ``sigma_n^2``), the
+observed fingerprint ``t`` and its moments (``tu_s`` for SL, ``tu``
+otherwise), the amplitude ``a`` (``f_ra*x``, ``f_ra*x^2`` or
+``alpha*f_ra``), and whether the noise enters the numerator (SL, CR) or is
+added after the ratio (PC, RC)::
 
     numerator noise   r = (a*H*t + N) / (rho*H + N)
     additive noise    r =  a*H*t / (rho*H + N) + N
@@ -40,7 +41,8 @@ SL, ``beta`` otherwise), the observed fingerprint ``t`` and its moments
 That record is the single description of each ratio method: `extract_batch`
 draws from it and `analytic.feature_law` derives closed-form moments from it
 (see `gaussian_moments`); both take a phase's law through `phase_law`, which
-rejects a law that overflows the floats or is singular with a ValueError.
+builds the phase's CSI `GaussianSpec` once and rejects a law that overflows
+the floats or is singular with a ValueError.
 
 The noise level is configured through a conventional SNR mapping:
 ``sigma_n^2 = s^2 * 10^(-snr_db/10)`` where ``s = f_ra*mu_u*mu_h*x`` is the
@@ -68,7 +70,6 @@ __all__ = [
     "RatioLaw",
     "draw_fingerprint",
     "extract_batch",
-    "amplification_factor",
     "ratio_law",
     "phase_law",
 ]
@@ -171,82 +172,57 @@ def draw_fingerprint(params: ModelParams, rngs: list[np.random.Generator]) -> Fi
     )
 
 
-def amplification_factor(
-    params: ModelParams, scenario_moments: tuple[float, float]
-) -> float:
-    """Reciprocal-payload gain ``alpha = sqrt(eta / P)``.
-
-    ``scenario_moments`` is ``(mu_hc, sigma_hc_sq)``, the mean and variance of
-    the governing CSI distribution.  ``P`` is the second moment of
-    ``1/(beta*H + N)``, the `gaussian_moments.reciprocal_moments` that
-    `validate-claims` checks::
-
-        P = (beta^2 mu^2 + 3 beta^2 sigma^2 + 3 sigma_n^2) / (beta^4 mu^4)
-    """
-    g, p = _direct_ratio(params, params.beta(), scenario_moments)
-    return math.sqrt(params.eta / reciprocal_moments(g, p).second_moment)
-
-
-def _direct_ratio(
-    params: ModelParams, rho: float, channel_moments: tuple[float, float]
-) -> tuple[GaussianSpec, RatioParams]:
-    """The CSI ``H`` and the ratio ``(rho, sigma_n^2)`` of ``H/(rho*H + N)``."""
-    mu_hc, sigma_hc_sq = channel_moments
-    return (
-        GaussianSpec(mean=mu_hc, variance=sigma_hc_sq),
-        RatioParams(rho=rho, noise_variance=params.sigma_n**2),
-    )
-
-
 @dataclass(frozen=True)
 class RatioLaw:
     """The constants that set one ratio method apart from the others."""
 
-    rho: float  # ratio scale: gamma for SL, beta otherwise
+    ratio: RatioParams  # (rho, sigma_n^2) of H/(rho*H + N); rho is gamma for SL, else beta
     fingerprint: tuple[float, float]  # (mu_t, sigma_t^2) of the observed fingerprint
     amplitude: float  # a in a*H*t
     noise_in_numerator: bool  # (a*H*t + N)/(rho*H + N), else a*H*t/(rho*H + N) + N
     short_preamble: bool = False  # observes tu_s on the r_s short-preamble subcarriers
 
 
-def ratio_law(
-    method: Method, params: ModelParams, channel_moments: tuple[float, float]
-) -> RatioLaw:
-    """The law of a ratio method under CSI moments ``(mu_hc, sigma_hc_sq)``.
+def ratio_law(method: Method, params: ModelParams, csi: GaussianSpec) -> RatioLaw:
+    """The law of a ratio method under a phase's CSI law ``csi``.
 
-    ``channel_moments`` only matters for RC, whose gain ``alpha`` depends on
-    them (see `amplification_factor`).
+    ``csi`` only matters for RC, whose gain ``alpha = sqrt(eta / P)`` reads
+    ``P``, the second moment of ``1/(beta*H + N)``: the
+    `gaussian_moments.reciprocal_moments` that `validate-claims` checks::
+
+        P = (beta^2 mu^2 + 3 beta^2 sigma^2 + 3 sigma_n^2) / (beta^4 mu^4)
     """
-    x, f_ra, beta = params.x, params.f_ra, params.beta()
+    if method is Method.RAW:
+        raise ValueError(f"{method.value!r} is not a ratio method")
+    x, f_ra = params.x, params.f_ra
+    rho = params.gamma() if method is Method.SL else params.beta()
+    ratio = RatioParams(rho=rho, noise_variance=params.sigma_n**2)
     long = (params.mu_u, params.sigma_u**2)
     if method is Method.SL:
         short = (params.mu_s, params.sigma_s**2)
-        return RatioLaw(
-            params.gamma(), short, f_ra * x, noise_in_numerator=True, short_preamble=True
-        )
+        return RatioLaw(ratio, short, f_ra * x, noise_in_numerator=True, short_preamble=True)
     if method is Method.CR:
-        return RatioLaw(beta, long, f_ra * x, noise_in_numerator=True)
+        return RatioLaw(ratio, long, f_ra * x, noise_in_numerator=True)
     if method is Method.PC:
-        return RatioLaw(beta, long, f_ra * x**2, noise_in_numerator=False)
-    if method is Method.RC:
-        alpha = amplification_factor(params, channel_moments)
-        return RatioLaw(beta, long, alpha * f_ra, noise_in_numerator=False)
-    raise ValueError(f"{method.value!r} is not a ratio method")
+        return RatioLaw(ratio, long, f_ra * x**2, noise_in_numerator=False)
+    alpha = math.sqrt(params.eta / reciprocal_moments(csi, ratio).second_moment)
+    return RatioLaw(ratio, long, alpha * f_ra, noise_in_numerator=False)
 
 
 def phase_law(
     build, method: Method, params: ModelParams, csi: tuple[float, float], phase: Phase
 ):
-    """``build(method, params, (mu, sigma^2))`` for a phase whose CSI is ``(mu, sigma)``.
+    """``build(method, params, GaussianSpec(mu, sigma^2))``, the phase's CSI ``(mu, sigma)``.
 
-    ``build`` is `ratio_law` or `analytic.feature_law`.  A float overflow, a
-    zero division, a ValueError of the build (such as a form singular at
-    ``mu == 0``) or a non-finite field is a ValueError naming the method and
-    the phase.
+    ``build`` is `ratio_law` or `analytic.feature_law`; the one `GaussianSpec`
+    built here is the phase's CSI law for both.  A float overflow, a zero
+    division, a ValueError of the build (such as a form singular at
+    ``mu == 0``, or a noise variance past the floats) or a non-finite field is
+    a ValueError naming the method and the phase.
     """
     mu, sigma = csi
     try:
-        law = build(method, params, (mu, sigma**2))
+        law = build(method, params, GaussianSpec(mu, sigma**2))
         require_finite(law)
         return law
     except (OverflowError, ZeroDivisionError, ValueError):
@@ -337,7 +313,7 @@ def _block_features(
             csi *= params.x
             return np.add(csi, noise[0], out=csi)
         denominator = noise[int(law.noise_in_numerator)]
-        denominator += law.rho * csi
+        denominator += law.ratio.rho * csi
         csi *= law.amplitude  # the signal a*H*t, in place of H
         csi *= (fp.tu_s if law.short_preamble else fp.tu)[:, None]
         if law.noise_in_numerator:

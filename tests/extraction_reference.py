@@ -74,5 +74,5 @@ def extract_batch(
         law = phase_law(ratio_law, method, params, csi_law, phase)
         signal = law.amplitude * csi * (fp.tu_s if law.short_preamble else fp.tu)
         if law.noise_in_numerator:
-            return (signal + noise()) / (law.rho * csi + noise())
-        return signal / (law.rho * csi + noise()) + noise()
+            return (signal + noise()) / (law.ratio.rho * csi + noise())
+        return signal / (law.ratio.rho * csi + noise()) + noise()

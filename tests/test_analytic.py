@@ -507,7 +507,7 @@ class TestFrozenValues:
                     p = cfg.params.with_snr(snr_db)
                     for phase in (Phase.TRAIN, Phase.TEST):
                         mu, sigma = p.channel.for_phase(scenario, phase)
-                        law = feature_law(method, p, (mu, sigma**2))
+                        law = feature_law(method, p, GaussianSpec(mu, sigma**2))
                         values += (law.amplitude, *law.fingerprint, law.phi_mean)
                         values += (law.phi_shared, law.mean, law.variance)
                     for expected in (expected_intra, expected_inter, expected_silhouette):
@@ -635,6 +635,21 @@ class TestFrozenValues:
         ).with_snr(30.0)
         with pytest.raises(ValueError, match="raw closed form is not finite in the train"):
             expected_silhouette(Method.RAW, ChannelScenario.IID_STOCHASTIC, p)
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+    @pytest.mark.parametrize("method", [m for m in ALL_METHODS if m is not Method.RAW])
+    def test_a_closed_form_builds_one_csi_law_and_one_ratio_per_phase(
+        self, monkeypatch, method, scenario
+    ):
+        built = {GaussianSpec: 0, RatioParams: 0}
+        for record in built:
+            def counted(self, record=record, check=record.__post_init__):
+                built[record] += 1
+                check(self)
+
+            monkeypatch.setattr(record, "__post_init__", counted)
+        expected_silhouette(method, scenario, params_at(30.0))
+        assert built == {GaussianSpec: 2, RatioParams: 2}
 
     def test_ratio_law_past_the_floats_stops_extraction(self):
         # RC's gain alpha needs the test-phase CSI variance, which overflows

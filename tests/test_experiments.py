@@ -128,6 +128,21 @@ class TestRunTrial:
         r = run_trial(cfg, ChannelScenario.DETERMINISTIC, Method.RAW, 30.0, 0)
         assert 0.0 <= r.accuracy <= 1.0
 
+    @pytest.mark.parametrize("scenario", list(ChannelScenario))
+    def test_a_noise_variance_past_the_floats_stops_every_ratio_method(self, scenario):
+        # sigma_n is ~1e155 at -3100 dB, so sigma_n^2 overflows and no ratio
+        # law is finite; RAW has no ratio law and still runs
+        cfg = small_config()
+        for method in (Method.SL, Method.CR, Method.PC, Method.RC):
+            with pytest.raises(ValueError) as excinfo:
+                run_trial(cfg, scenario, method, -3100.0, 0)
+            assert str(excinfo.value) == (
+                f"{method.value} closed form is not finite in the train phase"
+            )
+        with np.errstate(over="ignore"):
+            r = run_trial(cfg, scenario, Method.RAW, -3100.0, 0)
+        assert 0.0 <= r.accuracy <= 1.0
+
 
 class TestRunSweep:
     def test_records_cover_the_grid_in_sorted_order(self):

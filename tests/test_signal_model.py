@@ -16,13 +16,7 @@ from rff_lab.analytic import feature_law
 from rff_lab.channel import ChannelParams, ChannelScenario, Phase, init_trial_channel
 from rff_lab.experiments import default_config
 from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
-from rff_lab.signal_model import (
-    Method,
-    ModelParams,
-    amplification_factor,
-    draw_fingerprint,
-    extract_batch,
-)
+from rff_lab.signal_model import Method, ModelParams, draw_fingerprint, extract_batch, ratio_law
 from rff_lab.signal_model import _block_features, _fill
 
 BASE_PARAMS = default_config().params  # shipped defaults; sigma_n is set per test
@@ -180,12 +174,13 @@ def test_sl_uses_short_subcarrier_count():
 
 def test_amplification_factor_unit_passthrough():
     p = unit_params()
-    assert amplification_factor(p, (1.0, 0.0)) == pytest.approx(1.0, rel=1e-15)
+    alpha = ratio_law(Method.RC, p, GaussianSpec(1.0, 0.0)).amplitude
+    assert alpha == pytest.approx(1.0, rel=1e-15)
 
 
 def test_amplification_factor_table_value():
     p = replace(BASE_PARAMS, sigma_n=math.sqrt(1e-3))
-    alpha = amplification_factor(p, (1.0, 0.15**2))
+    alpha = ratio_law(Method.RC, p, GaussianSpec(1.0, 0.15**2)).amplitude
     expected = math.sqrt(2.0 / (1.0 + 3 * 0.0225 + 3 * 1e-3))
     assert alpha == pytest.approx(expected, rel=1e-12)
     assert alpha == pytest.approx(1.369, abs=3e-3)  # quoted two-decimal value
@@ -195,7 +190,7 @@ def test_amplification_factor_table_value():
 def test_amplification_power_matches_reciprocal_second_moment():
     """1/alpha^2 tracks the Monte-Carlo power of the reciprocal term within 2%."""
     p = replace(BASE_PARAMS, sigma_n=math.sqrt(1e-3))
-    alpha = amplification_factor(p, (1.0, 0.15**2))
+    alpha = ratio_law(Method.RC, p, GaussianSpec(1.0, 0.15**2)).amplitude
     power = p.eta / alpha**2
     oracle = mc_ratio_detail(
         RatioForm.RECIPROCAL,
@@ -214,13 +209,13 @@ def test_rc_baseband_power_reaches_eta():
     h = rng.normal(1.0, 0.15, 10**6)
     noise = rng.normal(0.0, p.sigma_n, 10**6)
     base = 1.0 / (p.beta() * h + noise)
-    alpha = amplification_factor(p, (1.0, 0.15**2))
+    alpha = ratio_law(Method.RC, p, GaussianSpec(1.0, 0.15**2)).amplitude
     assert alpha**2 * np.mean(base**2) == pytest.approx(p.eta, rel=0.05)
 
 
 def test_amplification_factor_domain_error():
     with pytest.raises(ValueError):
-        amplification_factor(unit_params(), (0.0, 0.0))
+        ratio_law(Method.RC, unit_params(), GaussianSpec(0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +224,20 @@ def test_amplification_factor_domain_error():
 
 
 def test_raw_moments_degenerate():
-    m = feature_law(Method.RAW, unit_params(), (1.0, 0.0))
+    m = feature_law(Method.RAW, unit_params(), GaussianSpec(1.0, 0.0))
     assert (m.mean, m.variance) == (1.0, 0.0)
 
 
 def test_raw_moments_table_value():
     p = replace(BASE_PARAMS, sigma_n=0.1)
-    m = feature_law(Method.RAW, p, (1.0, 0.15**2))
+    m = feature_law(Method.RAW, p, GaussianSpec(1.0, 0.15**2))
     assert m.mean == pytest.approx(1.0, rel=1e-12)
     assert m.variance == pytest.approx(0.042725, rel=1e-12)
 
 
 def test_moments_domain_error_on_zero_channel_mean():
     with pytest.raises(ValueError):
-        feature_law(Method.SL, BASE_PARAMS, (0.0, 0.01))
+        feature_law(Method.SL, BASE_PARAMS, GaussianSpec(0.0, 0.01))
 
 
 def _pooled_extraction_moments(method, scenario, params, n_trials=1500, n=50, seed=100):
@@ -271,7 +266,7 @@ def test_moment_agreement_in_regime(method, scenario):
     """Sample moments track the closed forms at SNR 25 dB (2% mean, 5% var)."""
     params = BASE_PARAMS.with_snr(25.0)
     mu_c, sigma_c = params.channel.for_phase(scenario, Phase.TRAIN)
-    analytic = feature_law(method, params, (mu_c, sigma_c**2))
+    analytic = feature_law(method, params, GaussianSpec(mu_c, sigma_c**2))
     mean, var = _pooled_extraction_moments(method, scenario, params)
     assert abs(mean - analytic.mean) / abs(analytic.mean) <= 0.02
     assert abs(var - analytic.variance) / analytic.variance <= 0.05
@@ -280,7 +275,7 @@ def test_moment_agreement_in_regime(method, scenario):
 def test_rc_extraction_mean_matches_closed_form_tightly():
     """Deterministic scenario at 30 dB: batch mean within 1% of the formula."""
     params = BASE_PARAMS.with_snr(30.0)
-    analytic = feature_law(Method.RC, params, (1.0, 0.15**2))
+    analytic = feature_law(Method.RC, params, GaussianSpec(1.0, 0.15**2))
     mean, _ = _pooled_extraction_moments(
         Method.RC, ChannelScenario.DETERMINISTIC, params, n_trials=2000, seed=200
     )
