@@ -4,7 +4,7 @@ One *trial* simulates a fresh population: a trial channel, one fingerprint
 per device, ``n_train``/``n_test`` extracted samples per device per phase.
 It reports the empirical silhouette score, the classification accuracy of a
 discriminant fitted on the training features, and the fraction of samples
-dropped for containing non-finite values.
+dropped for containing non-finite values or overflowing in normalization.
 
 A *sweep* runs ``n_trials`` independent trials for every (scenario, method,
 SNR) cell of the grid and aggregates means and standard errors, pairing each
@@ -19,15 +19,14 @@ normals from its own stream, one call per drawn slab; the feature
 arithmetic then runs once over the phase and leaves the ``(D, N, K)``
 features in slab 0, ``blocks[0]`` (`signal_model.extract_batch` documents
 the slabs and the draw order); every later stage runs once per phase over
-whole contiguous slabs.  One non-finite screen gives a ``(D, N)`` kept mask
-per phase: a row with any non-finite entry is zeroed, counted as dropped,
-and left out of the silhouette and the classifier, which take the tensor
-and its kept mask as they are.  The screen sums each row first and checks
-the entries only of a phase with some row sum not finite.  A device with
-fewer than 2 kept rows in either phase aborts the trial with a ValueError.
-The draws are dead after the arithmetic, so normalization writes its output
-into slab 1 and its squared deviations into slab 2, both contiguous and
-disjoint from the features.
+whole contiguous slabs.  The draws are dead after the arithmetic, so
+normalization writes its output into slab 1 and its squared deviations into
+slab 2, both contiguous and disjoint from the features.  Its ``(D, N)`` mask
+of finite rows is the phase's kept mask: a row with a non-finite entry, or
+whose normalization overflows, is normalized to zeros, counted as dropped
+and left out of the silhouette and the classifier, which take the tensor and
+its kept mask as they are.  A device with fewer than 2 kept rows in either
+phase aborts the trial with a ValueError.
 
 The two blocks are two rows, train then test, of the thread's scratch
 buffer (`rff_lab._scratch`), each row the flat buffer of one phase's blocks.
@@ -39,8 +38,8 @@ Every trial runs through one loop, `_run_trials`, in three stages: *set-up*
 on the calling thread (stream seeding, the trial channel and the
 fingerprints), *fill* (each (phase, device) index's standard-normal calls,
 its slab views taken as it is drawn) and *score* (everything after the
-draws: the feature arithmetic, the screen, normalization, the silhouette
-and the classifier, each called through the module attribute that a
+draws: the feature arithmetic, normalization, the silhouette and the
+classifier, each called through the module attribute that a
 benchmark tracer replaces).  `run_trial` runs one job through it; a pool
 worker runs one cell's trials.  A sweep with one worker process runs all
 its (cell, trial) jobs in record order, and draws ahead when the process
@@ -323,23 +322,6 @@ def _trial_streams(
     return [np.random.Generator(np.random.PCG64(seeded(row))) for row in state]
 
 
-def _screen_nonfinite(block: np.ndarray) -> np.ndarray:
-    """The (D, N) mask of rows with only finite entries; the other rows are zeroed.
-
-    A finite row sum needs finite entries, so one pass of sums keeps every row
-    of a finite block.  A block with some row sum not finite, from a
-    non-finite entry or from finite entries whose sum overflows, takes the
-    entrywise check.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.add.reduce(block, axis=2)
-    if np.isfinite(sums).all():
-        return np.ones(sums.shape, dtype=bool)
-    kept = np.isfinite(block).all(axis=2)
-    block[~kept] = 0.0
-    return kept
-
-
 @dataclass(frozen=True)
 class _Job:
     """A trial set up on the calling thread and ready to fill: its trial
@@ -393,8 +375,13 @@ def _score(job: _Job) -> TrialResult:
         _block_features(job.method, job.params, job.fp, job.trial, phase, blocks)
         for phase, blocks in zip((Phase.TRAIN, Phase.TEST), job.blocks)
     )
-    train_kept = _screen_nonfinite(train)
-    test_kept = _screen_nonfinite(test)
+    # The features are slab 0 of the slab-major (3, D, N, K) blocks.  The
+    # draws in slabs 1 and 2 are dead: those two contiguous (D, N, K) slabs,
+    # disjoint from the features, take the normalized features and the
+    # squared deviations.  Normalization keeps the rows whose spread is finite.
+    train_blocks, test_blocks = job.blocks
+    train_norm, train_kept = normalize_block(train, out=train_blocks[1], square=train_blocks[2])
+    test_norm, test_kept = normalize_block(test, out=test_blocks[1], square=test_blocks[2])
     counts = np.stack([train_kept.sum(axis=1), test_kept.sum(axis=1)], axis=1)
     short = np.argwhere(counts < 2)  # (device, phase), device-major
     if short.size:
@@ -405,14 +392,6 @@ def _score(job: _Job) -> TrialResult:
         )
     n_total = cfg.n_devices * (cfg.n_train + cfg.n_test)
     n_dropped = n_total - int(counts.sum())
-    train_blocks, test_blocks = job.blocks
-
-    # The features are slab 0 of the slab-major (3, D, N, K) blocks.  The
-    # draws in slabs 1 and 2 are dead: those two contiguous (D, N, K) slabs,
-    # disjoint from the features, take the normalized features and the
-    # squared deviations.
-    train_norm = normalize_block(train, out=train_blocks[1], square=train_blocks[2])[0]
-    test_norm = normalize_block(test, out=test_blocks[1], square=test_blocks[2])[0]
     score = silhouette_from_normalized(train_norm, test_norm, train_kept, test_kept)
 
     if cfg.classify_normalized:
@@ -487,8 +466,8 @@ def run_trial(
 ) -> TrialResult:
     """One independent population simulation; deterministic in its indices.
 
-    Samples with non-finite features are counted and left out of the silhouette
-    and the classifier; a device left with fewer than 2 in a phase is a ValueError.
+    Samples whose normalization is not finite are counted as dropped and left
+    out of the score; a device left with fewer than 2 in a phase is a ValueError.
 
     The draw blocks live in this thread's scratch buffer (see the module
     docstring), which the result does not depend on.

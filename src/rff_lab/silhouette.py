@@ -15,9 +15,9 @@ devices, always in ``[-1, 1]``.  Distances pair training samples against test
 sets only — training samples are never compared with each other.
 
 A phase's samples are one ``(D, N, K)`` tensor: device, sample, subcarrier.
-An optional ``(D, N)`` kept mask leaves rows out (the non-finite screen of a
-trial's score stage, `experiments._score`); a row outside the mask counts for
-nothing, whatever its values.  Every reduction below runs once over the whole
+An optional ``(D, N)`` kept mask leaves rows out (in a trial, the rows that
+`normalize_block` finds finite); a row outside the mask counts for nothing,
+whatever its values.  Every reduction below runs once over the whole
 tensor, never once per device.
 
 Full K-dimensional distances are used (not a single-subcarrier shortcut), and
@@ -74,8 +74,10 @@ def normalize_block(
     """Z-normalize every row of an ``(..., K)`` array across its K entries.
 
     Returns the normalized array and a boolean array over the rows (the input
-    shape without its last axis) marking degenerate rows: a constant row
-    cannot be normalized and maps to all zeros instead.
+    shape without its last axis) marking the *finite* rows, those whose
+    spread is finite.  A row with a non-finite entry, or whose sum or squared
+    deviations overflow, is not finite and maps to all zeros.  A constant row
+    cannot be normalized either and maps to all zeros, but it is finite.
 
     ``out`` receives the normalized array and ``square`` the squared
     deviations, float64 arrays of the input's shape that overlap neither it
@@ -86,17 +88,20 @@ def normalize_block(
     if matrix.ndim < 2 or matrix.shape[-1] < 2:
         raise ValueError(f"expected an (..., n, K>=2) array, got shape {matrix.shape}")
     # The steps of np.std, its means without np.mean's wrapper, keeping the
-    # centered rows for the output.
+    # centered rows for the output.  A row that is not finite gives a spread
+    # of inf or NaN, never a warning.
     k = matrix.shape[-1]
-    centered = np.subtract(matrix, np.add.reduce(matrix, axis=-1, keepdims=True) / k, out=out)
-    squared = np.multiply(centered, centered, out=square)
-    std = np.sqrt(np.add.reduce(squared, axis=-1, keepdims=True) / k)
-    degenerate = std[..., 0] == 0.0
-    if not degenerate.any():
-        return np.divide(centered, std, out=centered), degenerate
-    normalized = np.divide(centered, np.where(std == 0.0, 1.0, std), out=centered)
-    normalized[degenerate] = 0.0
-    return normalized, degenerate
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = np.subtract(matrix, np.add.reduce(matrix, axis=-1, keepdims=True) / k, out=out)
+        squared = np.multiply(centered, centered, out=square)
+        std = np.sqrt(np.add.reduce(squared, axis=-1, keepdims=True) / k)
+    finite = std[..., 0] < np.inf
+    scaled = finite & (std[..., 0] > 0.0)
+    if scaled.all():
+        return np.divide(centered, std, out=centered), finite
+    normalized = np.divide(centered, np.where(scaled[..., None], std, 1.0), out=centered)
+    normalized[~scaled] = 0.0
+    return normalized, finite
 
 
 def _score(

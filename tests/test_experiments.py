@@ -28,8 +28,7 @@ from rff_lab.experiments import (
     run_sweep,
     run_trial,
 )
-from rff_lab.experiments import _screen_nonfinite, _snr_stream_key
-from rff_lab.experiments import _trial_streams
+from rff_lab.experiments import _snr_stream_key, _trial_streams
 from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, _mean_and_se
 from rff_lab.gaussian_moments import mc_ratio_detail
 from rff_lab.signal_model import Method, ModelParams
@@ -131,7 +130,8 @@ class TestRunTrial:
     @pytest.mark.parametrize("scenario", list(ChannelScenario))
     def test_a_noise_variance_past_the_floats_stops_every_ratio_method(self, scenario):
         # sigma_n is ~1e155 at -3100 dB, so sigma_n^2 overflows and no ratio
-        # law is finite; RAW has no ratio law and still runs
+        # law is finite; RAW has no ratio law, but every raw feature's squared
+        # deviations overflow, so normalization drops every row
         cfg = small_config()
         for method in (Method.SL, Method.CR, Method.PC, Method.RC):
             with pytest.raises(ValueError) as excinfo:
@@ -139,9 +139,11 @@ class TestRunTrial:
             assert str(excinfo.value) == (
                 f"{method.value} closed form is not finite in the train phase"
             )
-        with np.errstate(over="ignore"):
-            r = run_trial(cfg, scenario, Method.RAW, -3100.0, 0)
-        assert 0.0 <= r.accuracy <= 1.0
+        with pytest.raises(ValueError) as excinfo:
+            run_trial(cfg, scenario, Method.RAW, -3100.0, 0)
+        assert str(excinfo.value) == (
+            "device 0 train set has fewer than 2 finite samples at snr_db=-3100.0"
+        )
 
 
 class TestRunSweep:
@@ -762,9 +764,13 @@ class TestTrialStreams:
 
 
 def _reference_trial(cfg, train_sets, test_sets):
-    """`run_trial`'s scores from raw per-device sets, one device at a time."""
-    train_sets = [m[np.isfinite(m).all(axis=1)] for m in train_sets]
-    test_sets = [m[np.isfinite(m).all(axis=1)] for m in test_sets]
+    """`run_trial`'s scores from raw per-device sets, one device at a time,
+    keeping the rows whose entries and float64 std are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        train_sets, test_sets = (
+            [m[np.isfinite(m).all(axis=1) & np.isfinite(m.std(axis=1))] for m in sets]
+            for sets in (train_sets, test_sets)
+        )
     train_norm = [normalize_block(m)[0] for m in train_sets]
     test_norm = [normalize_block(m)[0] for m in test_sets]
     silhouette = definition_silhouette(train_norm, test_norm)
@@ -774,32 +780,10 @@ def _reference_trial(cfg, train_sets, test_sets):
 
 
 class TestNonfiniteHandling:
-    def test_drop_nonfinite_rows(self):
-        block = np.array(
-            [[[1.0, 2.0], [np.nan, 0.0], [3.0, np.inf], [4.0, 5.0]]]
-        )
-        kept = _screen_nonfinite(block)
-        assert kept.tolist() == [[True, False, False, True]]
-        assert np.array_equal(block, [[[1.0, 2.0], [0.0, 0.0], [0.0, 0.0], [4.0, 5.0]]])
-
-    def test_all_finite_matrix_is_returned_unchanged(self):
-        block = np.arange(12.0).reshape(2, 3, 2)
-        kept = _screen_nonfinite(block)
-        assert kept.shape == (2, 3) and kept.all()
-        assert np.array_equal(block, np.arange(12.0).reshape(2, 3, 2))
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_finite_row_whose_sum_overflows_is_kept_and_inf_minus_inf_is_dropped(self):
-        """The screen's row sums overflow on the first row and are NaN on the
-        third; neither may warn, and only the third row holds a non-finite entry."""
-        block = np.array([[[1e308, 1e308], [1.0, 2.0], [np.inf, -np.inf]]])
-        kept = _screen_nonfinite(block)
-        assert kept.tolist() == [[True, True, False]]
-        assert np.array_equal(block, [[[1e308, 1e308], [1.0, 2.0], [0.0, 0.0]]])
-
     @staticmethod
     def _poison(monkeypatch, drops):
-        """Make extraction blank ``drops(call)`` rows of each device's batch.
+        """Make extraction spoil ``drops(call)`` rows of each device's batch,
+        each with one NaN, inf, -inf or 1e155 entry.
 
         A device's batch of a phase is numbered ``call = 2 * device + phase``
         (train 0, test 1).  Returns the list the poisoned batches are recorded
@@ -807,7 +791,8 @@ class TestNonfiniteHandling:
         """
         real = experiments._block_features
         recorded = {}
-        values = (np.nan, np.inf, -np.inf)
+        # 1e155 is finite, but its squared deviation overflows
+        values = (np.nan, np.inf, -np.inf, 1e155)
 
         def block_features(method, params, fp, trial, phase, blocks):
             block = real(method, params, fp, trial, phase, blocks)
@@ -816,7 +801,7 @@ class TestNonfiniteHandling:
                 call = 2 * device + (phase is Phase.TEST)
                 rows = np.random.default_rng(call).choice(n_samples, drops(call), replace=False)
                 for i, row in enumerate(rows):
-                    batch[row, (7 * i) % batch.shape[1]] = values[(call + i) % 3]
+                    batch[row, (7 * i) % batch.shape[1]] = values[(call + i) % len(values)]
                 recorded[call] = batch.copy()
             batches[:] = [recorded[call] for call in sorted(recorded)]
             return block

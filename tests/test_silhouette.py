@@ -65,25 +65,26 @@ def test_normalize_rejects_short_or_non_vector():
 def test_normalize_block_matches_rowwise_normalize():
     rng = np.random.default_rng(0)
     raw = rng.normal(1.0, 2.0, (7, 5))
-    raw[3] = 6.0  # constant row
-    block, degenerate = normalize_block(raw)
+    raw[3] = 6.0  # constant row: finite, normalized to zeros
+    block, finite = normalize_block(raw)
     for i, row in enumerate(raw):
         np.testing.assert_allclose(block[i], normalize(row).values, atol=1e-12)
-        assert degenerate[i] == normalize(row).degenerate
-    assert degenerate.tolist() == [False, False, False, True, False, False, False]
+    assert finite.all()
+    assert (~block.any(axis=1)).tolist() == [False, False, False, True, False, False, False]
 
 
 def test_normalize_block_of_a_tensor_matches_each_matrix():
     rng = np.random.default_rng(1)
     tensor = rng.normal(0.5, 3.0, (4, 6, 5))
     tensor[2, 1] = -1.5  # constant row
-    block, degenerate = normalize_block(tensor)
-    assert block.shape == tensor.shape and degenerate.shape == (4, 6)
+    block, finite = normalize_block(tensor)
+    assert block.shape == tensor.shape and finite.shape == (4, 6)
     for device, matrix in enumerate(tensor):
         rows, flags = normalize_block(matrix)
         np.testing.assert_array_equal(block[device], rows)
-        np.testing.assert_array_equal(degenerate[device], flags)
-    assert degenerate.sum() == 1 and degenerate[2, 1]
+        np.testing.assert_array_equal(finite[device], flags)
+    zero_rows = ~block.any(axis=2)
+    assert finite.all() and zero_rows.sum() == 1 and zero_rows[2, 1]
     # into the slabs of a stale block, interleaved (D, 3, N, K) or slab-major
     # (3, D, N, K) as a trial's: the same bytes
     interleaved = np.full((4, 3, 6, 5), np.nan)
@@ -94,7 +95,76 @@ def test_normalize_block_of_a_tensor_matches_each_matrix():
     ):
         into, flags = normalize_block(tensor, out=out, square=square)
         assert np.shares_memory(into, out)
-        assert into.tobytes() == block.tobytes() and np.array_equal(flags, degenerate)
+        assert into.tobytes() == block.tobytes() and np.array_equal(flags, finite)
+
+
+def test_drop_nonfinite_rows():
+    block = np.array([[[1.0, 2.0], [np.nan, 0.0], [3.0, np.inf], [4.0, 5.0]]])
+    normalized, finite = normalize_block(block)
+    assert finite.tolist() == [[True, False, False, True]]
+    np.testing.assert_array_equal(normalized, [[[-1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 1.0]]])
+
+
+def test_all_finite_matrix_is_returned_unchanged():
+    block = np.arange(12.0).reshape(2, 3, 2)
+    finite = normalize_block(block)[1]
+    assert finite.shape == (2, 3) and finite.all()
+    assert np.array_equal(block, np.arange(12.0).reshape(2, 3, 2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_finite_row_whose_sum_overflows_is_dropped_as_is_inf_minus_inf():
+    """The first row's sum overflows and the third's is NaN; neither may warn,
+    and both are dropped to zeros, though only the third holds a non-finite entry."""
+    block = np.array([[[1e308, 1e308], [1.0, 2.0], [np.inf, -np.inf]]])
+    normalized, finite = normalize_block(block)
+    assert finite.tolist() == [[False, True, False]]
+    np.testing.assert_array_equal(normalized, [[[0.0, 0.0], [-1.0, 1.0], [0.0, 0.0]]])
+
+
+#: One entry of a spoiled row: finite for the last, but its square overflows.
+_SPOILED_ENTRY = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "square overflows": 1e155}
+
+
+@given(
+    st.integers(1, 4),  # devices
+    st.integers(1, 6),  # rows per device
+    st.integers(2, 8),  # K
+    st.lists(
+        st.sampled_from([None, "constant", "sum overflows", *_SPOILED_ENTRY]),
+        min_size=24,
+        max_size=24,
+    ),  # how each row is spoiled
+    st.integers(0, 10**6),  # seed
+)
+@settings(max_examples=60, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalize_block_keeps_exactly_the_rows_of_finite_spread(n_dev, n_rows, k, spoil, seed):
+    """The mask is each row's own verdict, every kept row is that row
+    normalized alone, bit for bit, every other row is zeros, and nothing warns."""
+    rng = np.random.default_rng(seed)
+    block = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), (n_dev, n_rows, k))
+    rows = block.reshape(-1, k)
+    for row, how in zip(rows, spoil):
+        if how == "constant":
+            row[:] = 0.25 * rng.integers(-8, 9)  # sums exactly, so the spread is 0
+        elif how == "sum overflows":
+            row[:2] = 1e308
+        elif how is not None:
+            row[rng.integers(k)] = _SPOILED_ENTRY[how]
+    normalized, finite = normalize_block(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.isfinite(block).all(axis=2) & np.isfinite(block.std(axis=2))
+    np.testing.assert_array_equal(finite, expected)
+    for index in np.ndindex(finite.shape):
+        if finite[index]:
+            alone = normalize_block(block[index][None])[0][0]
+            assert normalized[index].tobytes() == alone.tobytes()
+        else:
+            assert not normalized[index].any()
+    constant = [i for i, how in enumerate(spoil[: len(rows)]) if how == "constant"]
+    assert finite.reshape(-1)[constant].all()
+    assert not normalized.reshape(-1, k)[constant].any()
 
 
 def test_device_tensor_checks_the_mask_and_zeroes_dropped_rows():
