@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "correlate", help="correlate empirical silhouette with accuracy from a sweep CSV"
     )
     corr.add_argument("--records", required=True, help="CSV written by 'sweep'")
-    corr.add_argument("--permutations", type=int, default=1000)
+    corr.add_argument("--permutations", type=int, default=MIN_PERMUTATIONS)
     corr.add_argument("--seed", type=int, default=42)
     corr.add_argument("--format", choices=("text", "json"), default="text")
     corr.add_argument("--out", default=None)

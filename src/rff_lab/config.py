@@ -33,13 +33,6 @@ class ConfigError(ValueError):
     """A configuration file could not be parsed or validated."""
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    raise ValueError(f"expected 'true' or 'false', got {text!r}")
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [item.strip() for item in text.split(",") if item.strip()]
     if not items:
@@ -70,7 +63,6 @@ _RECORDS = {"model": ModelParams, "channel": ChannelParams, "experiment": Experi
 _CODECS = {
     float: (float, repr),
     int: (int, repr),
-    bool: (_parse_bool, lambda v: "true" if v else "false"),
     tuple[float, ...]: (_parse_float_list, lambda v: ",".join(repr(float(x)) for x in v)),
     tuple[ChannelScenario, ...]: _enum_list(ChannelScenario),
     tuple[Method, ...]: _enum_list(Method),

@@ -135,9 +135,6 @@ class ExperimentConfig:
     scenarios: tuple[ChannelScenario, ...]
     methods: tuple[Method, ...]
     snr_db_grid: tuple[float, ...]
-    #: classify on the same normalized features the silhouette uses; turn off
-    #: to probe sensitivity to the normalization step
-    classify_normalized: bool = True
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -393,11 +390,8 @@ def _score(job: _Job) -> TrialResult:
     n_total = cfg.n_devices * (cfg.n_train + cfg.n_test)
     n_dropped = n_total - int(counts.sum())
     score = silhouette_from_normalized(train_norm, test_norm, train_kept, test_kept)
-
-    if cfg.classify_normalized:
-        train, test = train_norm, test_norm
-    model = classifier.fit(train, train_kept)
-    acc = classifier.accuracy(model, test, test_kept)
+    model = classifier.fit(train_norm, train_kept)
+    acc = classifier.accuracy(model, test_norm, test_kept)
 
     return TrialResult(
         silhouette=score, accuracy=acc, nonfinite_rate=n_dropped / n_total

@@ -77,7 +77,10 @@ def normalize_block(
     shape without its last axis) marking the *finite* rows, those whose
     spread is finite.  A row with a non-finite entry, or whose sum or squared
     deviations overflow, is not finite and maps to all zeros.  A constant row
-    cannot be normalized either and maps to all zeros, but it is finite.
+    cannot be normalized either and maps to all zeros, but it is finite
+    unless its sum or its rounding dust squared overflows: a row is scaled
+    only where its spread exceeds ``K * eps * |mean|``, the dust that a
+    constant row's inexact mean leaves in its centered entries.
 
     ``out`` receives the normalized array and ``square`` the squared
     deviations, float64 arrays of the input's shape that overlap neither it
@@ -92,11 +95,12 @@ def normalize_block(
     # of inf or NaN, never a warning.
     k = matrix.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        centered = np.subtract(matrix, np.add.reduce(matrix, axis=-1, keepdims=True) / k, out=out)
+        mean = np.add.reduce(matrix, axis=-1, keepdims=True) / k
+        centered = np.subtract(matrix, mean, out=out)
         squared = np.multiply(centered, centered, out=square)
         std = np.sqrt(np.add.reduce(squared, axis=-1, keepdims=True) / k)
     finite = std[..., 0] < np.inf
-    scaled = finite & (std[..., 0] > 0.0)
+    scaled = finite & (std[..., 0] > k * np.finfo(float).eps * np.abs(mean[..., 0]))
     if scaled.all():
         return np.divide(centered, std, out=centered), finite
     normalized = np.divide(centered, np.where(scaled[..., None], std, 1.0), out=centered)

@@ -25,8 +25,9 @@ from rff_lab.silhouette import ZERO_DISTANCE_TOLERANCE
 class NormalizedSample:
     """A feature vector with (mean, population std) scaled to (0, 1).
 
-    A constant raw vector cannot be normalized; it maps to all-zeros with
-    ``degenerate=True`` instead of raising.
+    A constant raw vector, one whose entries are all equal, cannot be
+    normalized; it maps to all-zeros with ``degenerate=True`` instead of
+    raising, as does a vector whose spread underflows to 0.
     """
 
     values: np.ndarray
@@ -56,7 +57,7 @@ def normalize(raw: np.ndarray) -> NormalizedSample:
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.shape[0] < 2:
         raise ValueError(f"expected a vector of length >= 2, got shape {raw.shape}")
-    std = float(raw.std())
+    std = 0.0 if (raw == raw[0]).all() else float(raw.std())
     if std == 0.0:
         return NormalizedSample(values=np.zeros_like(raw), degenerate=True)
     return NormalizedSample(values=(raw - raw.mean()) / std)

@@ -13,13 +13,14 @@ import threading
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from fresh_process import run_fresh
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rff_lab import _scratch, cli, experiments, gaussian_moments
+from rff_lab import _scratch, cli, config, experiments, gaussian_moments
 from rff_lab.channel import ChannelScenario
 from rff_lab.cli import (
     CSV_HEADER,
@@ -109,7 +110,6 @@ class TestConfigRoundTrip:
             ),
             methods=(Method.RC, Method.RAW),
             snr_db_grid=(5.0, 12.5),
-            classify_normalized=False,
             master_seed=9,
         )
         assert parse_config(render_config(cfg)) == cfg
@@ -154,8 +154,6 @@ def _with_setting(cfg, section, attribute, value):
 
 def _non_default(value):
     """A valid value of ``value``'s type that differs from it."""
-    if isinstance(value, bool):
-        return not value
     if isinstance(value, tuple):
         return value[::-1]
     if isinstance(value, float):
@@ -172,6 +170,16 @@ class TestConfigKeysAreTheRecordsFields:
             if not is_dataclass(getattr(record, field.name))
         ]
         assert list(CONFIG_KEYS) == expected
+
+    def test_every_codec_is_the_type_of_a_field(self):
+        # a codec left behind by a removed field fails here, as a field with
+        # no codec fails at import
+        hints = {
+            hint
+            for record in config._RECORDS.values()
+            for hint in get_type_hints(record).values()
+        }
+        assert set(config._CODECS) <= hints
 
     @pytest.mark.parametrize("key", list(CONFIG_KEYS))
     def test_each_key_round_trips_a_non_default_value(self, key):
@@ -191,7 +199,7 @@ class TestPinnedBytes:
     def test_default_config_text_is_pinned(self):
         text = render_config(default_config())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "23f325c4c7731a995758768f932f67cd995479f7dd213013dae6579fc21f9792"
+            "d0323d272ae4ccfe55b2aa0d9fd32349032d4bd42bd7006c81807639708f1311"
         )
 
     def test_json_bundle_is_pinned(self):
@@ -222,10 +230,6 @@ class TestConfigErrors:
     def test_bad_enum_value(self):
         with pytest.raises(ConfigError, match=r"expected values from: raw"):
             parse_config("experiment.methods = raw,warp\n")
-
-    def test_bad_bool_value(self):
-        with pytest.raises(ConfigError, match="expected 'true' or 'false'"):
-            parse_config("experiment.classify_normalized = yes\n")
 
     def test_semantic_validation_is_reported(self):
         with pytest.raises(ConfigError, match="configuration invalid"):
@@ -441,6 +445,13 @@ class TestCliSweep:
         assert capsys.readouterr().err == (
             "error: cr closed form is not finite in the test phase\n"
         )
+
+    def test_the_removed_classify_normalized_key_exits_2(self, tmp_path, capsys):
+        # the classifier always takes the normalized features the silhouette scores
+        config_path = tmp_path / "old.cfg"
+        config_path.write_text("experiment.classify_normalized = true\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(config_path)]) == 2
+        assert "unknown key 'experiment.classify_normalized'" in capsys.readouterr().err
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "bad.cfg"
@@ -683,6 +694,10 @@ class TestCliCorrelate:
         records_path.write_text(format_records_csv(small_records()), encoding="utf-8")
         assert main(["correlate", "--records", str(records_path), "--seed", "-1"]) == 2
         assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_permutations_default_to_the_least_allowed(self):
+        args = cli._build_parser().parse_args(["correlate", "--records", "records.csv"])
+        assert args.permutations == experiments.MIN_PERMUTATIONS
 
     def test_too_few_permutations_exit_2_naming_the_flag(self, tmp_path, capsys):
         records_path = tmp_path / "records.csv"

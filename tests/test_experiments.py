@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rff_lab import _scratch, experiments
+from rff_lab import _scratch, classifier, experiments
 from rff_lab.analytic import expected_silhouette
 from rff_lab.channel import ChannelScenario, Phase
 from rff_lab.cli import format_records_csv
@@ -62,7 +62,6 @@ class TestConfig:
         assert len(cfg.scenarios) == 3
         assert len(cfg.methods) == 5
         assert len(cfg.snr_db_grid) == 7
-        assert cfg.classify_normalized is True
 
     @pytest.mark.parametrize(
         "overrides",
@@ -122,10 +121,28 @@ class TestRunTrial:
         assert abs(r.accuracy - p) <= 3.0 * eps
         assert abs(r.silhouette) <= 0.05
 
-    def test_raw_feature_classification_path_also_works(self):
-        cfg = small_config(classify_normalized=False)
-        r = run_trial(cfg, ChannelScenario.DETERMINISTIC, Method.RAW, 30.0, 0)
-        assert 0.0 <= r.accuracy <= 1.0
+    def test_the_classifier_takes_the_features_the_silhouette_scores(self, monkeypatch):
+        seen = {}
+
+        def spy(name, function):
+            def wrapped(*args):
+                seen[name] = args
+                return function(*args)
+
+            return wrapped
+
+        for module, name in (
+            (experiments, "silhouette_from_normalized"),
+            (classifier, "fit"),
+            (classifier, "accuracy"),
+        ):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        run_trial(small_config(), ChannelScenario.IID_STOCHASTIC, Method.PC, 25.0, 0)
+        train, test, train_kept, test_kept = seen["silhouette_from_normalized"]
+        fit_train, fit_kept = seen["fit"]
+        _, accuracy_test, accuracy_kept = seen["accuracy"]
+        assert fit_train is train and fit_kept is train_kept
+        assert accuracy_test is test and accuracy_kept is test_kept
 
     @pytest.mark.parametrize("scenario", list(ChannelScenario))
     def test_a_noise_variance_past_the_floats_stops_every_ratio_method(self, scenario):
@@ -293,8 +310,7 @@ def subnormal_config(**overrides) -> ExperimentConfig:
 class TestDrawAhead:
     """The one-worker sweep that fills each next trial on a helper thread."""
 
-    @pytest.mark.parametrize("classify_normalized", [True, False])
-    def test_every_scenario_and_method_gives_the_inline_records(self, classify_normalized):
+    def test_every_scenario_and_method_gives_the_inline_records(self):
         cfg = small_config(
             scenarios=tuple(ChannelScenario),
             methods=tuple(Method),
@@ -303,7 +319,6 @@ class TestDrawAhead:
             n_train=7,
             n_test=5,
             n_trials=3,
-            classify_normalized=classify_normalized,
         )
         cells = experiments._sorted_cells(cfg)
         assert experiments._run_cells(cells, True) == experiments._run_cells(cells, False)
@@ -513,12 +528,11 @@ class TestTrialLoop:
         assert experiments._run_trials(cfg, jobs, draw_ahead) == alone
 
 
-#: (scenario, method, classify_normalized, poisoned, trial_index, an oracle
-#: call before this cell) of one cell
+#: (scenario, method, poisoned, trial_index, an oracle call before this
+#: cell) of one cell
 WORKSPACE_CELL = st.tuples(
     st.sampled_from(list(ChannelScenario)),
     st.sampled_from(list(Method)),
-    st.booleans(),
     st.booleans(),
     st.integers(0, 3),
     st.booleans(),
@@ -537,11 +551,11 @@ class TestWorkspace:
     # oracle draws left in the buffer
     @example(
         cells=[
-            (ChannelScenario.IID_STOCHASTIC, Method.CR, True, False, 0, False),
-            (ChannelScenario.DETERMINISTIC, Method.SL, False, True, 1, True),
-            (ChannelScenario.DETERMINISTIC, Method.RC, True, False, 2, False),
-            (ChannelScenario.NON_IID_STOCHASTIC, Method.RAW, False, True, 3, False),
-            (ChannelScenario.DETERMINISTIC, Method.PC, True, True, 0, True),
+            (ChannelScenario.IID_STOCHASTIC, Method.CR, False, 0, False),
+            (ChannelScenario.DETERMINISTIC, Method.SL, True, 1, True),
+            (ChannelScenario.DETERMINISTIC, Method.RC, False, 2, False),
+            (ChannelScenario.NON_IID_STOCHASTIC, Method.RAW, True, 3, False),
+            (ChannelScenario.DETERMINISTIC, Method.PC, True, 0, True),
         ],
         n_devices=4,
         n_train=7,
@@ -557,16 +571,15 @@ class TestWorkspace:
         g, p = GaussianSpec(1.0, 0.01), RatioParams(1.0, 0.01)
         # the largest trial here: 2 phases x 5 devices x 3 slabs x 9 samples x 52
         _scratch.scratch(1, 2 * 5 * 3 * 9 * 52).fill(np.nan)
-        for scenario, method, classify_normalized, poisoned, trial_index, oracle in cells:
-            cell_cfg = replace(cfg, classify_normalized=classify_normalized)
+        for scenario, method, poisoned, trial_index, oracle in cells:
             if oracle:  # fills 5 x 1e4 entries, more than any trial here holds
                 mc_ratio_detail(RatioForm.CROSS_DIFFERENCE, g, p, 10**4, trial_index)
             with pytest.MonkeyPatch.context() as patch:
                 if poisoned:  # one non-finite row per device and phase
                     TestNonfiniteHandling._poison(patch, lambda call: 1)
-                shared = run_trial(cell_cfg, scenario, method, 25.0, trial_index)
+                shared = run_trial(cfg, scenario, method, 25.0, trial_index)
                 patch.setattr(_scratch, "_local", threading.local())
-                fresh = run_trial(cell_cfg, scenario, method, 25.0, trial_index)
+                fresh = run_trial(cfg, scenario, method, 25.0, trial_index)
             assert shared == fresh
             assert (shared.nonfinite_rate > 0.0) == poisoned
 
@@ -763,7 +776,7 @@ class TestTrialStreams:
             run_trial(small_config(), ChannelScenario.DETERMINISTIC, Method.RAW, 20.0, -1)
 
 
-def _reference_trial(cfg, train_sets, test_sets):
+def _reference_trial(train_sets, test_sets):
     """`run_trial`'s scores from raw per-device sets, one device at a time,
     keeping the rows whose entries and float64 std are finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -773,10 +786,7 @@ def _reference_trial(cfg, train_sets, test_sets):
         )
     train_norm = [normalize_block(m)[0] for m in train_sets]
     test_norm = [normalize_block(m)[0] for m in test_sets]
-    silhouette = definition_silhouette(train_norm, test_norm)
-    if cfg.classify_normalized:
-        train_sets, test_sets = train_norm, test_norm
-    return silhouette, definition_lda(train_sets, test_sets)[1]
+    return definition_silhouette(train_norm, test_norm), definition_lda(train_norm, test_norm)[1]
 
 
 class TestNonfiniteHandling:
@@ -811,26 +821,21 @@ class TestNonfiniteHandling:
         return batches
 
     @pytest.mark.parametrize(
-        "scenario, method, classify_normalized, n_devices, n_train, n_test",
+        "scenario, method, n_devices, n_train, n_test",
         [
-            (ChannelScenario.DETERMINISTIC, Method.RAW, True, 3, 12, 9),
-            (ChannelScenario.IID_STOCHASTIC, Method.PC, True, 5, 10, 14),
-            (ChannelScenario.NON_IID_STOCHASTIC, Method.SL, False, 4, 8, 8),
-            (ChannelScenario.IID_STOCHASTIC, Method.RC, False, 6, 15, 11),
+            (ChannelScenario.DETERMINISTIC, Method.RAW, 3, 12, 9),
+            (ChannelScenario.IID_STOCHASTIC, Method.PC, 5, 10, 14),
+            (ChannelScenario.NON_IID_STOCHASTIC, Method.SL, 4, 8, 8),
+            (ChannelScenario.IID_STOCHASTIC, Method.RC, 6, 15, 11),
         ],
     )
     def test_dropped_rows_match_a_per_device_reference(
-        self, monkeypatch, scenario, method, classify_normalized, n_devices, n_train, n_test
+        self, monkeypatch, scenario, method, n_devices, n_train, n_test
     ):
-        cfg = small_config(
-            n_devices=n_devices,
-            n_train=n_train,
-            n_test=n_test,
-            classify_normalized=classify_normalized,
-        )
+        cfg = small_config(n_devices=n_devices, n_train=n_train, n_test=n_test)
         batches = self._poison(monkeypatch, lambda call: call % 5)
         result = run_trial(cfg, scenario, method, 25.0, 3)
-        silhouette, accuracy = _reference_trial(cfg, batches[0::2], batches[1::2])
+        silhouette, accuracy = _reference_trial(batches[0::2], batches[1::2])
         n_dropped = sum(call % 5 for call in range(2 * n_devices))
         assert result.nonfinite_rate == n_dropped / (n_devices * (n_train + n_test))
         assert result.accuracy == accuracy

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rff_lab.channel import ChannelScenario, Phase, init_trial_channel
@@ -165,6 +165,26 @@ def test_normalize_block_keeps_exactly_the_rows_of_finite_spread(n_dev, n_rows, 
     constant = [i for i, how in enumerate(spoil[: len(rows)]) if how == "constant"]
     assert finite.reshape(-1)[constant].all()
     assert not normalized.reshape(-1, k)[constant].any()
+
+
+@given(
+    st.integers(2, 4096),  # K
+    st.integers(-300, 300),  # decimal magnitude
+    st.floats(-10.0, 10.0),  # value
+)
+@example(3, 0, 0.1)
+@example(52, 0, 0.3)
+@settings(max_examples=200, deadline=None)
+def test_a_constant_row_maps_to_zeros_at_any_k_and_magnitude(k, exponent, value):
+    """A constant row's inexact mean leaves equal rounding dust in its centered
+    entries; that dust is not a spread to scale up to all -1 or all +1."""
+    row = np.full((1, k), value * 10.0**exponent)
+    normalized, finite = normalize_block(row)
+    assert not normalized.any()
+    if abs(row[0, 0]) < 1e150:  # neither its sum nor its dust's squares overflow
+        assert finite[0]
+    reference = normalize(row[0])
+    assert reference.degenerate and not reference.values.any()
 
 
 def test_device_tensor_checks_the_mask_and_zeroes_dropped_rows():
