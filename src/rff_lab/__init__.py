@@ -6,34 +6,39 @@ compares Monte-Carlo silhouette scores and classification accuracies against
 closed-form (Taylor/delta-method) predictions.
 
 Each library module's ``__all__`` is republished here; the command-line
-module `rff_lab.cli` is not imported.  Importing the package loads numpy
-but neither `numpy.random` nor `concurrent.futures` (with its
-`multiprocessing`, `socket`, `subprocess` and `logging`): the first trial
-imports the one, and the first pool or helper thread the other.
+module `rff_lab.cli` is not imported.  Importing the package runs only
+`channel` and `config`, which import no numpy, so a config round trip loads
+none.  The first name that misses (``__all__``, ``import *`` and `dir`
+among them) imports the six numerical modules and binds every name.
 """
 
 #: the one place the version is written; the CLI and the build read it here
 __version__ = "0.1.0"
 
-from . import analytic, channel, classifier, config, experiments, gaussian_moments
-from . import signal_model, silhouette
-from .analytic import *
-from .channel import *
-from .classifier import *
-from .config import *
-from .experiments import *
-from .gaussian_moments import *
-from .signal_model import *
-from .silhouette import *
+import importlib as _importlib
 
-__all__ = [
-    "__version__",
-    *analytic.__all__,
-    *channel.__all__,
-    *classifier.__all__,
-    *config.__all__,
-    *experiments.__all__,
-    *gaussian_moments.__all__,
-    *signal_model.__all__,
-    *silhouette.__all__,
-]
+from .channel import *
+from .config import *
+
+#: the library modules, in `__all__` order
+_MODULES = ("analytic", "channel", "classifier", "config", "experiments", "gaussian_moments",
+            "signal_model", "silhouette")
+
+
+def __getattr__(name: str):
+    global __all__
+    if name in _MODULES or name == "_scratch":  # `from . import` looks before it imports
+        return _importlib.import_module(f"{__name__}.{name}")
+    if "__all__" not in globals():
+        modules = [_importlib.import_module(f"{__name__}.{m}") for m in _MODULES]
+        for module in modules:
+            globals().update((n, getattr(module, n)) for n in module.__all__)
+        __all__ = ["__version__", *(n for module in modules for n in module.__all__)]
+    if name in globals():
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    __getattr__("__all__")  # binds every name
+    return list(globals())

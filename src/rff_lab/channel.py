@@ -22,8 +22,10 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is only named in annotations: a config loads none of it
+    import numpy as np
 
 __all__ = [
     "ChannelScenario",

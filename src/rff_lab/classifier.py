@@ -2,8 +2,8 @@
 
 Classes share one pooled covariance estimate: the within-class scatter
 divided by ``N_total - C``, regularized by ``RIDGE * (trace / K)`` on the
-diagonal (plain ``RIDGE`` when the trace is zero, i.e. all samples are
-identical).  `fit` folds the class means and that precision into one linear
+diagonal (plain ``RIDGE`` when the trace is zero, i.e. each class's samples
+are identical).  `fit` folds the class means and that precision into one linear
 rule, and a sample is assigned to the class with the largest
 
     delta_c(x) = x . w_c + b_c,   w_c = Sigma^-1 mu_c,   b_c = -1/2 mu_c . w_c
@@ -73,9 +73,11 @@ def fit(train: np.ndarray, kept: np.ndarray | None = None) -> LdaModel:
     # The ridge lifts every eigenvalue to at least RIDGE * scale, less the
     # Gram's rounding, while numerical singularity sits near eps * K * trace:
     # the two meet only for K of about 67,000, so the matrix is always
-    # invertible.  What can fail is the scale itself: a non-finite trace, or
-    # a ridge below the smallest normal float, whose inverse overflows.
-    if not (np.isfinite(trace) and RIDGE * scale >= np.finfo(float).tiny):
+    # invertible.  What can fail is the scale itself: a non-finite trace, a
+    # ridge below the smallest normal float, whose inverse overflows, or a zero
+    # trace of samples that differ, whose squared deviations underflowed.
+    underflowed = trace == 0.0 and centered.any()
+    if underflowed or not (np.isfinite(trace) and RIDGE * scale >= np.finfo(float).tiny):
         raise ValueError(
             f"pooled covariance trace {trace:.6g} is not finite or too small "
             "to regularize"

@@ -49,14 +49,8 @@ import numpy as np
 
 from . import __version__, _scratch, gaussian_moments
 from .channel import require_at_least
-from .config import ConfigError, parse_config, render_config
-from .experiments import (
-    MIN_PERMUTATIONS,
-    SweepRecord,
-    correlate,
-    default_config,
-    run_sweep,
-)
+from .config import ConfigError, default_config, parse_config, render_config
+from .experiments import MIN_PERMUTATIONS, SweepRecord, correlate, run_sweep
 from .gaussian_moments import (
     GaussianSpec,
     RatioForm,

@@ -1,6 +1,8 @@
-"""Flat key-value experiment configuration files.
+"""The experiment's records and their flat key-value configuration files.
 
-The format is one ``dotted.key = value`` pair per line; blank lines and lines
+`ModelParams`, `Method` and `ExperimentConfig` live here (`ChannelParams` in
+`channel`), so a config is parsed, checked and rendered without numpy.  The
+format is one ``dotted.key = value`` pair per line; blank lines and lines
 starting with ``#`` are ignored.  Every key has a default (`default_config`),
 so a file only needs the keys it overrides.  Lists are comma-separated.
 The keys are the fields of `ModelParams` (``model.*``), `ChannelParams`
@@ -19,14 +21,170 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import replace
+import enum
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, get_type_hints
 
-from .channel import ChannelParams, ChannelScenario
-from .experiments import ExperimentConfig, default_config
-from .signal_model import Method, ModelParams
+from .channel import ChannelParams, ChannelScenario, require_at_least, require_finite
 
 __all__ = ["ConfigError", "parse_config", "render_config", "CONFIG_KEYS"]
+
+#: SNR grid (dB) of the default sweep.
+DEFAULT_SNR_GRID_DB = (0.0, 10.0, 20.0, 25.0, 30.0, 35.0, 40.0)
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Constants and distribution parameters of the signal model."""
+
+    x: float
+    f_ra: float
+    f_ta: float
+    f_ru: float
+    f_tu_l: float
+    eta: float
+    mu_u: float
+    sigma_u: float
+    mu_s: float
+    sigma_s: float
+    sigma_n: float
+    r_l: int
+    r_s: int
+    channel: ChannelParams
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+        if self.eta <= 0.0:
+            raise ValueError(f"eta must be > 0, got {self.eta}")
+        # per-sample normalization needs K = r_l, r_s >= 2
+        bounds = {"r_l": 2, "r_s": 2, "sigma_u": 0, "sigma_s": 0, "sigma_n": 0}
+        for name, least in bounds.items():
+            require_at_least(name, getattr(self, name), least)
+        if self.r_s > self.r_l:
+            raise ValueError(f"r_s ({self.r_s}) must be <= r_l ({self.r_l})")
+        for name, value in (("gamma", self.gamma()), ("beta", self.beta())):
+            if value == 0.0 or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite and nonzero, got {value}")
+
+    def gamma(self) -> float:
+        """Denominator scale of the SL ratio: ``f_ra * f_tu_l * x``."""
+        return self.f_ra * self.f_tu_l * self.x
+
+    def beta(self) -> float:
+        """Denominator scale of the CR/PC/RC ratios: ``f_ru * f_ta * x``."""
+        return self.f_ru * self.f_ta * self.x
+
+    def snr_reference_amplitude(self) -> float:
+        """Nominal received amplitude of the RAW baseline, ``f_ra*mu_u*mu_h*x``."""
+        return self.f_ra * self.mu_u * self.channel.mu_h * self.x
+
+    def sigma_n_for_snr(self, snr_db: float) -> float:
+        """Noise std such that the RAW baseline's SNR equals ``snr_db``."""
+        s = abs(self.snr_reference_amplitude())
+        if s == 0.0:
+            raise ValueError("SNR mapping undefined: reference amplitude is 0")
+        try:
+            return s * 10.0 ** (-snr_db / 20.0)
+        except OverflowError:
+            raise ValueError(f"snr_db={snr_db} is out of range: its noise std overflows") from None
+
+    def with_snr(self, snr_db: float) -> "ModelParams":
+        """Copy of the parameters with ``sigma_n`` set from the SNR mapping."""
+        return replace(self, sigma_n=self.sigma_n_for_snr(snr_db))
+
+
+class Method(enum.Enum):
+    """The five feature extraction methods."""
+
+    RAW = "raw"
+    SL = "sl"
+    CR = "cr"
+    PC = "pc"
+    RC = "rc"
+
+    def subcarriers(self, params: ModelParams) -> int:
+        """Feature dimension: SL uses the short preamble's subcarriers."""
+        return params.r_s if self is Method.SL else params.r_l
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Full specification of a sweep."""
+
+    params: ModelParams
+    n_devices: int
+    n_train: int
+    n_test: int
+    n_trials: int
+    master_seed: int
+    scenarios: tuple[ChannelScenario, ...]
+    methods: tuple[Method, ...]
+    snr_db_grid: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+        # the silhouette and the LDA need 2 devices and 2 samples per device and phase
+        bounds = {"n_devices": 2, "n_train": 2, "n_test": 2, "n_trials": 1, "master_seed": 0}
+        for name, least in bounds.items():
+            require_at_least(name, getattr(self, name), least)
+        for name in ("scenarios", "methods", "snr_db_grid"):
+            values = getattr(self, name)
+            if len(values) == 0:
+                raise ValueError(f"{name} must be nonempty")
+            if name != "snr_db_grid" and len(set(values)) != len(values):
+                raise ValueError(f"{name} contains duplicates")
+        if len({_snr_stream_key(v) for v in self.snr_db_grid}) != len(self.snr_db_grid):
+            raise ValueError(
+                "snr_db_grid contains duplicates or points under 0.0005 dB apart, "
+                "which would share every random stream"
+            )
+        for snr_db in self.snr_db_grid:
+            self.params.sigma_n_for_snr(snr_db)  # raises where the noise std cannot be set
+
+
+def default_config() -> ExperimentConfig:
+    """Reference configuration: the standard parameter set and full grid."""
+    channel = ChannelParams(mu_h=1.0, sigma_h=0.15, mu_h_non=1.0, sigma_h_non=0.2)
+    params = ModelParams(
+        x=1.0,
+        f_ra=1.0,
+        f_ta=1.0,
+        f_ru=1.0,
+        f_tu_l=1.0,
+        eta=2.0,
+        r_l=52,
+        r_s=12,
+        mu_u=1.0,
+        sigma_u=0.1,
+        mu_s=1.0,
+        sigma_s=0.08,
+        sigma_n=0.1,
+        channel=channel,
+    )
+    return ExperimentConfig(
+        params=params,
+        scenarios=tuple(ChannelScenario),
+        methods=tuple(Method),
+        snr_db_grid=DEFAULT_SNR_GRID_DB,
+        n_devices=10,
+        n_train=100,
+        n_test=100,
+        n_trials=200,
+        master_seed=42,
+    )
+
+
+def _snr_stream_key(snr_db: float) -> int:
+    """The SNR's part of a stream seed: millidecibels, rounded, modulo 2**64.
+
+    `SeedSequence` rejects a negative part, so a negative SNR seeds as its
+    two's-complement word pair: -10 dB is ``2**64 - 10000``.
+    """
+    try:
+        return int(round(snr_db * 1000.0)) & 0xFFFFFFFFFFFFFFFF
+    except OverflowError:
+        raise ValueError(f"snr_db={snr_db} is out of range: its millidecibels overflow") from None
 
 
 class ConfigError(ValueError):

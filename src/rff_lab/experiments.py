@@ -50,10 +50,9 @@ thread, a helper thread fills the next one into the other half of a 4-row
 scratch, and the calling thread then fills whatever the helper has not
 reached; both drain one iterator of the job's (phase, device) indices.
 numpy releases the GIL while it fills, so the draws run on the second core.
-The helper calls nothing a benchmark tracer replaces.  Without the helper,
-one job at a time takes 2 rows; a process pool never uses it, since its
-workers leave no core spare.  Each cell's parameters at its SNR are built
-once, with its closed form, and every trial of the cell reads them.
+The helper calls nothing a benchmark tracer replaces, and a process pool
+never uses it.  Each cell's parameters at its SNR are built once, with its
+closed form, and every trial of the cell reads them.
 
 `concurrent.futures` is imported only where a pool is built: the helper
 thread's pool in `_run_trials` and the process pool behind the module
@@ -71,12 +70,9 @@ blocks: each stream is drawn whole by one thread, in its own order, and each
 cell is reduced in trial order.  Two grid points with the same snr key
 would share every stream, so `ExperimentConfig` rejects such grids.  Stream
 ids: 0 drives the trial channel; device ``d`` uses ``3d + 1`` (fingerprint),
-``3d + 2`` (train extraction), ``3d + 3`` (test extraction).  A trial seeds its ``3D + 1``
-generators in one pass (`_trial_streams`): numpy encodes the key up to the
-trial index, mixes it into its pool and seeds each `PCG64`; the library
-replays only the stream id's tail mix and the output hash, over all stream
-ids at once.  Every generator is bit-identical to one seeded from a
-`SeedSequence` of the tuple.
+``3d + 2`` (train extraction), ``3d + 3`` (test extraction).  A trial seeds its
+``3D + 1`` generators in one pass (`_trial_streams`), each bit-identical to one
+seeded from a `SeedSequence` of the tuple.
 """
 
 from __future__ import annotations
@@ -94,10 +90,11 @@ import numpy as np
 from . import _scratch, classifier
 from ._scratch import scratch
 from .analytic import expected_silhouette
-from .channel import ChannelParams, ChannelScenario, Phase, TrialChannel, init_trial_channel
-from .channel import require_at_least, require_finite
+from .channel import ChannelScenario, Phase, TrialChannel, init_trial_channel, require_at_least
+from .config import ExperimentConfig, Method, ModelParams, _snr_stream_key
+from .config import default_config  # re-exported: perfbench/workloads.py reads it here
 from .gaussian_moments import _mean_and_se
-from .signal_model import Fingerprints, Method, ModelParams, draw_fingerprint
+from .signal_model import Fingerprints, draw_fingerprint
 from .signal_model import _block_features, _fill
 from .signal_model import extract_batch  # noqa: F401 -- perfbench/spans.py traces it here
 from .silhouette import normalize_block, silhouette_from_normalized
@@ -113,48 +110,10 @@ __all__ = [
     "correlate",
 ]
 
-#: SNR grid (dB) of the default sweep.
-DEFAULT_SNR_GRID_DB = (0.0, 10.0, 20.0, 25.0, 30.0, 35.0, 40.0)
-
 MIN_PERMUTATIONS = 1_000
 
 _SCENARIO_ORD = {s: i for i, s in enumerate(ChannelScenario)}
 _METHOD_ORD = {m: i for i, m in enumerate(Method)}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full specification of a sweep."""
-
-    params: ModelParams
-    n_devices: int
-    n_train: int
-    n_test: int
-    n_trials: int
-    master_seed: int
-    scenarios: tuple[ChannelScenario, ...]
-    methods: tuple[Method, ...]
-    snr_db_grid: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        # the silhouette and the LDA need 2 devices and 2 samples per device and phase
-        bounds = {"n_devices": 2, "n_train": 2, "n_test": 2, "n_trials": 1, "master_seed": 0}
-        for name, least in bounds.items():
-            require_at_least(name, getattr(self, name), least)
-        for name in ("scenarios", "methods", "snr_db_grid"):
-            values = getattr(self, name)
-            if len(values) == 0:
-                raise ValueError(f"{name} must be nonempty")
-            if name != "snr_db_grid" and len(set(values)) != len(values):
-                raise ValueError(f"{name} contains duplicates")
-        if len({_snr_stream_key(v) for v in self.snr_db_grid}) != len(self.snr_db_grid):
-            raise ValueError(
-                "snr_db_grid contains duplicates or points under 0.0005 dB apart, "
-                "which would share every random stream"
-            )
-        for snr_db in self.snr_db_grid:
-            self.params.sigma_n_for_snr(snr_db)  # raises where the noise std cannot be set
 
 
 @dataclass(frozen=True)
@@ -196,50 +155,6 @@ class CorrelationReport:
     n_points: int
 
 
-def default_config() -> ExperimentConfig:
-    """Reference configuration: the standard parameter set and full grid."""
-    channel = ChannelParams(mu_h=1.0, sigma_h=0.15, mu_h_non=1.0, sigma_h_non=0.2)
-    params = ModelParams(
-        x=1.0,
-        f_ra=1.0,
-        f_ta=1.0,
-        f_ru=1.0,
-        f_tu_l=1.0,
-        eta=2.0,
-        r_l=52,
-        r_s=12,
-        mu_u=1.0,
-        sigma_u=0.1,
-        mu_s=1.0,
-        sigma_s=0.08,
-        sigma_n=0.1,
-        channel=channel,
-    )
-    return ExperimentConfig(
-        params=params,
-        scenarios=tuple(ChannelScenario),
-        methods=tuple(Method),
-        snr_db_grid=DEFAULT_SNR_GRID_DB,
-        n_devices=10,
-        n_train=100,
-        n_test=100,
-        n_trials=200,
-        master_seed=42,
-    )
-
-
-def _snr_stream_key(snr_db: float) -> int:
-    """The SNR's part of a stream seed: millidecibels, rounded, modulo 2**64.
-
-    `SeedSequence` rejects a negative part, so a negative SNR seeds as its
-    two's-complement word pair: -10 dB is ``2**64 - 10000``.
-    """
-    try:
-        return int(round(snr_db * 1000.0)) & 0xFFFFFFFFFFFFFFFF
-    except OverflowError:
-        raise ValueError(f"snr_db={snr_db} is out of range: its millidecibels overflow") from None
-
-
 # numpy's `SeedSequence` hash (numpy/random/bit_generator.pyx): the constants
 # of `mix_entropy`'s hashmix and mix steps and of `generate_state`, in uint32
 # arrays, whose products wrap around as numpy's uint32 hash does.
@@ -264,7 +179,7 @@ def _precomputed_seed_type() -> type:
     """A seed sequence that hands a bit generator its finished state.
 
     Defined on first use: importing `numpy.random` at module level would add
-    its import time to every process that only parses a config.
+    its import time to every process that runs no trial (`emit-config`).
     """
     from numpy.random.bit_generator import ISeedSequence
 

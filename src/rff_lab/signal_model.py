@@ -40,9 +40,7 @@ added after the ratio (PC, RC)::
 
 That record is the single description of each ratio method: `extract_batch`
 draws from it and `analytic.feature_law` derives closed-form moments from it
-(see `gaussian_moments`); both take a phase's law through `phase_law`, which
-builds the phase's CSI `GaussianSpec` once and rejects a law that overflows
-the floats or is singular with a ValueError.
+(see `gaussian_moments`); both take a phase's law through `phase_law`.
 
 The noise level is configured through a conventional SNR mapping:
 ``sigma_n^2 = s^2 * 10^(-snr_db/10)`` where ``s = f_ra*mu_u*mu_h*x`` is the
@@ -52,15 +50,14 @@ parameters).
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, Phase, TrialChannel, _as_normal, require_at_least
-from .channel import require_finite, sample_csi_block
+from .channel import Phase, TrialChannel, _as_normal, require_finite, sample_csi_block
+from .config import Method, ModelParams
 from .gaussian_moments import GaussianSpec, RatioParams, reciprocal_moments
 
 __all__ = [
@@ -73,80 +70,6 @@ __all__ = [
     "ratio_law",
     "phase_law",
 ]
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Constants and distribution parameters of the signal model."""
-
-    x: float
-    f_ra: float
-    f_ta: float
-    f_ru: float
-    f_tu_l: float
-    eta: float
-    mu_u: float
-    sigma_u: float
-    mu_s: float
-    sigma_s: float
-    sigma_n: float
-    r_l: int
-    r_s: int
-    channel: ChannelParams
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        # per-sample normalization needs K = r_l, r_s >= 2
-        bounds = {"r_l": 2, "r_s": 2, "sigma_u": 0, "sigma_s": 0, "sigma_n": 0}
-        for name, least in bounds.items():
-            require_at_least(name, getattr(self, name), least)
-        if self.r_s > self.r_l:
-            raise ValueError(f"r_s ({self.r_s}) must be <= r_l ({self.r_l})")
-        for name, value in (("gamma", self.gamma()), ("beta", self.beta())):
-            if value == 0.0 or not math.isfinite(value):
-                raise ValueError(f"{name} must be finite and nonzero, got {value}")
-
-    def gamma(self) -> float:
-        """Denominator scale of the SL ratio: ``f_ra * f_tu_l * x``."""
-        return self.f_ra * self.f_tu_l * self.x
-
-    def beta(self) -> float:
-        """Denominator scale of the CR/PC/RC ratios: ``f_ru * f_ta * x``."""
-        return self.f_ru * self.f_ta * self.x
-
-    def snr_reference_amplitude(self) -> float:
-        """Nominal received amplitude of the RAW baseline, ``f_ra*mu_u*mu_h*x``."""
-        return self.f_ra * self.mu_u * self.channel.mu_h * self.x
-
-    def sigma_n_for_snr(self, snr_db: float) -> float:
-        """Noise std such that the RAW baseline's SNR equals ``snr_db``."""
-        s = abs(self.snr_reference_amplitude())
-        if s == 0.0:
-            raise ValueError("SNR mapping undefined: reference amplitude is 0")
-        try:
-            return s * 10.0 ** (-snr_db / 20.0)
-        except OverflowError:
-            raise ValueError(f"snr_db={snr_db} is out of range: its noise std overflows") from None
-
-    def with_snr(self, snr_db: float) -> "ModelParams":
-        """Copy of the parameters with ``sigma_n`` set from the SNR mapping."""
-        return replace(self, sigma_n=self.sigma_n_for_snr(snr_db))
-
-
-class Method(enum.Enum):
-    """The five feature extraction methods."""
-
-    RAW = "raw"
-    SL = "sl"
-    CR = "cr"
-    PC = "pc"
-    RC = "rc"
-
-    def subcarriers(self, params: ModelParams) -> int:
-        """Feature dimension: SL uses the short preamble's subcarriers."""
-        return params.r_s if self is Method.SL else params.r_l
 
 
 @dataclass(frozen=True)

@@ -114,12 +114,33 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match="not finite or too small"):
             fit(scale * train)
 
-    def test_features_whose_scatter_underflows_still_separate(self):
-        # The scatter is exactly zero, so the ridge is the plain RIDGE; the
-        # scores are near 1e-318 and no constant log-prior term swamps them.
+    @pytest.mark.parametrize("scale", [1e-162, 1e-170, 1e-200])
+    def test_features_whose_scatter_underflows_raise(self, scale):
+        # The squared deviations underflow to a zero trace, though the samples
+        # differ: the plain RIDGE would swamp the scores (chance accuracy).
+        train, _ = _separable_three_class_sets()
+        with pytest.raises(ValueError, match="not finite or too small"):
+            fit(scale * train)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_identical_samples_still_fit(self, scale):
+        # A scatter that is truly zero is no underflow: the plain RIDGE regularizes it.
+        means = scale * np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
+        model = fit(np.repeat(means[:, None], 4, axis=1))
+        assert np.isfinite(model.weights).all() and np.isfinite(model.offsets).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent=st.floats(-300.0, 0.0))
+    def test_a_scaled_separable_set_raises_or_classifies_as_at_scale_one(self, exponent):
         train, test = _separable_three_class_sets()
-        model = fit(1e-162 * train)
-        assert accuracy(model, 1e-162 * test) == 1.0
+        at_one = accuracy(fit(train), test)
+        scale = 10.0**exponent
+        try:
+            model = fit(scale * train)
+        except ValueError as err:
+            assert "too small to regularize" in str(err)
+            return
+        assert accuracy(model, scale * test) == at_one
 
     def test_identical_huge_samples_overflow_the_offsets_and_raise(self):
         # Zero scatter at scale 1e150: RIDGE is absolute, so mu . Sigma^-1 mu

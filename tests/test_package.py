@@ -78,6 +78,61 @@ def test_channel_loads_no_other_rff_lab_module():
     assert run_fresh(script).split() == ["rff_lab.channel"]
 
 
+#: what the first name that misses imports: every module but `channel` and `config`
+NUMERICAL_MODULES = ("analytic", "classifier", "experiments", "gaussian_moments",
+                     "signal_model", "silhouette")
+
+
+def test_a_config_round_trip_loads_no_numpy():
+    script = (
+        "import sys, rff_lab\n"
+        "text = rff_lab.render_config(rff_lab.parse_config('model.mu_u = 2.0'))\n"
+        "print('numpy' in sys.modules, 'model.mu_u = 2.0' in text)\n"
+    )
+    assert run_fresh(script).split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("module", ["channel", "config"])
+def test_a_records_module_loads_no_numpy_and_no_numerical_module(module):
+    script = (
+        f"import sys, rff_lab.{module}\n"
+        f"print('numpy' in sys.modules, *(m for m in {NUMERICAL_MODULES!r}\n"
+        "      if f'rff_lab.{m}' in sys.modules))\n"
+    )
+    assert run_fresh(script).split() == ["False"]
+
+
+def test_a_star_import_binds_every_name():
+    script = (
+        "from rff_lab import *\n"
+        "import rff_lab\n"
+        "print(len(rff_lab.__all__), *(n for n in rff_lab.__all__ if n not in globals()))\n"
+    )
+    assert run_fresh(script).split() == [str(len(rff_lab.__all__))]
+
+
+def test_dir_lists_every_name():
+    script = (
+        "import rff_lab\n"
+        "names = dir(rff_lab)\n"
+        "print(*(n for n in rff_lab.__all__ if n not in names))\n"
+        "print(names == sorted(names))\n"
+    )
+    assert run_fresh(script).split() == ["True"]
+
+
+def test_an_unknown_name_is_an_attribute_error_before_and_after_the_load():
+    script = (
+        "import rff_lab\n"
+        "for _ in range(2):\n"
+        "    try:\n"
+        "        rff_lab.no_such_name\n"
+        "    except AttributeError as error:\n"
+        "        print(type(error).__name__, 'numpy' in __import__('sys').modules)\n"
+    )
+    assert run_fresh(script).split() == ["AttributeError", "True"] * 2
+
+
 #: what `concurrent.futures` loads behind a pool, none of which a config,
 #: a closed form or one trial uses
 POOL_MODULES = (
