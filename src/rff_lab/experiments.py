@@ -10,7 +10,8 @@ A *sweep* runs ``n_trials`` independent trials for every (scenario, method,
 SNR) cell of the grid and aggregates means and standard errors, pairing each
 cell with its closed-form expected silhouette score.  Every cell's closed
 form is evaluated before any trial runs, so a sweep with a form that is not
-finite fails before it starts.
+finite fails before it starts.  A cell (`_Cell`) carries its parameters
+at its SNR and its two extraction laws, built once for all its trials.
 
 Layout: a trial works in two draw blocks, one per phase, each a slab-major
 ``(3, D, N, K)`` tensor (slab, device, sample, subcarrier), so each slab is
@@ -42,17 +43,16 @@ draws: the feature arithmetic, normalization, the silhouette and the
 classifier, each called through the module attribute that a
 benchmark tracer replaces).  `run_trial` runs one job through it; a pool
 worker runs one cell's trials.  A sweep with one worker process runs all
-its (cell, trial) jobs in record order, and draws ahead when the process
-may run on at least 2 CPUs and the grid's smallest fill call,
-``min(n_train, n_test)`` times its smallest K, holds at least
-`_MIN_DRAW_AHEAD_FILL` normals: while it scores one job on the calling
-thread, a helper thread fills the next one into the other half of a 4-row
-scratch, and the calling thread then fills whatever the helper has not
-reached; both drain one iterator of the job's (phase, device) indices.
-numpy releases the GIL while it fills, so the draws run on the second core.
-The helper calls nothing a benchmark tracer replaces, and a process pool
-never uses it.  Each cell's parameters at its SNR are built once, with its
-closed form, and every trial of the cell reads them.
+its (cell, trial) jobs trial-major, trial t of every cell before trial
+t + 1 of any, and draws ahead when the process may run on at least 2 CPUs
+and the grid's smallest fill call, ``min(n_train, n_test)`` times its
+smallest K, holds at least `_MIN_DRAW_AHEAD_FILL` normals: while it scores
+one job on the calling thread, a helper thread fills the next one into the
+other half of a 4-row scratch, and the calling thread then fills whatever
+the helper has not reached; both drain one iterator of the job's (phase,
+device) indices.  numpy releases the GIL while it fills, so the draws run
+on the second core.  The helper calls nothing a benchmark tracer replaces,
+and a process pool never uses it.
 
 `concurrent.futures` is imported only where a pool is built: the helper
 thread's pool in `_run_trials` and the process pool behind the module
@@ -82,7 +82,7 @@ import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,8 +94,8 @@ from .channel import ChannelScenario, Phase, TrialChannel, init_trial_channel, r
 from .config import ExperimentConfig, Method, ModelParams, _snr_stream_key
 from .config import default_config  # re-exported: perfbench/workloads.py reads it here
 from .gaussian_moments import _mean_and_se
-from .signal_model import Fingerprints, draw_fingerprint
-from .signal_model import _block_features, _fill
+from .signal_model import Fingerprints, RatioLaw, draw_fingerprint
+from .signal_model import _block_features, _extraction_law, _fill
 from .signal_model import extract_batch  # noqa: F401 -- perfbench/spans.py traces it here
 from .silhouette import normalize_block, silhouette_from_normalized
 
@@ -193,14 +193,26 @@ def _precomputed_seed_type() -> type:
     return PrecomputedSeed
 
 
-def _trial_streams(
-    cfg: ExperimentConfig,
-    scenario: ChannelScenario,
-    method: Method,
-    snr_db: float,
-    trial_index: int,
-) -> list[np.random.Generator]:
-    """The trial's ``3D + 1`` generators, indexed by stream id.
+@dataclass(frozen=True)
+class _Cell:
+    """One (scenario, method, SNR) grid cell at ``params``, which is
+    ``cfg.params.with_snr(snr_db)``, and the train and test extraction laws
+    that all its trials read, built here (`signal_model._extraction_law`)."""
+
+    cfg: ExperimentConfig
+    scenario: ChannelScenario
+    method: Method
+    snr_db: float
+    params: ModelParams
+    laws: tuple[RatioLaw | None, RatioLaw | None] = field(init=False)  # None for RAW
+
+    def __post_init__(self) -> None:
+        laws = (_extraction_law(self.method, self.params, self.scenario, p) for p in Phase)
+        object.__setattr__(self, "laws", tuple(laws))  # the record is frozen
+
+
+def _trial_streams(cell: _Cell, trial_index: int) -> list[np.random.Generator]:
+    """The cell's trial's ``3D + 1`` generators, indexed by stream id.
 
     numpy encodes the key ``(master_seed, scenario, method, snr key,
     trial_index)`` as its ints' 32-bit words (a negative part is a
@@ -213,10 +225,10 @@ def _trial_streams(
     generator is bit-identical to ``default_rng(SeedSequence(key + (stream,)))``.
     """
     key = (
-        cfg.master_seed,
-        _SCENARIO_ORD[scenario],
-        _METHOD_ORD[method],
-        _snr_stream_key(snr_db),
+        cell.cfg.master_seed,
+        _SCENARIO_ORD[cell.scenario],
+        _METHOD_ORD[cell.method],
+        _snr_stream_key(cell.snr_db),
         trial_index,
     )
     pool = np.random.SeedSequence(key).pool
@@ -224,7 +236,7 @@ def _trial_streams(
     # pool's fill and all-to-all mix, then 4 per word past the pool.
     n_words = sum(max(1, (int(part).bit_length() + 31) // 32) for part in key)
     const = _TAIL_CONST * pow(_MULT_A, 4 * n_words, 1 << 32)
-    stream = np.arange(3 * cfg.n_devices + 1, dtype=np.uint32)[:, None]
+    stream = np.arange(3 * cell.cfg.n_devices + 1, dtype=np.uint32)[:, None]
     hashed = _xorshift((stream ^ const[:-1]) * const[1:])
     pool = _xorshift(_MIX_MULT_L * pool - _MIX_MULT_R * hashed)
     words = _xorshift((np.tile(pool, 2) ^ _OUTPUT_CONST[:-1]) * _OUTPUT_CONST[1:])
@@ -236,14 +248,11 @@ def _trial_streams(
 
 @dataclass(frozen=True)
 class _Job:
-    """A trial set up on the calling thread and ready to fill: its trial
-    channel, fingerprints, and both phases' draw blocks and each device's
-    extraction streams that fill them, train then test."""
+    """A trial of ``cell`` set up on the calling thread and ready to fill: its
+    trial channel, fingerprints, and both phases' draw blocks and each
+    device's extraction streams that fill them, train then test."""
 
-    cfg: ExperimentConfig
-    snr_db: float
-    params: ModelParams
-    method: Method
+    cell: _Cell
     trial: TrialChannel
     fp: Fingerprints
     blocks: tuple[np.ndarray, np.ndarray]  # train, test: (3, D, N, K) each
@@ -256,36 +265,27 @@ def _row_size(cfg: ExperimentConfig, methods: Iterable[Method]) -> int:
     return 3 * cfg.n_devices * max(cfg.n_train, cfg.n_test) * k
 
 
-def _set_up(
-    cfg: ExperimentConfig,
-    scenario: ChannelScenario,
-    method: Method,
-    snr_db: float,
-    trial_index: int,
-    params: ModelParams,
-    rows: np.ndarray,
-) -> _Job:
+def _set_up(cell: _Cell, trial_index: int, rows: np.ndarray) -> _Job:
     """Seed the trial's streams, draw its channel and fingerprints and view
-    ``rows`` (train, test) as its draw blocks; ``params`` is
-    ``cfg.params.with_snr(snr_db)``, built once per cell."""
-    k = method.subcarriers(params)
+    ``rows`` (train, test) as its draw blocks."""
+    cfg, params = cell.cfg, cell.params
+    k = cell.method.subcarriers(params)
     blocks = tuple(
         row[: 3 * cfg.n_devices * n * k].reshape(3, cfg.n_devices, n, k)
         for row, n in zip(rows, (cfg.n_train, cfg.n_test))
     )
-    streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
-    trial = init_trial_channel(scenario, params.channel, k, streams[0])
+    streams = _trial_streams(cell, trial_index)
+    trial = init_trial_channel(cell.scenario, params.channel, k, streams[0])
     fp = draw_fingerprint(params, streams[1::3])
-    return _Job(cfg, snr_db, params, method, trial, fp, blocks, (streams[2::3], streams[3::3]))
+    return _Job(cell, trial, fp, blocks, (streams[2::3], streams[3::3]))
 
 
 def _score(job: _Job) -> TrialResult:
     """The score stage of a filled trial: the features, in slab 0 of each
     phase's blocks, then every later stage."""
-    cfg = job.cfg
     train, test = (
-        _block_features(job.method, job.params, job.fp, job.trial, phase, blocks)
-        for phase, blocks in zip((Phase.TRAIN, Phase.TEST), job.blocks)
+        _block_features(law, job.cell.params, job.fp, job.trial, phase, blocks)
+        for law, phase, blocks in zip(job.cell.laws, Phase, job.blocks)
     )
     # The features are slab 0 of the slab-major (3, D, N, K) blocks.  The
     # draws in slabs 1 and 2 are dead: those two contiguous (D, N, K) slabs,
@@ -300,9 +300,9 @@ def _score(job: _Job) -> TrialResult:
         device, phase = short[0]
         raise ValueError(
             f"device {device} {(Phase.TRAIN, Phase.TEST)[phase].value} set has "
-            f"fewer than 2 finite samples at snr_db={job.snr_db}"
+            f"fewer than 2 finite samples at snr_db={job.cell.snr_db}"
         )
-    n_total = cfg.n_devices * (cfg.n_train + cfg.n_test)
+    n_total = train_kept.size + test_kept.size
     n_dropped = n_total - int(counts.sum())
     score = silhouette_from_normalized(train_norm, test_norm, train_kept, test_kept)
     model = classifier.fit(train_norm, train_kept)
@@ -313,14 +313,9 @@ def _score(job: _Job) -> TrialResult:
     )
 
 
-def _run_trials(
-    cfg: ExperimentConfig,
-    jobs: Sequence[tuple[ChannelScenario, Method, float, int, ModelParams]],
-    draw_ahead: bool,
-) -> list[TrialResult]:
-    """The trials ``(scenario, method, snr_db, trial_index, params)`` of
-    ``jobs``, in order: each set up and scored on this thread, and filled in
-    between.  ``params`` is ``cfg.params.with_snr(snr_db)``.
+def _run_trials(jobs: Sequence[tuple[_Cell, int]], draw_ahead: bool) -> list[TrialResult]:
+    """The trials ``(cell, trial_index)`` of ``jobs``, in order: each set up
+    and scored on this thread, and filled in between.
 
     Without ``draw_ahead``, one job is in flight, in 2 rows (train, test) of
     this thread's scratch.  With it, two are, in the two halves of 4 rows,
@@ -332,7 +327,8 @@ def _run_trials(
     turn.  The helper is joined on return and on raise.
     """
     depth = 2 if draw_ahead else 1
-    work = scratch(depth * len(Phase), _row_size(cfg, {job[1] for job in jobs}))
+    cfg = jobs[0][0].cfg
+    work = scratch(depth * len(Phase), _row_size(cfg, {cell.method for cell, _ in jobs}))
     halves = np.split(work, depth)
     results: list[TrialResult] = []
     if draw_ahead:
@@ -343,13 +339,15 @@ def _run_trials(
             """Job j set up here, the fill of its (phase, device) indices left
             to draw and the helper's run of that fill; or its set-up's error."""
             try:
-                job = _set_up(cfg, *jobs[j], halves[j % depth])
+                job = _set_up(*jobs[j], halves[j % depth])
             except Exception as error:
                 return error, None, None
             # both threads drain one iterator; the helper calls nothing a
             # benchmark tracer replaces
             pending = itertools.product(range(len(Phase)), range(cfg.n_devices))
-            fill = functools.partial(_fill, job.method, job.trial, job.streams, job.blocks, pending)
+            fill = functools.partial(
+                _fill, job.cell.method, job.trial, job.streams, job.blocks, pending
+            )
             return job, fill, helper.submit(fill) if helper else None
 
         queued = collections.deque(map(queue, range(min(depth, len(jobs)))))
@@ -381,27 +379,21 @@ def run_trial(
     The draw blocks live in this thread's scratch buffer (see the module
     docstring), which the result does not depend on.
     """
-    job = (scenario, method, snr_db, trial_index, cfg.params.with_snr(snr_db))
-    return _run_trials(cfg, [job], draw_ahead=False)[0]
+    cell = _Cell(cfg, scenario, method, snr_db, cfg.params.with_snr(snr_db))
+    return _run_trials([(cell, trial_index)], draw_ahead=False)[0]
 
 
-#: (config, scenario, method, snr_db, ``config.params.with_snr(snr_db)``,
-#: closed-form expected silhouette)
-_Cell = tuple[ExperimentConfig, ChannelScenario, Method, float, ModelParams, float]
-
-
-def _record(cell: _Cell, results: Sequence[TrialResult]) -> SweepRecord:
-    """A cell's record, reduced from its trials' results in trial order."""
-    _, scenario, method, snr_db, _, analytic = cell
+def _record(cell: _Cell, analytic: float, results: Sequence[TrialResult]) -> SweepRecord:
+    """A cell's record: its trials' results reduced in trial order, and its closed form."""
     sil = np.array([r.silhouette for r in results])
     acc = np.array([r.accuracy for r in results])
     nonfinite = np.array([r.nonfinite_rate for r in results])
     sil_mean, sil_se = _mean_and_se(sil)
     acc_mean, acc_se = _mean_and_se(acc)
     return SweepRecord(
-        scenario=scenario,
-        method=method,
-        snr_db=snr_db,
+        scenario=cell.scenario,
+        method=cell.method,
+        snr_db=cell.snr_db,
         silhouette_empirical=sil_mean,
         silhouette_empirical_stderr=sil_se,
         silhouette_analytic=analytic,
@@ -411,9 +403,10 @@ def _record(cell: _Cell, results: Sequence[TrialResult]) -> SweepRecord:
     )
 
 
-def _sorted_cells(cfg: ExperimentConfig) -> list[_Cell]:
-    """Every grid cell in record order, carrying its parameters and its
-    closed form, evaluated here."""
+def _sorted_cells(cfg: ExperimentConfig) -> list[tuple[_Cell, float]]:
+    """Every grid cell in record order, paired with its closed form, which is
+    evaluated first: a law past the floats fails its closed form too, and
+    maybe at an earlier step, whose error is the one to report."""
     keys = sorted(
         itertools.product(cfg.scenarios, cfg.methods, cfg.snr_db_grid),
         key=lambda c: (c[0].value, c[1].value, c[2]),
@@ -421,8 +414,8 @@ def _sorted_cells(cfg: ExperimentConfig) -> list[_Cell]:
     cells = []
     for scenario, method, snr_db in keys:
         params = cfg.params.with_snr(snr_db)
-        cells.append((cfg, scenario, method, snr_db, params,
-                      expected_silhouette(method, scenario, params)))
+        analytic = expected_silhouette(method, scenario, params)
+        cells.append((_Cell(cfg, scenario, method, snr_db, params), analytic))
     return cells
 
 
@@ -440,17 +433,15 @@ def _draws_ahead(cfg: ExperimentConfig) -> bool:
     return min(cfg.n_train, cfg.n_test) * k >= _MIN_DRAW_AHEAD_FILL and _scratch.usable_cpus() >= 2
 
 
-def _run_cells(cells: Sequence[_Cell], draw_ahead: bool) -> list[SweepRecord]:
-    """Every trial of ``cells`` in record order, in one `_run_trials`, each
-    cell reduced from its own trials."""
-    cfg = cells[0][0]
-    n = cfg.n_trials
-    jobs = [(s, m, snr_db, t, params) for _, s, m, snr_db, params, _ in cells for t in range(n)]
-    results = _run_trials(cfg, jobs, draw_ahead)
-    return [_record(cell, results[i * n : (i + 1) * n]) for i, cell in enumerate(cells)]
+def _run_cells(cells: Sequence[tuple[_Cell, float]], draw_ahead: bool) -> list[SweepRecord]:
+    """Every trial of ``cells``, paired with their closed forms, in one
+    `_run_trials`, trial-major; each cell is reduced in trial order."""
+    jobs = [(cell, t) for t in range(cells[0][0].cfg.n_trials) for cell, _ in cells]
+    results = _run_trials(jobs, draw_ahead)
+    return [_record(*cell, results[i :: len(cells)]) for i, cell in enumerate(cells)]
 
 
-def _run_cell(cell: _Cell) -> SweepRecord:
+def _run_cell(cell: tuple[_Cell, float]) -> SweepRecord:
     """A pool task: one cell's trials, with no helper, since the pool leaves no core spare."""
     return _run_cells([cell], draw_ahead=False)[0]
 

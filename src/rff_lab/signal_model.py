@@ -56,7 +56,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Phase, TrialChannel, _as_normal, require_finite, sample_csi_block
+from .channel import ChannelScenario, Phase, TrialChannel, _as_normal, require_finite
+from .channel import sample_csi_block
 from .config import Method, ModelParams
 from .gaussian_moments import GaussianSpec, RatioParams, reciprocal_moments
 
@@ -174,7 +175,8 @@ def extract_batch(
     formula reading order (numerator then denominator noise for SL/CR;
     denominator then additive noise for PC/RC).  The arithmetic then runs
     once over the phase, in place, on whole slabs, and the features
-    overwrite slab 0: the result is ``blocks[0]``, C-contiguous.
+    overwrite slab 0: the result is ``blocks[0]``, C-contiguous.  ``trial``
+    is a trial of ``params.channel``, whose law a ratio method reads.
 
     The draws (`_fill`) and the arithmetic (`_block_features`) are two halves
     that a trial runs apart, on blocks it keeps in its thread's scratch (see
@@ -183,9 +185,20 @@ def extract_batch(
     k = method.subcarriers(params)
     if trial.n_subcarriers != k:
         raise ValueError(f"{method.value} needs {k} subcarriers, trial has {trial.n_subcarriers}")
+    law = _extraction_law(method, params, trial.scenario, phase)
     blocks = np.empty((3, len(rngs), n_samples, k))
     _fill(method, trial, [rngs], [blocks], ((0, d) for d in range(len(rngs))))
-    return _block_features(method, params, fp, trial, phase, blocks)
+    return _block_features(law, params, fp, trial, phase, blocks)
+
+
+def _extraction_law(
+    method: Method, params: ModelParams, scenario: ChannelScenario, phase: Phase
+) -> RatioLaw | None:
+    """The law `_block_features` reads in one phase: None for RAW, else the
+    method's `ratio_law` at the phase's CSI law of ``params.channel``."""
+    if method is Method.RAW:
+        return None
+    return phase_law(ratio_law, method, params, params.channel.for_phase(scenario, phase), phase)
 
 
 def _fill(
@@ -212,25 +225,20 @@ def _fill(
 
 
 def _block_features(
-    method: Method,
+    law: RatioLaw | None,
     params: ModelParams,
     fp: Fingerprints,
     trial: TrialChannel,
     phase: Phase,
     blocks: np.ndarray,
 ) -> np.ndarray:
-    """The arithmetic half of `extract_batch`: the features of filled blocks, in slab 0.
-
-    A ratio law past the floats is a ValueError (`phase_law`) before any slab is touched.
-    """
-    if method is not Method.RAW:
-        csi_law = trial.params.for_phase(trial.scenario, phase)
-        law = phase_law(ratio_law, method, params, csi_law, phase)
+    """The arithmetic half of `extract_batch`: the features of filled blocks, in
+    slab 0, under the phase's `_extraction_law` ``law`` (None for RAW)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         csi = sample_csi_block(trial, phase, blocks[0])
-        noise = blocks[1:2] if method is Method.RAW else blocks[1:]
+        noise = blocks[1:2] if law is None else blocks[1:]
         _as_normal(noise, 0.0, params.sigma_n)
-        if method is Method.RAW:  # f_ra*H*tu*x, in place of H
+        if law is None:  # RAW: f_ra*H*tu*x, in place of H
             csi *= params.f_ra
             csi *= fp.tu[:, None]
             csi *= params.x

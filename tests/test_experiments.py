@@ -1,6 +1,7 @@
 """Tests for the trial/sweep harness and the correlation report."""
 
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -216,6 +217,70 @@ class TestRunSweep:
         run_sweep(cfg, n_threads=n_threads)
         assert calls.read_text() == "x" * 4
 
+    def test_each_cell_builds_its_laws_once(self, monkeypatch):
+        """A ratio cell builds 2 `RatioParams` for its closed form and 2 for its
+        train and test extraction laws, however many trials it runs."""
+        built = []
+
+        def counted(self, check=RatioParams.__post_init__):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(RatioParams, "__post_init__", counted)
+        cfg = small_config(
+            scenarios=tuple(ChannelScenario),
+            methods=(Method.SL, Method.CR, Method.PC, Method.RC),
+            snr_db_grid=(20.0, 30.0),
+        )
+        counts = []
+        for n_trials in (1, 4):
+            built.clear()
+            run_sweep(replace(cfg, n_trials=n_trials))
+            counts.append(len(built))
+        assert counts == [4 * 3 * 4 * 2] * 2
+
+    def test_a_closed_form_is_evaluated_before_its_cells_laws(self):
+        """At x = 1e-60 with zero-mean test CSI, RC's train closed form fails
+        though its train law is finite, and its test law fails: the sweep
+        reports the closed form's error, a trial the law's."""
+        base = default_config().params
+        params = replace(base, x=1e-60, channel=replace(base.channel, mu_h_non=0.0))
+        scenario = ChannelScenario.NON_IID_STOCHASTIC
+        cfg = small_config(params=params, scenarios=(scenario,), methods=(Method.RC,))
+        with pytest.raises(ValueError, match="^rc closed form is not finite in the train phase$"):
+            run_sweep(cfg)
+        with pytest.raises(ValueError, match="^rc closed form is not finite in the test phase$"):
+            run_trial(cfg, scenario, Method.RC, 20.0, 0)
+
+    @pytest.mark.parametrize("draw_ahead", [False, True])
+    def test_a_one_worker_sweep_runs_trial_major(self, monkeypatch, draw_ahead):
+        """Each (scenario, trial index) is one run of jobs, each cell's trials
+        rise in index, and every cell keeps the records of the pool and of
+        its own pool task."""
+        cfg = small_config(
+            scenarios=(ChannelScenario.IID_STOCHASTIC, ChannelScenario.DETERMINISTIC),
+            methods=(Method.RC, Method.RAW, Method.SL),
+            snr_db_grid=(10.0, 30.0),
+        )
+        real = experiments._set_up
+        seen = []
+
+        def set_up(cell, trial_index, rows):
+            seen.append((cell.scenario, cell.method, cell.snr_db, trial_index))
+            return real(cell, trial_index, rows)
+
+        monkeypatch.setattr(experiments, "_set_up", set_up)
+        cells = experiments._sorted_cells(cfg)
+        records = experiments._run_cells(cells, draw_ahead)
+        runs = [key for key, _ in itertools.groupby(seen, lambda job: (job[0], job[3]))]
+        assert len(runs) == len(set(runs)) == 2 * cfg.n_trials
+        for cell, _ in cells:
+            key = (cell.scenario, cell.method, cell.snr_db)
+            assert [job[3] for job in seen if job[:3] == key] == list(range(cfg.n_trials))
+        assert len(seen) == len(cells) * cfg.n_trials
+        assert records == run_sweep(cfg, n_threads=2)
+        assert records == [experiments._run_cell(cell) for cell in cells]
+
     def test_the_pool_is_built_through_the_module_attribute(self, monkeypatch):
         """A benchmark tracer swaps its own pool class in here."""
         built = []
@@ -346,7 +411,7 @@ class TestDrawAhead:
         monkeypatch.setattr(
             experiments,
             "_run_trials",
-            lambda cfg, jobs, draw_ahead: calls.append(draw_ahead) or real(cfg, jobs, draw_ahead),
+            lambda jobs, draw_ahead: calls.append(draw_ahead) or real(jobs, draw_ahead),
         )
         monkeypatch.setattr(_scratch, "usable_cpus", lambda: 1)
         serial = run_sweep(cfg)
@@ -438,16 +503,16 @@ class TestDrawAhead:
         assert results == [expected[i % 2] for i in range(8)]
 
     @pytest.mark.parametrize("draw_ahead", [True, False])
-    def test_the_first_failing_job_in_record_order_raises(self, monkeypatch, draw_ahead):
+    def test_the_first_failing_job_in_job_order_raises(self, monkeypatch, draw_ahead):
         """Drawing ahead, trial 2 is set up before trial 1 is scored; trial 1's
         error still comes first."""
         real_streams, real_normalize = experiments._trial_streams, experiments.normalize_block
         normalized = []
 
-        def streams(cfg, scenario, method, snr_db, trial_index):
+        def streams(cell, trial_index):
             if trial_index == 2:
                 raise RuntimeError("trial 2 set-up")
-            return real_streams(cfg, scenario, method, snr_db, trial_index)
+            return real_streams(cell, trial_index)
 
         def normalize(matrix, **kwargs):
             normalized.append(matrix)
@@ -468,6 +533,28 @@ class TestDrawAhead:
         with pytest.raises(RuntimeError, match="trial 2 set-up"):
             experiments._run_cells(cells, draw_ahead)
         assert len(normalized) == 4
+
+    def test_a_one_worker_sweep_raises_the_first_failing_trial_the_pool_the_first_cell(
+        self, monkeypatch
+    ):
+        """Cell 1 fails at trial 1 and cell 2 at trial 0.  A one-worker sweep
+        runs trial 0 of every cell first, so cell 2's error comes first; the
+        pool hands back whole cells in record order, so cell 1's does."""
+        cfg = small_config(methods=(Method.RAW, Method.CR), n_trials=2)
+        real_streams = experiments._trial_streams
+        failing = {(Method.CR, 1), (Method.RAW, 0)}  # cr sorts before raw
+
+        def streams(cell, trial_index):
+            if (cell.method, trial_index) in failing:
+                raise RuntimeError(f"{cell.method.value} trial {trial_index}")
+            return real_streams(cell, trial_index)
+
+        monkeypatch.setattr(experiments, "_trial_streams", streams)  # forked workers inherit it
+        for draw_ahead in (False, True):
+            with pytest.raises(RuntimeError, match="^raw trial 0$"):
+                experiments._run_cells(experiments._sorted_cells(cfg), draw_ahead)
+        with pytest.raises(RuntimeError, match="^cr trial 1$"):
+            run_sweep(cfg, n_threads=2)
 
 
 class TestTrialLoop:
@@ -524,8 +611,11 @@ class TestTrialLoop:
             alone.append(run_trial(cfg, *job))
         monkeypatch.setattr(_scratch, "_local", threading.local())
         _scratch.scratch(4, experiments._row_size(cfg, cfg.methods)).fill(np.nan)
-        jobs = [(*job, cfg.params.with_snr(job[2])) for job in jobs]
-        assert experiments._run_trials(cfg, jobs, draw_ahead) == alone
+        jobs = [
+            (experiments._Cell(cfg, s, m, snr_db, cfg.params.with_snr(snr_db)), t)
+            for s, m, snr_db, t in jobs
+        ]
+        assert experiments._run_trials(jobs, draw_ahead) == alone
 
 
 #: (scenario, method, poisoned, trial_index, an oracle call before this
@@ -752,7 +842,8 @@ class TestTrialStreams:
         self, master_seed, scenario, method, snr_db, trial_index, n_devices
     ):
         cfg = small_config(master_seed=master_seed, n_devices=n_devices)
-        streams = _trial_streams(cfg, scenario, method, snr_db, trial_index)
+        cell = experiments._Cell(cfg, scenario, method, snr_db, cfg.params.with_snr(snr_db))
+        streams = _trial_streams(cell, trial_index)
         assert len(streams) == 3 * n_devices + 1
         key = (
             master_seed,
@@ -804,8 +895,8 @@ class TestNonfiniteHandling:
         # 1e155 is finite, but its squared deviation overflows
         values = (np.nan, np.inf, -np.inf, 1e155)
 
-        def block_features(method, params, fp, trial, phase, blocks):
-            block = real(method, params, fp, trial, phase, blocks)
+        def block_features(law, params, fp, trial, phase, blocks):
+            block = real(law, params, fp, trial, phase, blocks)
             n_samples = block.shape[1]
             for device, batch in enumerate(block):
                 call = 2 * device + (phase is Phase.TEST)

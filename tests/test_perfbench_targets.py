@@ -194,19 +194,19 @@ def test_normals_per_trial_counts_the_draws_of_a_drawn_ahead_sweep(monkeypatch):
     real_streams = experiments._trial_streams
     trials = []
 
-    def counted(cfg, scenario, method, snr_db, trial_index):
-        streams = [CountingStream(rng) for rng in real_streams(cfg, scenario, method, snr_db,
-                                                               trial_index)]
-        trials.append((cfg, scenario, method, streams))
+    def counted(cell, trial_index):
+        streams = [CountingStream(rng) for rng in real_streams(cell, trial_index)]
+        trials.append((cell, streams))
         return streams
 
     monkeypatch.setattr(experiments, "_trial_streams", counted)
     cells = _drawn_ahead_cells(workloads)
     experiments._run_cells(cells, True)
-    assert len(trials) == len(cells) * cells[0][0].n_trials
-    for cfg, scenario, method, streams in trials:
+    assert len(trials) == len(cells) * cells[0][0].cfg.n_trials
+    for cell, streams in trials:
         drawn = sum(stream.normals for stream in streams)
-        assert drawn == workloads.normals_per_trial(cfg, scenario, method), (scenario, method)
+        expected = workloads.normals_per_trial(cell.cfg, cell.scenario, cell.method)
+        assert drawn == expected, (cell.scenario, cell.method)
 
 
 @pytest.mark.parametrize("form", list(gaussian_moments.RatioForm), ids=lambda form: form.value)

@@ -17,7 +17,7 @@ from rff_lab.channel import ChannelParams, ChannelScenario, Phase, init_trial_ch
 from rff_lab.experiments import default_config
 from rff_lab.gaussian_moments import GaussianSpec, RatioForm, RatioParams, mc_ratio_detail
 from rff_lab.signal_model import Method, ModelParams, draw_fingerprint, extract_batch, ratio_law
-from rff_lab.signal_model import _block_features, _fill
+from rff_lab.signal_model import _block_features, _extraction_law, _fill
 
 BASE_PARAMS = default_config().params  # shipped defaults; sigma_n is set per test
 
@@ -310,7 +310,8 @@ def test_the_fill_and_arithmetic_halves_give_extraction_bytes(method, scenario):
     def features(fill) -> bytes:
         rngs = [np.random.default_rng(10 + d) for d in range(n_devices)]
         fill(functools.partial(_fill, method, trial, [rngs], [blocks]))
-        return _block_features(method, p, fp, trial, Phase.TEST, blocks).tobytes()
+        law = _extraction_law(method, p, scenario, Phase.TEST)
+        return _block_features(law, p, fp, trial, Phase.TEST, blocks).tobytes()
 
     def two_threads(fill):
         pending = iter(devices)
